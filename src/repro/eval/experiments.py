@@ -34,7 +34,6 @@ from ..sim import (
     TransferLog,
     dumbbell_spec,
     instantiate,
-    make_simulator,
 )
 from ..sim.node import AggregateHost
 from ..transport import (
@@ -76,32 +75,24 @@ class ExperimentConfig:
     #: Fair queuing for TVA's regular class: "drr" (the paper's design) or
     #: "sfq" (the Section 3.9 hashed-bucket alternative).
     regular_qdisc: str = "drr"
-    #: Event-loop core: "default" or "fast" (the opt-in compiled core,
-    #: see :mod:`repro.sim.engine_fast`).  The engines are bit-identical
-    #: and "fast" falls back cleanly when the core cannot be built, so
-    #: this knob can never fork results — and it is omitted from the
-    #: serialized form at its default, keeping every pre-existing spec
-    #: key (and the committed goldens) byte-for-byte unchanged.
-    engine: str = "default"
 
     def __post_init__(self) -> None:
         # JSON turns tuples into lists; normalize so equality survives.
         self.server_grant = tuple(self.server_grant)
-        from ..sim.engine_fast import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
 
     def to_dict(self) -> Dict:
-        data = asdict(self)
-        if data["engine"] == "default":
-            del data["engine"]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
+        if "engine" in data:
+            # Configs stored by older versions may carry it; name the
+            # field rather than let cls(**data) raise a bare TypeError.
+            raise ValueError(
+                "stored config carries the removed field 'engine' "
+                f"({data['engine']!r}): there is one event loop now; delete "
+                "the key — results are identical without it"
+            )
         return cls(**data)
 
 
@@ -272,7 +263,7 @@ def run_flood_scenario(
       layer, for the imprecise-policy experiment (Figure 11).
     """
     config = config or ExperimentConfig()
-    sim = make_simulator(config.engine)
+    sim = Simulator()
     scheme = _make_scheme(
         scheme_name,
         config,

@@ -501,9 +501,9 @@ class HotPathCodecRule(Rule):
                 and node.func.id in imported)
 
 
-class BurstBypassRule(Rule):
-    """P002 — per-packet work that bypasses the burst & pool fast-path
-    APIs in the simulation hot path.
+class HotPathAllocRule(Rule):
+    """P002 — per-packet allocations in the simulation hot path that an
+    existing scheduling or packet-pool API avoids.
 
     Two patterns, both strictly dominated by an existing API:
 
@@ -526,9 +526,10 @@ class BurstBypassRule(Rule):
     """
 
     code = "P002"
-    name = "burst-bypass"
+    name = "hot-path-alloc"
     summary = ("discarded sim.after/sim.at Event or direct Packet() "
-               "construction bypassing the burst/pool fast-path APIs")
+               "construction where call_after/call_at or "
+               "sim.alloc_packet does the same without the allocation")
     motivation = ("per-packet Event allocation and module-global packet "
                   "uids were a measurable share of the flood-scenario "
                   "event-loop cost (see DESIGN.md, fast path)")
@@ -588,7 +589,7 @@ RULES: Tuple[Rule, ...] = (
     MutableDefaultRule(),
     SwallowedExceptionRule(),
     HotPathCodecRule(),
-    BurstBypassRule(),
+    HotPathAllocRule(),
 )
 
 #: Lookup by code or slug (both accepted in --select and suppressions).

@@ -11,7 +11,7 @@ sweep cache and the ``--jobs`` determinism guarantee depend on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .metrics import MetricRegistry, MetricValue
 
@@ -28,27 +28,17 @@ class Sampler:
     """
 
     def __init__(
-        self,
-        sim: "Simulator",
-        registry: MetricRegistry,
-        interval: float = 0.5,
-        before: Optional[Callable[[], None]] = None,
+        self, sim: "Simulator", registry: MetricRegistry, interval: float = 0.5
     ) -> None:
         if interval <= 0:
             raise ValueError("sample interval must be positive")
         self.sim = sim
         self.registry = registry
         self.interval = interval
-        #: Optional hook run at each tick before the registry read; the
-        #: observability layer settles burst-batched links here so gauges
-        #: over raw counters are exact at the sample instant.
-        self.before = before
         self.rows: List[Tuple[float, Dict[str, MetricValue]]] = []
         sim.after(interval, self._tick)
 
     def _tick(self) -> None:
-        if self.before is not None:
-            self.before()
         self.rows.append((self.sim.now, self.registry.sample()))
         self.sim.after(self.interval, self._tick)
 

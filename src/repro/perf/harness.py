@@ -368,7 +368,8 @@ def compare_reports(report: BenchReport, old: dict) -> Tuple[str, List[str]]:
     comparator over the old report's op counts and keeping only the
     deltas that grew.  Workloads only present on one side are listed in
     the table; ones the old report lacks are never regressions (they are
-    new coverage)."""
+    new coverage); a counter only one side records is listed as
+    ``removed``/``new`` and is never a regression either."""
     if bool(old.get("quick")) != report.quick:
         raise ValueError(
             f"old report was quick={old.get('quick')} but this run is "
@@ -399,6 +400,16 @@ def compare_reports(report: BenchReport, old: dict) -> Tuple[str, List[str]]:
             f"{r.name:14s} {old_wall:9.3f} {r.wall_seconds:9.3f} "
             f"{speedup:7.2f}x {d_events:+9d} {d_queue:+11d} {d_hashes:+9d}"
         )
+    # A counter only one side records was added or removed between the
+    # two reports; it has no delta, so it is only named.  (The comparator
+    # below skips counters the old report lacks and reads one this build
+    # lacks as 0 — a decrease, never a regression.)
+    old_counters = set()
+    for _, data in sorted(old_workloads.items()):
+        old_counters.update(data.get("op_counts", {}))
+    for counter in sorted(old_counters ^ set(GUARD_FIELDS)):
+        status = "removed" if counter in old_counters else "new"
+        lines.append(f"counter {counter}: {status}")
     # Regressions via the guard comparator: treat the old report's op
     # counts as the guard and keep only the deltas that increased.
     pseudo_guard = {

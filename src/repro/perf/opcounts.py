@@ -35,7 +35,6 @@ class OpCounts:
     dequeues: int = 0
     valcache_hits: int = 0
     valcache_misses: int = 0
-    bursts_planned: int = 0
     pool_reuses: int = 0
 
     def to_dict(self) -> Dict[str, int]:

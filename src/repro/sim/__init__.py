@@ -8,7 +8,6 @@ Public surface::
 """
 
 from .engine import Event, SimulationError, Simulator
-from .engine_fast import FastSimulator, make_simulator
 from .link import AggregateLink, Link
 from .node import AggregateHost, Host, HostShim, Node, Router, RouterProcessor
 from .packet import CAPABILITY_HEADER, IP_TCP_HEADER, Packet
@@ -52,7 +51,6 @@ __all__ = [
     "DropTailQueue",
     "Dumbbell",
     "Event",
-    "FastSimulator",
     "Host",
     "HostShim",
     "IP_TCP_HEADER",
@@ -87,7 +85,6 @@ __all__ = [
     "dumbbell_spec",
     "fat_tree_spec",
     "instantiate",
-    "make_simulator",
     "partial_deployment_spec",
     "tree_spec",
 ]

@@ -183,10 +183,11 @@ class Simulator:
         """Fire-and-forget :meth:`after`: no :class:`Event` handle, so the
         callback can never be cancelled.
 
-        The per-packet path (link transmission completion, propagation
-        delivery) schedules two callbacks per packet and never cancels
-        either; skipping the Event allocation and its flag bookkeeping is
-        a measurable share of the event-loop cost.  Heap entries are
+        The per-packet path (a link's delivery and boundary wake-up via
+        :meth:`call_at`, agents' send ticks via this) schedules one or two
+        callbacks per packet and never cancels them; skipping the Event
+        allocation and its flag bookkeeping is a measurable share of the
+        event-loop cost.  Heap entries are
         ``(time, seq, fn, args)`` 4-tuples — ``seq`` is unique, so they
         order against the 3-tuple Event entries by (time, seq) exactly
         like everything else."""
@@ -202,10 +203,12 @@ class Simulator:
         """Fire-and-forget :meth:`at`: absolute-time twin of
         :meth:`call_after`.
 
-        Burst-batched links schedule per-packet deliveries at precomputed
-        absolute boundaries; going through ``call_after`` would round the
-        relative delay and shift timestamps by an ulp relative to the
-        reference one-event-per-packet schedule."""
+        A link computes each packet's serialization end as an absolute
+        float and schedules both the delivery (``end + delay``) and the
+        next packet's start (``end``) from it; going through
+        ``call_after`` would re-derive those times as ``now + (t - now)``
+        and could shift them by an ulp, so back-to-back packets would no
+        longer share exact boundary timestamps."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"

@@ -6,33 +6,14 @@ attached queue discipline one at a time at ``bandwidth_bps``, then take
 same store-and-forward model ns-2 uses, so queueing dynamics (and therefore
 the paper's transfer-time results) carry over.
 
-Transmission is *burst batched*: instead of one completion event per packet,
-the link asks its discipline for an arrival-insensitive run of back-to-back
-packets (:meth:`~repro.sim.queues.Qdisc.plan_burst`), schedules one delivery
-per packet at its exact serialization + propagation time, and at most one
-completion event for the whole burst.  The queue state is *not* advanced up
-front: real ``dequeue`` calls are replayed lazily at each packet's
-transmission-start time (see :meth:`Link._settle`), so every enqueue, drop
-decision, and counter observes byte-identical queue state to the reference
-one-event-per-packet schedule.  The invariants that keep this exact:
-
-* A plan is a pure peek and covers only packets whose service order cannot
-  be changed by later arrivals (FIFO prefix, one DRR deficit top-up,
-  bucket-less head class of a priority scheduler).
-* Packet 0 is settled eagerly at commit time — the reference would have
-  dequeued it inside the very same event.
-* An arrival into a higher-priority class aborts the uncommitted tail of
-  the burst (``Qdisc.burst_preempted``); the revoked packets stay queued
-  and their already-scheduled deliveries no-op.
-* Settling is exclusive (``start < now``): a packet whose transmission
-  starts exactly at an arrival's timestamp is still queued when that
-  arrival is enqueued, matching the reference's event order.
-
-Setting :attr:`Link.burst_pkts` to 1 disables planning entirely and takes
-the legacy single-dequeue path, which *is* the reference schedule — the
-equivalence tests pin a mirror link there and compare trajectories.
-Instrumented links stay burst-batched; the sampler calls :meth:`Link.settle`
-before each read so gauges sample exact instantaneous backlogs.
+Each channel keeps one float, ``busy_until``: the time the packet now on
+the wire finishes serializing.  ``send`` enqueues and, if the wire is
+free, pumps; ``_pump`` dequeues one packet, counts it transmitted, sets
+``busy_until = now + size * 8 / bandwidth`` and schedules its delivery at
+``busy_until + delay``.  A *wake-up* at the boundary is scheduled only
+when there is something to serve then — at pump time if a backlog
+remains, otherwise by the first ``send`` that finds the wire busy — so a
+packet crossing an idle link costs one event (its delivery), not two.
 
 Rate-limited disciplines (TVA's request class) can have a backlog without a
 sendable packet; the link then parks itself and re-polls at the time the
@@ -50,94 +31,34 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..obs.metrics import Counter
-from ..perf.counters import PERF
-from .engine import Event, SimulationError, Simulator
+from .engine import Event, Simulator
 from .packet import Packet
 from .queues import Qdisc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
-#: Default per-burst budget: packets per committed burst.  64 packets keeps
-#: worst-case settle replays short while capturing essentially all of the
-#: event-count win (bursts longer than a few packets are rare outside
-#: sustained floods).
-BURST_MAX_PKTS = 64
-
-#: Default per-burst budget in bytes (~340 MTU-sized packets; the packet
-#: budget binds first in practice, this one bounds pathological jumbo runs).
-BURST_MAX_BYTES = 512_000
-
-
-class _Burst:
-    """One committed transmission run on a channel.
-
-    ``pkts[i]`` occupies the wire over ``[starts[i], ends[i])``; entries
-    below ``n_settled`` have been dequeued for real (and tx-counted),
-    entries in ``[n_settled, n_committed)`` are committed but still
-    sitting in the qdisc, and entries at or past ``n_committed`` were
-    revoked by an abort — their delivery events no-op.  ``busy_until`` is
-    ``ends[n_committed - 1]``; the channel is transmitting until then.
-
-    ``completion_token`` versions the completion callback: aborts and
-    fault transitions bump it, so a stale completion scheduled for an
-    old ``busy_until`` is ignored when it fires.
-    """
-
-    __slots__ = (
-        "pkts",
-        "starts",
-        "ends",
-        "n_committed",
-        "n_settled",
-        "busy_until",
-        "completion_scheduled",
-        "completion_token",
-    )
-
-    def __init__(
-        self, pkts: Sequence[Packet], starts: List[float], ends: List[float]
-    ) -> None:
-        self.pkts = pkts
-        self.starts = starts
-        self.ends = ends
-        self.n_committed = len(pkts)
-        self.n_settled = 0
-        self.busy_until = ends[-1]
-        self.completion_scheduled = False
-        self.completion_token = 0
-
 
 class _Channel:
-    """One serial transmitter: a qdisc plus its in-progress burst.
+    """One serial transmitter: a qdisc plus the state of its wire.
 
     A plain :class:`Link` owns exactly one; an :class:`AggregateLink`
     owns one per member.
-
-    ``plan_cap`` is the adaptive planning budget: planning is O(plan
-    length) and a burst aborted by a higher-priority arrival wastes the
-    whole uncommitted tail, so the channel tracks how long its bursts
-    actually survive — halved survival shrinks the cap, a clean cap-bound
-    completion doubles it (up to :attr:`Link.burst_pkts`).  The cap only
-    bounds wasted planning work: shorter plans re-pump at the exact same
-    burst boundaries, so simulated timestamps are unchanged.
     """
 
-    __slots__ = ("qdisc", "burst", "poll_event", "plan_cap", "scratch")
+    __slots__ = ("qdisc", "busy_until", "wake_pending", "poll_event")
 
     def __init__(self, qdisc: Qdisc) -> None:
         self.qdisc = qdisc
-        self.burst: Optional[_Burst] = None
+        #: When the packet on the wire finishes serializing; the wire is
+        #: free once ``sim.now`` reaches it.
+        self.busy_until = 0.0
+        #: Whether a live :meth:`Link._wake` is scheduled at
+        #: ``busy_until``.  It alone serves the backlog at the boundary,
+        #: so arrivals (and polls) landing at that very timestamp before
+        #: it fires leave the dequeue to it.
+        self.wake_pending = False
         self.poll_event: Optional[Event] = None
-        self.plan_cap = 4
-        #: Reusable single-packet :class:`_Burst`.  Single-packet service
-        #: (the dominant case on idle links) mutates this in place instead
-        #: of allocating a burst + two lists per packet.  Reuse is safe
-        #: because single deliveries carry the packet itself (no burst
-        #: reference) and ``completion_token`` stays monotonic across
-        #: reuses, so a neutralized completion from an earlier occupancy
-        #: can never match the current one.
-        self.scratch: Optional[_Burst] = None
 
 
 class Link:
@@ -172,11 +93,10 @@ class Link:
         #: Administrative/fault state; a down link drops arrivals and does
         #: not start new transmissions.
         self.up = True
-        #: Burst budgets.  ``burst_pkts = 1`` disables burst planning and
-        #: serves one packet per completion event — the reference
-        #: schedule the equivalence tests compare against.
-        self.burst_pkts = BURST_MAX_PKTS
-        self.burst_bytes = BURST_MAX_BYTES
+        #: Fault token: bumped by every :meth:`set_down` and carried by
+        #: each scheduled wake-up, so one armed before the link went down
+        #: is ignored when it fires.
+        self._fault_token = 0
         self._chan = _Channel(qdisc)
         # Counters for utilization traces; external readers see ints via
         # the properties below.
@@ -194,17 +114,12 @@ class Link:
         self.classify: Optional[Callable[[Packet], str]] = None
         self._class_bytes: Dict[str, Counter] = {}
 
-    # The tx properties settle first: a committed burst's packets count as
-    # transmitted once their start time has passed, exactly as if each had
-    # been dequeued by its own completion event.
     @property
     def tx_packets(self) -> int:
-        self.settle()
         return self._tx_packets.value
 
     @property
     def tx_bytes(self) -> int:
-        self.settle()
         return self._tx_bytes.value
 
     @property
@@ -254,19 +169,6 @@ class Link:
     def _all_channels(self) -> Sequence[_Channel]:
         return (self._chan,)
 
-    def settle(self) -> None:
-        """Bring transmit accounting up to the current simulated time.
-
-        Replays the lazy dequeues of every in-progress burst so tx
-        counters, class counters, and qdisc backlogs read exactly what
-        the reference one-event-per-packet schedule would show right
-        now.  The tx properties call this implicitly; samplers reading
-        raw :class:`Counter` objects or qdisc gauges call it first."""
-        now = self.sim.now
-        for channel in self._all_channels():
-            if channel.burst is not None:
-                self._settle(channel, now)
-
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Hand a packet to this link's queue; starts transmission if idle.
@@ -281,48 +183,21 @@ class Link:
         return self._send_on(self._chan, pkt)
 
     def _send_on(self, channel: _Channel, pkt: Packet) -> bool:
-        now = self.sim.now
-        burst = channel.burst
-        if burst is not None:
-            # Replay dequeues for every committed packet whose transmission
-            # started before this arrival, so the enqueue below sees the
-            # same backlog the reference would.  Guarded on the next
-            # boundary: most arrivals land mid-serialization with nothing
-            # to settle, and skipping the call is measurable.
-            i = burst.n_settled
-            if i < burst.n_committed:
-                if burst.starts[i] < now:
-                    self._settle(channel, now)
-                    burst = channel.burst
-            elif not burst.completion_scheduled and now >= burst.busy_until:
-                self._settle(channel, now)
-                burst = channel.burst
-        qdisc = channel.qdisc
-        if not qdisc.enqueue(pkt):
+        if not channel.qdisc.enqueue(pkt):
             return False
-        if burst is None:
-            self._pump(channel)
-            return True
-        if qdisc.burst_preempted:
-            if burst.n_settled < burst.n_committed:
-                self._abort(channel, now)
-            else:
-                # Nothing left to revoke; just stop tracking the burst's
-                # serving class so later arrivals don't re-flag.
-                qdisc.end_burst()
-        if not burst.completion_scheduled:
-            # The channel was committed with no backlog beyond the burst
-            # (completion deferred); now that there is one, arrange the
-            # next pump at the burst boundary.
-            burst.completion_scheduled = True
-            self.sim.call_at(
-                burst.busy_until,
-                self._burst_done,
-                channel,
-                burst,
-                burst.completion_token,
-            )
+        if not channel.wake_pending:
+            self._serve(channel)
         return True
+
+    def _serve(self, channel: _Channel) -> None:
+        """Transmit now if the wire is free, else wake at the boundary."""
+        if self.sim.now >= channel.busy_until:
+            self._pump(channel)
+        else:
+            channel.wake_pending = True
+            self.sim.call_at(
+                channel.busy_until, self._wake, channel, self._fault_token
+            )
 
     # ------------------------------------------------------------------
     def set_down(self) -> List[Packet]:
@@ -330,33 +205,19 @@ class Link:
 
         Returns the drained packets (already counted on the link's fault
         counters).  A packet mid-transmission still completes and
-        propagates — the uncommitted tail of a burst is revoked and
-        drains with the queue; the next pump attempt finds the link down
-        and stops.  Idempotent — downing a down link drains nothing.
+        propagates; pending polls are cancelled and pending wake-ups
+        revoked, so nothing new starts until :meth:`set_up`.
+        Idempotent — downing a down link drains nothing.
         """
         if not self.up:
             return []
         self.up = False
-        now = self.sim.now
+        self._fault_token += 1
         drained: List[Packet] = []
         for channel in self._all_channels():
             self.sim.cancel(channel.poll_event)
             channel.poll_event = None
-            burst = channel.burst
-            if burst is not None:
-                self._settle(channel, now)
-                burst = channel.burst
-            if burst is not None:
-                # Packets already on the wire (settled) finish; the rest
-                # return to the queue's custody and drain below.
-                n = burst.n_settled
-                burst.n_committed = n
-                burst.busy_until = burst.ends[n - 1]
-                burst.completion_token += 1
-                burst.completion_scheduled = False
-                if now >= burst.busy_until:
-                    channel.burst = None
-            channel.qdisc.end_burst()
+            channel.wake_pending = False
             drained.extend(channel.qdisc.drain())
         for pkt in drained:
             self._fault_drops.inc()
@@ -364,46 +225,19 @@ class Link:
         return drained
 
     def set_up(self) -> None:
-        """Bring the link back; resumes service of any new backlog."""
+        """Bring the link back; resumes service of any new backlog — at
+        once, or at the boundary of a packet still serializing."""
         if self.up:
             return
         self.up = True
-        now = self.sim.now
         for channel in self._all_channels():
-            burst = channel.burst
-            if burst is not None:
-                if now >= burst.busy_until:
-                    channel.burst = None
-                else:
-                    # Still serializing the in-flight packet; resume
-                    # service exactly at its boundary.
-                    burst.completion_token += 1
-                    burst.completion_scheduled = True
-                    self.sim.call_at(
-                        burst.busy_until,
-                        self._burst_done,
-                        channel,
-                        burst,
-                        burst.completion_token,
-                    )
-                    continue
-            self._pump(channel)
+            self._serve(channel)
 
     # ------------------------------------------------------------------
     def _pump(self, channel: _Channel) -> None:
-        """Commit the next transmission run on an idle channel."""
-        if channel.burst is not None or not self.up:
-            return
+        """Put the next queued packet on a free wire."""
         now = self.sim.now
         qdisc = channel.qdisc
-        if self.burst_pkts > 1 and qdisc.backlog_pkts > 1:
-            cap = channel.plan_cap
-            if cap > self.burst_pkts:
-                cap = self.burst_pkts
-            plan = qdisc.plan_burst(now, cap, self.burst_bytes)
-            if plan is not None and len(plan) > 1:
-                self._commit_burst(channel, plan, now)
-                return
         pkt = qdisc.dequeue(now)
         if pkt is None:
             if not qdisc.backlog_pkts:
@@ -418,202 +252,34 @@ class Link:
                 delay = max(1e-6, ready - now)
                 channel.poll_event = self.sim.after(delay, self._poll, channel)
             return
-        # Single-packet service: fully settled at commit, so this path is
-        # byte- and state-identical to the pre-burst implementation.  All
-        # boundary times are computed and scheduled as absolute floats,
-        # in the exact arithmetic the reference's chained events produced
-        # (end as now + tx_time, delivery as end + delay), so timestamps
-        # match to the last ulp.
+        # Boundaries are absolute floats chained by addition (end, then
+        # end + delay); the next packet starts at exactly this ``end``.
         end = now + pkt.size * 8.0 / self.bandwidth_bps
-        burst = channel.scratch
-        if burst is None:
-            burst = _Burst([pkt], [now], [end])
-            channel.scratch = burst
-        else:
-            burst.pkts[0] = pkt
-            burst.starts[0] = now
-            burst.ends[0] = end
-            burst.n_committed = 1
-            burst.busy_until = end
-            burst.completion_scheduled = False
-            # completion_token is NOT reset: monotonicity across reuses
-            # keeps stale neutralized completions stale.
-        burst.n_settled = 1
-        channel.burst = burst
-        qdisc.end_burst()
-        self._count_tx(pkt)
-        # A settled single's delivery is unconditional (even a link-down
-        # lets the on-wire packet finish), so the event carries the packet
-        # itself and never touches the reusable burst object.
-        self.sim.call_at(end + self.delay, self._deliver_one, pkt)
-        if qdisc.backlog_pkts:
-            burst.completion_scheduled = True
-            self.sim.call_at(
-                end, self._burst_done, channel, burst, burst.completion_token
-            )
-
-    def _commit_burst(
-        self, channel: _Channel, plan: List[Packet], now: float
-    ) -> None:
-        qdisc = channel.qdisc
-        # Packet 0 settles eagerly: the reference dequeues it inside this
-        # very event, so even a same-timestamp preemption cannot revoke it.
-        first = qdisc.dequeue(now)
-        if first is not plan[0]:
-            raise SimulationError(
-                f"{self.name}: burst plan diverged at head: "
-                f"planned {plan[0]!r}, dequeued {first!r}"
-            )
-        PERF.bursts_planned += 1
-        bandwidth = self.bandwidth_bps
-        n = len(plan)
-        starts = [0.0] * n
-        ends = [0.0] * n
-        # Boundary arithmetic mirrors the reference event chain exactly:
-        # each start is the previous end's stored float, each end is
-        # start + size * 8.0 / bandwidth, and deliveries land at
-        # end + delay — identical rounding, identical timestamps.
-        t = now
-        for i, pkt in enumerate(plan):
-            starts[i] = t
-            t = t + pkt.size * 8.0 / bandwidth
-            ends[i] = t
-        burst = _Burst(plan, starts, ends)
-        burst.n_settled = 1
-        channel.burst = burst
-        self._count_tx(first)
-        # Only packet 0's delivery is scheduled here; each delivery chains
-        # the next one at fire time (see _deliver).  By then the next
-        # packet's fate is settled, so an abort revokes a whole tail at
-        # the cost of at most one wasted event — prescheduling the full
-        # burst would waste one per revoked packet.
-        self.sim.call_at(ends[0] + self.delay, self._deliver, channel, burst, 0)
-        # Completion policy: when backlog remains beyond the committed run,
-        # the next pump must happen exactly at the burst boundary, so the
-        # completion is scheduled now.  On a fully drained queue it is
-        # deferred — if nothing ever arrives, the burst is cleared lazily
-        # (final delivery or a settling read) and no event fires at all.
-        if qdisc.backlog_pkts > n - 1:
-            burst.completion_scheduled = True
-            self.sim.call_at(
-                t, self._burst_done, channel, burst, burst.completion_token
-            )
-
-    def _count_tx(self, pkt: Packet) -> None:
+        channel.busy_until = end
         self._tx_packets._value += 1
         self._tx_bytes._value += pkt.size
         if self.classify is not None:
             self.class_counter(self.classify(pkt)).inc(pkt.size)
+        # Fire-and-forget: a started transmission is never cancelled (even
+        # set_down lets the on-wire packet finish and propagate).
+        self.sim.call_at(end + self.delay, self.dst.receive, pkt, self)
+        if qdisc.backlog_pkts:
+            channel.wake_pending = True
+            self.sim.call_at(end, self._wake, channel, self._fault_token)
 
-    def _settle(self, channel: _Channel, now: float) -> None:
-        """Replay real dequeues for committed packets whose transmission
-        has started (strictly before ``now``), charging tx counters as the
-        reference would have at each packet's own start event."""
-        burst = channel.burst
-        if burst is None:
+    def _wake(self, channel: _Channel, token: int) -> None:
+        if token != self._fault_token:
             return
-        i = burst.n_settled
-        n = burst.n_committed
-        if i < n:
-            starts = burst.starts
-            pkts = burst.pkts
-            qdisc = channel.qdisc
-            tx_packets = self._tx_packets
-            tx_bytes = self._tx_bytes
-            classify = self.classify
-            while i < n:
-                start = starts[i]
-                if start >= now:
-                    break
-                got = qdisc.settle_dequeue(start)
-                if got is not pkts[i]:
-                    raise SimulationError(
-                        f"{self.name}: burst settle diverged at packet {i}: "
-                        f"planned {pkts[i]!r}, dequeued {got!r}"
-                    )
-                tx_packets._value += 1
-                tx_bytes._value += got.size
-                if classify is not None:
-                    self.class_counter(classify(got)).inc(got.size)
-                i += 1
-            burst.n_settled = i
-        if i == n and not burst.completion_scheduled and now >= burst.busy_until:
-            # Deferred completion and the wire has gone quiet: the burst
-            # is over, free the channel.
-            if n > 1 and n == len(burst.pkts) and n >= channel.plan_cap:
-                cap = n + n
-                channel.plan_cap = (
-                    cap if cap < self.burst_pkts else self.burst_pkts
-                )
-            channel.burst = None
-            channel.qdisc.end_burst()
-
-    def _deliver_one(self, pkt: Packet) -> None:
-        self.dst.receive(pkt, self)
-
-    def _deliver(self, channel: _Channel, burst: _Burst, i: int) -> None:
-        if channel.burst is burst:
-            now = self.sim.now
-            j = burst.n_settled
-            if j < burst.n_committed:
-                if burst.starts[j] < now:
-                    self._settle(channel, now)
-            elif not burst.completion_scheduled and now >= burst.busy_until:
-                self._settle(channel, now)
-        if i >= burst.n_committed:
-            # Revoked by an abort: the packet never left the queue.
-            return
-        j = i + 1
-        if j < burst.n_committed:
-            # Chain the next delivery.  Packet j started serializing at
-            # ends[i] <= now, so (except for a same-timestamp preemption,
-            # caught by the guard above when this fires) it is already
-            # settled and its delivery time is final.
-            self.sim.call_at(
-                burst.ends[j] + self.delay, self._deliver, channel, burst, j
-            )
-        self.dst.receive(burst.pkts[i], self)
-
-    def _burst_done(self, channel: _Channel, burst: _Burst, token: int) -> None:
-        if channel.burst is not burst or token != burst.completion_token:
-            return
-        self._settle(channel, self.sim.now)
-        n = burst.n_committed
-        if n > 1 and n == len(burst.pkts) and n >= channel.plan_cap:
-            # Un-aborted and bound by the planning cap: survival earned a
-            # longer plan next time.
-            cap = n + n
-            channel.plan_cap = cap if cap < self.burst_pkts else self.burst_pkts
-        channel.burst = None
-        channel.qdisc.end_burst()
-        if self.up:
-            self._pump(channel)
-
-    def _abort(self, channel: _Channel, now: float) -> None:
-        """Revoke the uncommitted tail of the burst: a higher-priority
-        packet just arrived and must be served at the next boundary."""
-        burst = channel.burst
-        n = burst.n_settled  # >= 1: packet 0 settles at commit
-        # The tail beyond the settled prefix was planned for nothing;
-        # shrink the planning cap toward the observed survival.
-        cap = n + n
-        channel.plan_cap = cap if cap > 2 else 2
-        burst.n_committed = n
-        burst.busy_until = burst.ends[n - 1]
-        burst.completion_token += 1
-        burst.completion_scheduled = True
-        self.sim.call_at(
-            burst.busy_until,
-            self._burst_done,
-            channel,
-            burst,
-            burst.completion_token,
-        )
-        channel.qdisc.end_burst()
+        channel.wake_pending = False
+        self._pump(channel)
 
     def _poll(self, channel: _Channel) -> None:
         channel.poll_event = None
-        self._pump(channel)
+        # A poll armed while idle can outlive the idleness (another class
+        # started transmitting since); the boundary wake-up, or the send
+        # that arms one, serves the backlog then.
+        if not channel.wake_pending and self.sim.now >= channel.busy_until:
+            self._pump(channel)
 
     # ------------------------------------------------------------------
     @property

@@ -61,10 +61,10 @@ GOLDEN_SPECS = {
         config=_CONFIG,
     ),
     # The aggregated 10k-attacker flood at a shortened duration: the
-    # largest topology the burst/pool fast path serves, kept golden so
-    # scale-dependent paths (AggregateLink, per-source channels) are
-    # pinned too.  1.0 s of simulated time keeps the test a few wall
-    # seconds while still spanning many burst commits.
+    # largest curated topology, kept golden so scale-dependent paths
+    # (AggregateLink, per-source channels, the packet pool) are pinned
+    # too.  1.0 s of simulated time keeps the test a few wall seconds
+    # while still saturating the victim link.
     "flood_10k": get_scenario("flood-10k").spec(duration=1.0),
 }
 

@@ -54,6 +54,20 @@ class TestScenarioSpec:
                             policy="filtering")
         assert pickle.loads(pickle.dumps(spec)) == spec
 
+    def test_stale_engine_key_is_a_named_error(self):
+        # Specs stored while ExperimentConfig had an ``engine`` field
+        # carry it only as "fast"; loading one must say what to do.
+        stored = ScenarioSpec("tva", "legacy", 5, config=FAST).to_dict()
+        assert "engine" not in stored["config"]
+        stored["config"]["engine"] = "fast"
+        for load, data in (
+            (ScenarioSpec.from_dict, stored),
+            (ExperimentConfig.from_dict, stored["config"]),
+        ):
+            with pytest.raises(ValueError, match="removed field 'engine'.*"
+                                                 "identical without it"):
+                load(data)
+
 
 class TestSpecBuilders:
     def test_flood_specs_cover_the_grid(self):

@@ -1,6 +1,6 @@
 # repro: module=repro.sim.fixture
-"""P002 positive fixture: per-packet patterns that bypass the burst &
-pool fast-path APIs.
+"""P002 positive fixture: per-packet allocations that call_after/call_at
+or sim.alloc_packet would avoid.
 
 The ``# repro: module=`` override puts this file in P002's scope exactly
 as if it lived under ``src/repro/sim/``.

@@ -63,6 +63,21 @@ def test_compare_flags_increases_and_missing():
     assert any("flood_10k" in r and "missing" in r for r in regressions)
 
 
+def test_compare_names_one_sided_counters():
+    # The old report predates ``hashes`` and still records a counter
+    # this build no longer has; neither has a delta, neither regresses.
+    old = _as_old(_report(wall=0.2, events=900))
+    for name in sorted(old["workloads"]):
+        op_counts = old["workloads"][name]["op_counts"]
+        del op_counts["hashes"]
+        op_counts["plans_committed"] = 7
+    table, regressions = compare_reports(_report(wall=0.2, events=900), old)
+    assert regressions == []
+    assert "counter plans_committed: removed" in table
+    assert "counter hashes: new" in table
+    assert "counter events_fired" not in table
+
+
 def test_compare_rejects_mode_mismatch():
     old = _as_old(_report(wall=0.2, events=900, quick=False))
     with pytest.raises(ValueError, match="quick"):

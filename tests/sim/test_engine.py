@@ -164,6 +164,24 @@ def test_run_is_not_reentrant():
     sim.run()
 
 
+def test_callback_exception_keeps_counts():
+    sim = Simulator()
+    sim.after(1.0, lambda: None)
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.after(2.0, boom)
+    sim.after(3.0, lambda: None)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert sim.events_processed == 1
+    assert sim.now == 2.0
+    assert sim.pending == 1
+    # The engine is reusable after the error.
+    assert sim.run() == 1
+
+
 class TestPendingCounter:
     """`Simulator.pending` is a live counter, not a heap scan."""
 
@@ -293,8 +311,9 @@ class TestCallAfter:
         sim.at(1.0, seen.append, 0)
         sim.call_after(1.0, seen.append, 1)
         sim.at(1.0, seen.append, 2)
+        sim.call_at(1.0, seen.append, 3)
         sim.run()
-        assert seen == [0, 1, 2]
+        assert seen == [0, 1, 2, 3]
 
     def test_negative_delay_raises(self):
         sim = Simulator()
