@@ -9,7 +9,7 @@ packets as ordinary data, so their curves match Figure 8.
 
 from conftest import DURATION, SWEEP, print_flood_table, sweep_rows
 
-from repro.eval import ExperimentConfig, SweepRunner, build_flood_specs
+from repro.api import ExperimentConfig, SweepRunner, build_flood_specs
 
 
 def _sweep(scheme):

@@ -10,14 +10,13 @@ Three entry points cover the common workflows:
 * :func:`run_scenario` — one simulation, one result;
 * :func:`sweep` — many specs, parallel + cached + multi-seed, one
   :class:`SweepResult`;
-* :func:`build_scheme` — instantiate any registered scheme by name
-  (the :data:`SCHEMES` registry).
+* :func:`build_scheme` — instantiate any registered scheme by name,
+  with knob overrides (the :data:`SCHEMES` registry).
 
 Everything re-exported here is covered by the deprecation policy: names
 may gain parameters but won't move or vanish without a deprecation cycle.
 The deep module paths (``repro.eval.runner`` etc.) remain importable but
-are implementation detail; the old ``repro.eval`` re-exports of this
-surface emit :class:`DeprecationWarning`.
+are implementation detail.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .lint import Finding, LintEngine, LintError
 from .lint import RULES as LINT_RULES
 from .lint import lint_paths
 
-# -- benchmarking (deterministic op counts + wall clock) -------------------
+# -- benchmarking (deterministic op counts) --------------------------------
 from .perf import (
     PERF,
     BenchReport,
@@ -52,7 +51,6 @@ from .perf import (
     OpCounts,
     PerfCounters,
     run_bench,
-    write_bench_report,
 )
 
 # -- fault injection -------------------------------------------------------
@@ -270,7 +268,6 @@ __all__ = [
     "OpCountProbe",
     "BenchReport",
     "run_bench",
-    "write_bench_report",
     # faults
     "FaultInjector",
     "FaultSchedule",

@@ -17,7 +17,6 @@ per user); the *shape* of every curve is preserved.  Pass a larger
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -48,9 +47,37 @@ from ..transport.tcp import TcpStats
 #: Evaluated schemes, derived from the :mod:`repro.schemes` registry.
 SCHEMES = scheme_names()
 
+#: Flood classes ``run_flood_scenario`` (and a spec's ``attack``) accepts.
+ATTACKS = ("legacy", "request", "colluder", "authorized")
+
 #: Attacker counts used by default for the Figure 8-10 sweeps (the paper
 #: sweeps 1..100 on a log axis).
 DEFAULT_SWEEP = (1, 2, 4, 10, 20, 40, 100)
+
+
+#: Fields that stored configs/specs of older versions may carry, with
+#: what to do about each; ``from_dict`` names them rather than let
+#: ``cls(**data)`` raise a bare TypeError.
+REMOVED_KEYS = {
+    "engine": (
+        "there is one event loop now; delete the key — results are "
+        "identical without it"
+    ),
+    "siff_secret_period": 'set scheme_options={"secret_period": …} instead',
+    "siff_accept_previous": 'set scheme_options={"accept_previous": …} instead',
+    "siff_mark_bits": 'set scheme_options={"mark_bits": …} instead',
+}
+
+
+def reject_removed_keys(data: Dict, what: str) -> None:
+    """Raise ``ValueError`` naming the first removed field ``data`` carries."""
+    stale = sorted(REMOVED_KEYS.keys() & data.keys())
+    if stale:
+        key = stale[0]
+        raise ValueError(
+            f"stored {what} carries the removed field {key!r} "
+            f"({data[key]!r}): {REMOVED_KEYS[key]}"
+        )
 
 
 @dataclass
@@ -85,14 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
-        if "engine" in data:
-            # Configs stored by older versions may carry it; name the
-            # field rather than let cls(**data) raise a bare TypeError.
-            raise ValueError(
-                "stored config carries the removed field 'engine' "
-                f"({data['engine']!r}): there is one event loop now; delete "
-                "the key — results are identical without it"
-            )
+        reject_removed_keys(data, "config")
         return cls(**data)
 
 
@@ -122,87 +142,30 @@ class FloodResult:
         return cls(**data)
 
 
-def _scheme_kwargs(
+def _scheme_for(
     name: str,
     config: ExperimentConfig,
-    destination_policy: Optional[Callable] = None,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
     scheme_options: Optional[Dict] = None,
-) -> Dict:
-    """Map an ExperimentConfig onto the registry's knob fields."""
-    kwargs: Dict = {"seed": config.seed}
-    if destination_policy is not None:
-        kwargs["destination_policy"] = destination_policy
+    destination_policy: Optional[Callable] = None,
+):
+    """Build ``name`` with ``scheme_options`` laid over the config's knobs.
+
+    The config carries the paper's experiment parameters (grant size,
+    request-channel fraction, regular-class qdisc); they are the knob
+    defaults here, and a per-spec option of the same name overrides them.
+    """
+    options: Dict = {}
     if name == "tva":
-        kwargs.update(
+        options.update(
             server_grant=config.server_grant,
             request_fraction=config.request_fraction,
             regular_qdisc=config.regular_qdisc,
         )
     elif name == "siff":
-        kwargs.update(
-            server_grant=config.server_grant,
-            secret_period=siff_secret_period or 30.0,
-            accept_previous=siff_accept_previous,
-            mark_bits=siff_mark_bits,
-        )
-    if scheme_options:
-        # Per-spec knob overrides win over the config-derived defaults.
-        kwargs.update(scheme_options)
-    return kwargs
-
-
-def _make_scheme(
-    name: str,
-    config: ExperimentConfig,
-    destination_policy: Optional[Callable] = None,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
-    scheme_options: Optional[Dict] = None,
-):
+        options.update(server_grant=config.server_grant)
+    options.update(scheme_options or {})
     return build_scheme(
-        name,
-        **_scheme_kwargs(
-            name,
-            config,
-            destination_policy=destination_policy,
-            siff_secret_period=siff_secret_period,
-            siff_accept_previous=siff_accept_previous,
-            siff_mark_bits=siff_mark_bits,
-            scheme_options=scheme_options,
-        ),
-    )
-
-
-def make_scheme(
-    name: str,
-    config: ExperimentConfig,
-    destination_policy: Optional[Callable] = None,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
-):
-    """Deprecated: use :func:`repro.api.build_scheme` (the registry) instead.
-
-    This wrapper keeps the historical signature working; it translates the
-    ExperimentConfig-shaped arguments onto the registry factories.
-    """
-    warnings.warn(
-        "repro.eval.experiments.make_scheme is deprecated; "
-        "use repro.api.build_scheme instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_scheme(
-        name,
-        config,
-        destination_policy=destination_policy,
-        siff_secret_period=siff_secret_period,
-        siff_accept_previous=siff_accept_previous,
-        siff_mark_bits=siff_mark_bits,
+        name, options, seed=config.seed, destination_policy=destination_policy
     )
 
 
@@ -219,9 +182,6 @@ def run_flood_scenario(
     attack_start: float = 0.0,
     attack_groups: int = 1,
     group_stagger: float = 0.0,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
     scheme_options: Optional[Dict] = None,
     observer=None,
     faults=None,
@@ -264,15 +224,7 @@ def run_flood_scenario(
     """
     config = config or ExperimentConfig()
     sim = Simulator()
-    scheme = _make_scheme(
-        scheme_name,
-        config,
-        destination_policy=destination_policy,
-        siff_secret_period=siff_secret_period,
-        siff_accept_previous=siff_accept_previous,
-        siff_mark_bits=siff_mark_bits,
-        scheme_options=scheme_options,
-    )
+    scheme = _scheme_for(scheme_name, config, scheme_options, destination_policy)
     if topology is None:
         topology = dumbbell_spec(
             n_users=config.n_users,
@@ -316,9 +268,11 @@ def run_flood_scenario(
     elif attack == "authorized":
         target = net.destination.address
         mode = "shim"
-    else:
+    elif attack == "legacy":
         target = net.destination.address
         mode = "legacy"
+    else:
+        raise ValueError(f"unknown attack {attack!r}; choose from {ATTACKS}")
 
     # Attacker units are plain hosts and/or aggregated groups; ``idx``
     # counts individual senders across both so start-time RNG draws and

@@ -33,9 +33,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import __version__
 from ..faults import FaultSchedule, coerce_schedule
+from ..schemes import knobs_for
 from ..sim.topospec import TopologySpec
 from .cache import ResultCache
-from .experiments import ExperimentConfig, run_flood_scenario
+from .experiments import (
+    ATTACKS,
+    ExperimentConfig,
+    reject_removed_keys,
+    run_flood_scenario,
+)
 from .results import PointResult, RunResult, SweepResult, normalize_metrics
 
 #: Salt mixed into every cache key.  Bump the suffix whenever the
@@ -51,11 +57,9 @@ from .results import PointResult, RunResult, SweepResult, normalize_metrics
 #: v5: per-packet fast path — instrumented runs gain the TVA
 #: validation-cache hit/miss counters (a strict superset of the v4
 #: metric names; simulation dynamics are golden-file-guarded unchanged).
-#: (The scheme-registry/NetFence change deliberately kept v5: existing
-#: schemes' dynamics are untouched, and the new ``scheme_options`` field
-#: joins the canonical form only when non-empty, so every pre-existing
-#: spec key — guarded by tests/eval/test_scheme_registry.py — survives.)
-CACHE_SALT = f"repro-runner-v5:{__version__}"
+#: v6: one spec form — ``canonical()`` carries every field always, and
+#: SIFF's knobs ride ``scheme_options`` (dynamics unchanged; keys only).
+CACHE_SALT = f"repro-runner-v6:{__version__}"
 
 #: Destination-policy names a spec may carry (see ``_policy_factory``).
 POLICIES = ("server", "filtering", "oracle")
@@ -86,9 +90,6 @@ class ScenarioSpec:
     attack_start: float = 0.0
     attack_groups: int = 1
     group_stagger: float = 0.0
-    siff_secret_period: Optional[float] = None
-    siff_accept_previous: bool = True
-    siff_mark_bits: int = 2
     #: Attach the ``repro.obs`` observability layer to this run and carry
     #: its export on the resulting :class:`RunResult`.  Part of the cache
     #: key: an instrumented run is a different (strict superset) result.
@@ -101,27 +102,26 @@ class ScenarioSpec:
     #: strings, or ``None`` all coerce to a :class:`FaultSchedule`.
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     #: Declarative topology to run on instead of the default dumbbell
-    #: (see :mod:`repro.sim.topospec`); ``None`` keeps the historical
-    #: dumbbell behaviour.  Omitted from :meth:`canonical` when ``None``
-    #: so every pre-existing spec key — including the golden runs' —
-    #: is unchanged.
+    #: (see :mod:`repro.sim.topospec`); ``None`` runs the Figure 7
+    #: dumbbell sized by ``config`` and ``n_attackers``.
     topology: Optional["TopologySpec"] = None
     #: Collapse attacker host groups into aggregated senders (only
-    #: meaningful with ``topology``).  Also omitted from the canonical
-    #: form at its default, and *kept* when ``True`` — aggregation is
-    #: bit-identical only at matching per-member schedules, so it is a
-    #: distinct cache entry.
+    #: meaningful with ``topology``).  Part of the cache key:
+    #: aggregation is bit-identical only at matching per-member
+    #: schedules, so it is a distinct cache entry.
     aggregate: bool = False
     #: Scheme knob overrides, keyed by the scheme's knob-dataclass field
     #: names (see :mod:`repro.schemes`); the ``--scheme-opt`` CLI flag
     #: feeds this.  Values are normalized to plain JSON on construction
     #: and validated against the registry, so a typo'd knob fails at
-    #: spec-build time, not mid-sweep.  Omitted from :meth:`canonical`
-    #: when empty so every pre-existing default-knob spec key is
-    #: unchanged.
+    #: spec-build time, not mid-sweep.
     scheme_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.attack not in ATTACKS:
+            raise ValueError(
+                f"unknown attack {self.attack!r}; choose from {ATTACKS}"
+            )
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {POLICIES}"
@@ -136,17 +136,16 @@ class ScenarioSpec:
             )
         if self.aggregate and self.topology is None:
             raise ValueError("aggregate=True requires a topology spec")
-        if self.scheme_options:
-            from ..schemes import knobs_for
-
-            # Round through JSON so tuples and dict ordering can never
-            # make two equivalent specs hash differently.
-            object.__setattr__(
-                self,
-                "scheme_options",
-                json.loads(json.dumps(self.scheme_options, sort_keys=True)),
-            )
-            knobs_for(self.scheme, self.scheme_options)  # validate eagerly
+        # Round through JSON so tuples and dict ordering can never make
+        # two equivalent specs hash differently.
+        object.__setattr__(
+            self,
+            "scheme_options",
+            json.loads(json.dumps(self.scheme_options or {}, sort_keys=True)),
+        )
+        # Validate eagerly: an unknown scheme is a ValueError listing the
+        # choices, an unknown knob a TypeError naming the scheme.
+        knobs_for(self.scheme, self.scheme_options)
 
     def canonical(self) -> dict:
         """The spec as plain data, independent of field ordering."""
@@ -155,18 +154,8 @@ class ScenarioSpec:
         # asdict() loses each event's ClassVar ``kind`` tag; use the
         # schedule's own canonical form (which keeps it).
         data["faults"] = self.faults.canonical()
-        # Topology fields stay out of the canonical form at their
-        # defaults so pre-topology spec keys (and the golden runs that
-        # embed them) are byte-for-byte unchanged.
-        if self.topology is None:
-            del data["topology"]
-            del data["aggregate"]
-        else:
+        if self.topology is not None:
             data["topology"] = self.topology.canonical()
-        # Same treatment for knob overrides: absent at the default (no
-        # overrides), so default-knob spec keys predate-the-field exactly.
-        if not self.scheme_options:
-            del data["scheme_options"]
         return data
 
     def to_dict(self) -> dict:
@@ -176,6 +165,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (e.g. a JSON file)."""
+        reject_removed_keys(data, "spec")
         data = dict(data)
         data["config"] = ExperimentConfig.from_dict(data["config"])
         data["faults"] = FaultSchedule.from_dict(data.get("faults"))
@@ -206,7 +196,7 @@ def _policy_factory(spec: ScenarioSpec) -> Optional[Callable]:
     never cross the process boundary.
     """
     if spec.policy == "server":
-        return None  # make_scheme falls back to the default ServerPolicy
+        return None  # the scheme's knobs build the default ServerPolicy
     from ..core import FilteringPolicy, OraclePolicy, ServerPolicy
     from ..core.params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
 
@@ -247,10 +237,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
         attack_start=spec.attack_start,
         attack_groups=spec.attack_groups,
         group_stagger=spec.group_stagger,
-        siff_secret_period=spec.siff_secret_period,
-        siff_accept_previous=spec.siff_accept_previous,
-        siff_mark_bits=spec.siff_mark_bits,
-        scheme_options=spec.scheme_options or None,
+        scheme_options=spec.scheme_options,
         observer=observer,
         faults=spec.faults,
         topology=spec.topology,
@@ -336,8 +323,19 @@ def build_fig11_spec(
         raise ValueError(f"unknown pattern {pattern!r}")
     config = replace(config or ExperimentConfig(), duration=duration)
     groups = 10 if pattern == "staggered" else 1
+    options = {}
     if scheme_name == "siff":
         group_lifetime = 3.0  # marks die at the next secret rotation
+        # The paper's Figure 11 SIFF: 3 s secret turnover, no grace for
+        # the previous secret.  Wide, idealized marks: the figure isolates
+        # *expiry* behaviour, and 2-bit marks would let 1/16 of attackers
+        # survive each rotation by collision (a separate SIFF weakness,
+        # studied in the ablations).
+        options = {
+            "secret_period": group_lifetime,
+            "accept_previous": False,
+            "mark_bits": 16,
+        }
     elif scheme_name == "netfence":
         from ..baselines.netfence import FEEDBACK_EXPIRY
 
@@ -360,12 +358,7 @@ def build_fig11_spec(
         attack_start=attack_start,
         attack_groups=groups,
         group_stagger=group_lifetime if pattern == "staggered" else 0.0,
-        siff_secret_period=3.0,
-        siff_accept_previous=False,
-        # Wide, idealized marks: Figure 11 isolates *expiry* behaviour, and
-        # 2-bit marks would let 1/16 of attackers survive each rotation by
-        # collision (a separate SIFF weakness, studied in the ablations).
-        siff_mark_bits=16,
+        scheme_options=options,
         metrics=metrics,
         metrics_interval=metrics_interval,
     )

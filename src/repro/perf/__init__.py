@@ -1,4 +1,4 @@
-"""Deterministic op-count profiling and wall-clock benchmarking.
+"""Deterministic op-count profiling and the op-count guard.
 
 Two layers:
 
@@ -6,8 +6,9 @@ Two layers:
   singleton that hot modules increment (dependency-free; safe for
   ``repro.core`` / ``repro.sim`` to import).
 * :mod:`repro.perf.opcounts` / :mod:`repro.perf.harness` — delta probes,
-  benchmark workloads, and the ``BENCH_perf.json`` writer behind
-  ``repro bench``.
+  benchmark workloads, and the op-count guard behind ``repro bench``.
+
+Time is measured by ``benchmarks/e2e`` (the repo benchmark), not here.
 
 The harness imports :mod:`repro.eval`, which imports :mod:`repro.core`,
 which imports *this package* — so everything beyond the counters is
@@ -24,7 +25,6 @@ _LAZY = {
     "OpCountProbe": "opcounts",
     "BenchReport": "harness",
     "run_bench": "harness",
-    "write_bench_report": "harness",
     "check_opcount_guard": "harness",
     "WORKLOADS": "harness",
 }

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: The counter fields, in export order.  Adding a field is a schema
-#: change for ``BENCH_perf.json``; bump the schema version there.
+#: The counter fields, in export order.  Adding a field changes
+#: ``benchmarks/opcount_guard.json``; regenerate it (``--update-guard``).
 FIELDS = (
     "hashes",
     "secret_derivations",

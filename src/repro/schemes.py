@@ -14,9 +14,8 @@ turns them plus the two universal non-knob inputs — ``seed`` and
 ``destination_policy`` — into a live
 :class:`~repro.sim.topology.SchemeFactory`.
 
-:func:`build_scheme` is the legacy flat-kwargs entry point, kept so
-existing callers (and the cache keys of every default-knob spec) survive
-the redesign; new code should construct knobs explicitly.
+:func:`build_scheme` is the one construction path: name + knob overrides
+(:func:`knobs_for`) + the two non-knob inputs, in one call.
 
 This module sits below :mod:`repro.eval` (it imports only core and
 baselines), so the registry is importable without dragging in the
@@ -235,20 +234,16 @@ def knobs_for(name: str, options: Optional[Dict[str, Any]] = None) -> SchemeKnob
         raise TypeError(f"scheme {name!r}: {exc}") from None
 
 
-def build_scheme(name: str, **params) -> SchemeFactory:
-    """Instantiate a registered scheme by name (legacy flat-kwargs shim).
+def build_scheme(
+    name: str,
+    options: Optional[Dict[str, Any]] = None,
+    *,
+    seed: int = 42,
+    destination_policy: Optional[Callable] = None,
+) -> SchemeFactory:
+    """Instantiate a registered scheme: ``options`` over its knob defaults.
 
-    All schemes accept ``seed`` and ``destination_policy``; everything
-    else must be a field of the scheme's knob dataclass.  Prefer
-    ``SCHEMES[name](...).build(...)`` in new code — this entry point is
-    kept for existing callers and for cache-key compatibility.
-    """
-    if name not in SCHEMES:
-        raise ValueError(f"unknown scheme {name!r}; choose from {scheme_names()}")
-    seed = params.pop("seed", 42)
-    destination_policy = params.pop("destination_policy", None)
-    try:
-        knobs = SCHEMES[name](**params)
-    except TypeError as exc:
-        raise TypeError(f"build_scheme({name!r}): {exc}") from None
-    return knobs.build(seed=seed, destination_policy=destination_policy)
+    Unknown names and unknown knobs fail as in :func:`knobs_for`."""
+    return knobs_for(name, options).build(
+        seed=seed, destination_policy=destination_policy
+    )

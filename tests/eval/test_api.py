@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and the ``repro.eval`` deprecation shims."""
+"""The stable ``repro.api`` facade."""
 
 import warnings
 
@@ -17,7 +17,6 @@ class TestFacade:
             assert getattr(api, name) is not None
 
     def test_importable_without_deprecation_warnings(self):
-        # The facade must not route through its own compatibility shims.
         import importlib
 
         with warnings.catch_warnings():
@@ -72,7 +71,7 @@ class TestSchemeRegistry:
 
     def test_build_scheme_rejects_unknown_param(self):
         with pytest.raises(TypeError, match="tva"):
-            api.build_scheme("tva", warp_factor=9)
+            api.build_scheme("tva", {"warp_factor": 9})
 
     def test_registry_values_are_knob_dataclasses(self):
         import dataclasses
@@ -82,35 +81,3 @@ class TestSchemeRegistry:
             assert knob_cls().build(seed=7).name  # default knobs build
             assert knob_cls.scheme_name == name
 
-
-class TestDeprecationShims:
-    def test_eval_reexport_warns_and_matches(self):
-        import repro.eval
-        from repro.eval import runner
-
-        with pytest.warns(DeprecationWarning, match="repro.api.ScenarioSpec"):
-            shimmed = repro.eval.ScenarioSpec
-        assert shimmed is runner.ScenarioSpec
-
-    def test_every_shimmed_name_resolves(self):
-        import repro.eval
-
-        for name in ("ScenarioSpec", "SweepRunner", "run_spec", "RunResult",
-                     "PointResult", "SweepResult", "ResultCache",
-                     "default_cache_dir", "build_flood_specs",
-                     "build_fig11_spec"):
-            with pytest.warns(DeprecationWarning):
-                assert getattr(repro.eval, name) is getattr(api, name)
-
-    def test_make_scheme_warns_but_works(self):
-        from repro.eval.experiments import make_scheme
-
-        with pytest.warns(DeprecationWarning, match="build_scheme"):
-            scheme = make_scheme("internet", FAST)
-        assert hasattr(scheme, "make_router_processor")
-
-    def test_unknown_name_still_raises_attribute_error(self):
-        import repro.eval
-
-        with pytest.raises(AttributeError):
-            repro.eval.no_such_name

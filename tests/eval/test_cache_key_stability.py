@@ -21,7 +21,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 _KEY_SCRIPT = """\
 import json
 from repro.eval.runner import ScenarioSpec
-spec = ScenarioSpec(scheme="tva", attack="flood", n_attackers=3, seed=7)
+spec = ScenarioSpec(scheme="tva", attack="legacy", n_attackers=3, seed=7)
 print(json.dumps({
     "key": spec.key(),
     "canonical": json.dumps(spec.canonical(), sort_keys=True),
@@ -41,7 +41,7 @@ def _spec_key_under_hash_seed(seed: str) -> dict:
 
 
 def test_cache_path_uses_only_the_hex_key(tmp_path):
-    spec = ScenarioSpec(scheme="tva", attack="flood", n_attackers=3)
+    spec = ScenarioSpec(scheme="tva", attack="legacy", n_attackers=3)
     key = spec.key()
     assert re.fullmatch(r"[0-9a-f]{64}", key)
     path = ResultCache(tmp_path).path_for(key)
@@ -58,5 +58,5 @@ def test_spec_key_is_stable_across_hash_seeds():
 
 
 def test_spec_key_matches_in_process_value():
-    spec = ScenarioSpec(scheme="tva", attack="flood", n_attackers=3, seed=7)
+    spec = ScenarioSpec(scheme="tva", attack="legacy", n_attackers=3, seed=7)
     assert spec.key() == _spec_key_under_hash_seed("random")["key"]

@@ -2,50 +2,47 @@
 
 import pytest
 
-from repro.baselines import LegacyScheme, PushbackScheme, SiffScheme
-from repro.core import TvaScheme
 from repro.eval import (
     ExperimentConfig,
     Fig11Result,
     FloodResult,
     format_flood_table,
-    make_scheme,
     run_flood_scenario,
 )
+from repro.eval.experiments import _scheme_for
+from repro.eval.runner import ScenarioSpec
 
 
-class TestMakeScheme:
-    def test_all_names_resolve(self):
-        config = ExperimentConfig()
-        assert isinstance(make_scheme("tva", config), TvaScheme)
-        assert isinstance(make_scheme("siff", config), SiffScheme)
-        assert isinstance(make_scheme("pushback", config), PushbackScheme)
-        assert isinstance(make_scheme("internet", config), LegacyScheme)
-
+class TestSchemeFromConfig:
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_scheme("bogus", ExperimentConfig())
+        with pytest.raises(ValueError, match="unknown scheme"):
+            _scheme_for("bogus", ExperimentConfig())
 
-    def test_siff_knobs_wire_through(self):
-        scheme = make_scheme("siff", ExperimentConfig(),
-                             siff_secret_period=3.0,
-                             siff_accept_previous=False,
-                             siff_mark_bits=16)
-        assert scheme.secret_period == 3.0
-        assert not scheme.accept_previous
-        assert scheme.mark_bits == 16
+    def test_unknown_knob_raises(self):
+        with pytest.raises(TypeError, match="siff"):
+            _scheme_for("siff", ExperimentConfig(), {"secret_perod": 3.0})
 
     def test_tva_uses_sim_request_fraction(self):
-        scheme = make_scheme("tva", ExperimentConfig())
+        scheme = _scheme_for("tva", ExperimentConfig())
         assert scheme.request_fraction == 0.01
+
+    def test_options_override_config_knobs(self):
+        config = ExperimentConfig(regular_qdisc="sfq")
+        assert _scheme_for("tva", config).regular_qdisc == "sfq"
+        scheme = _scheme_for("tva", config, {"regular_qdisc": "drr",
+                                             "request_fraction": 0.05})
+        assert scheme.regular_qdisc == "drr"
+        assert scheme.request_fraction == 0.05
 
 
 class TestRunFloodScenario:
-    def test_unknown_attack_falls_back_to_legacy(self):
-        # The harness maps anything unrecognized to a legacy flood.
-        log = run_flood_scenario("internet", "legacy", 1,
-                                 ExperimentConfig(duration=3.0))
-        assert log.completed > 0
+    def test_unknown_attack_is_rejected(self):
+        # A typo'd attack must not run (and cache) some other experiment.
+        with pytest.raises(ValueError, match="unknown attack 'flood'.*legacy"):
+            ScenarioSpec(scheme="tva", attack="flood", n_attackers=1)
+        with pytest.raises(ValueError, match="unknown attack 'flood'.*legacy"):
+            run_flood_scenario("internet", "flood", 1,
+                               ExperimentConfig(duration=3.0))
 
     def test_no_attackers(self):
         log = run_flood_scenario("tva", "legacy", 0,

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.eval import (
+from repro.api import (
     ExperimentConfig,
     ResultCache,
     ScenarioSpec,
@@ -12,10 +12,19 @@ from repro.eval import (
     build_fig11_spec,
     build_flood_specs,
     run_spec,
+    tree_spec,
 )
 from repro.eval.results import RunResult
 
 FAST = ExperimentConfig(duration=3.0)
+
+
+def failing_spec():
+    """A spec that validates but raises inside ``run_spec`` (so in the
+    worker process for jobs>1): a colluder flood on a topology that has
+    no colluder host."""
+    return ScenarioSpec("internet", "colluder", 1, config=FAST,
+                        topology=tree_spec())
 
 
 class TestScenarioSpec:
@@ -68,6 +77,20 @@ class TestScenarioSpec:
                                                  "identical without it"):
                 load(data)
 
+    @pytest.mark.parametrize("knob", ["secret_period", "accept_previous",
+                                      "mark_bits"])
+    def test_stale_siff_key_is_a_named_error(self, knob):
+        # Specs stored before SIFF's knobs moved to scheme_options.
+        stored = ScenarioSpec("siff", "legacy", 5, config=FAST).to_dict()
+        stored[f"siff_{knob}"] = 3
+        with pytest.raises(ValueError, match=f"removed field 'siff_{knob}'.*"
+                                             f"scheme_options.*\"{knob}\""):
+            ScenarioSpec.from_dict(stored)
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme 'tvaa'.*tva"):
+            ScenarioSpec("tvaa", "legacy", 1)
+
 
 class TestSpecBuilders:
     def test_flood_specs_cover_the_grid(self):
@@ -87,6 +110,21 @@ class TestSpecBuilders:
         assert spec.attack_groups == 10
         assert spec.group_stagger == pytest.approx(3.0)
         assert spec.config.duration == 20.0
+
+    def test_fig11_siff_knobs_ride_scheme_options(self):
+        # The paper's Figure 11 SIFF (3 s turnover, no previous-secret
+        # grace) plus idealized 16-bit marks; other schemes take defaults.
+        from repro.baselines import SiffScheme
+        from repro.eval.experiments import _scheme_for
+
+        spec = build_fig11_spec("siff")
+        scheme = _scheme_for("siff", spec.config, spec.scheme_options)
+        assert isinstance(scheme, SiffScheme)
+        assert scheme.secret_period == 3.0
+        assert not scheme.accept_previous
+        assert scheme.mark_bits == 16
+        assert build_fig11_spec("tva").scheme_options == {}
+        assert build_fig11_spec("netfence").scheme_options == {}
 
     def test_fig11_spec_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
@@ -193,10 +231,7 @@ class TestFaultTolerance:
 
     def specs_with_one_bad(self):
         good = build_flood_specs("legacy", ("internet",), (1, 2), FAST)
-        # An unregistered scheme raises ValueError inside run_spec — in
-        # the worker process for jobs>1, so it exercises the pool path.
-        bad = dataclasses.replace(good[0], scheme="bogus")
-        return [good[0], bad, good[1]]
+        return [good[0], failing_spec(), good[1]]
 
     def assert_siblings_survive(self, jobs, tmp_path):
         from repro.eval.runner import SweepFailure
@@ -216,7 +251,7 @@ class TestFaultTolerance:
         (spec_failure,) = failure.failures
         assert spec_failure.spec == specs[1]
         assert spec_failure.attempts == 2  # first try + one retry
-        assert "bogus" in spec_failure.error
+        assert "colluder" in spec_failure.error
 
     def test_serial_failure_does_not_abort_siblings(self, tmp_path):
         self.assert_siblings_survive(1, tmp_path)
@@ -227,8 +262,7 @@ class TestFaultTolerance:
     def test_retries_zero_fails_after_one_attempt(self):
         from repro.eval.runner import SweepFailure
 
-        specs = [dataclasses.replace(
-            ScenarioSpec("tva", "legacy", 1, config=FAST), scheme="bogus")]
+        specs = [failing_spec()]
         with pytest.raises(SweepFailure) as excinfo:
             SweepRunner(jobs=1, retries=0).run(specs)
         assert excinfo.value.failures[0].attempts == 1
@@ -252,8 +286,7 @@ class TestFaultTolerance:
         from repro.eval.runner import SweepFailure
 
         events = []
-        specs = [dataclasses.replace(
-            ScenarioSpec("tva", "legacy", 1, config=FAST), scheme="bogus")]
+        specs = [failing_spec()]
         runner = SweepRunner(jobs=1, retries=1,
                              on_event=lambda e: events.append(e))
         with pytest.raises(SweepFailure):
@@ -262,7 +295,7 @@ class TestFaultTolerance:
             "start", "retry", "start", "failed"]
         assert events[1].attempt == 1
         assert events[3].attempt == 2
-        assert events[3].error and "bogus" in events[3].error
+        assert events[3].error and "colluder" in events[3].error
 
     def test_transient_failure_recovers_on_retry(self, monkeypatch):
         """A spec that fails once then succeeds (a crashed worker's

@@ -14,9 +14,9 @@ adding a scheme automatically subjects it to the same contracts:
   DESIGN.md's table) derives from — or at least agrees with — the
   registry.
 
-The cache-compatibility tests at the bottom pin the sha256 spec keys of
-the pre-redesign default-knob scenarios: the registry redesign must not
-invalidate any cached result (CACHE_SALT deliberately stayed at v5).
+The spec-key tests at the bottom pin the *rule* rather than particular
+sha256 values: ``ScenarioSpec.canonical()`` carries every dataclass
+field, always, so every field is part of the cache key.
 """
 
 import dataclasses
@@ -29,9 +29,9 @@ from repro import schemes as registry
 from repro.core.policy import ServerPolicy
 from repro.eval.experiments import SCHEMES as EXPERIMENT_SCHEMES
 from repro.eval.experiments import ExperimentConfig
-from repro.eval.runner import ScenarioSpec, build_fig11_spec
+from repro.eval.runner import ScenarioSpec
 from repro.schemes import SCHEMES, build_scheme, knobs_for, scheme_names
-from repro.sim import Simulator, build_dumbbell
+from repro.sim import Simulator, build_dumbbell, dumbbell_spec, tree_spec
 
 #: One non-default override per scheme, exercising a representative knob
 #: type each (tuple-free floats, ints, and the empty case).
@@ -95,7 +95,7 @@ class TestKnobContracts:
             pass
 
         scheme = build_scheme(
-            name, seed=9, destination_policy=MarkerPolicy, **SAMPLE_OPTIONS[name]
+            name, SAMPLE_OPTIONS[name], seed=9, destination_policy=MarkerPolicy
         )
         assert scheme.name == name
         shim = scheme.make_host_shim("destination")
@@ -107,7 +107,7 @@ class TestKnobContracts:
         with pytest.raises(TypeError, match=name):
             knobs_for(name, {"no_such_knob": 1})
         with pytest.raises(TypeError, match=name):
-            build_scheme(name, no_such_knob=1)
+            build_scheme(name, {"no_such_knob": 1})
 
     def test_unknown_knob_rejected_at_spec_construction(self, name):
         with pytest.raises(TypeError, match=name):
@@ -176,63 +176,60 @@ class TestRegistryCompleteness:
             )
 
 
-class TestCacheCompatibility:
-    """The redesign must not invalidate any pre-redesign cache entry.
+SPEC_FIELDS = [f.name for f in dataclasses.fields(ScenarioSpec)]
 
-    These sha256 keys were captured from the flat-kwargs registry before
-    knob dataclasses existed.  ``scheme_options`` is omitted from the
-    canonical form when empty and CACHE_SALT stayed at v5 precisely so
-    these stay byte-identical; a change here silently orphans every
-    cached sweep result.
-    """
+#: The three shapes of spec the key rule is checked on.
+KEY_RULE_SPECS = {
+    "default": ScenarioSpec(scheme="tva", attack="legacy", n_attackers=10),
+    "topology_aggregate": ScenarioSpec(
+        scheme="tva", attack="legacy", n_attackers=12,
+        topology=tree_spec(), aggregate=True,
+    ),
+    "knob_override": ScenarioSpec(
+        scheme="siff", attack="request", n_attackers=4, policy="filtering",
+        scheme_options={"secret_period": 3.0, "mark_bits": 16},
+    ),
+}
 
-    FROZEN_KEYS = {
-        "fig8_tva_k10": (
-            "e1f45b1ee5f57ec17700c37fea24b0f5080c3e5c1b0c28169b4d8494d02b303d"
-        ),
-        "fig9_siff_k100": (
-            "5e8a8edc878cb774f8a23879f6a5ddf8ef9d4824f4dbe5a00b483d74631a95be"
-        ),
-        "fig10_pushback_k4": (
-            "e951131fe8deb860b284f5b44628669eba4030ae2f1fc99bc2b04038df37ed2b"
-        ),
-        "internet_metrics": (
-            "1ca5e609979112553c0c8eab0e807ab5a7d2b1cd4553ff7cf756fe59a4d04984"
-        ),
-        "fig11_tva": (
-            "22eacfbcc0c2e2a75d14439e307edf9437ada01809300eaa4f0f5c8a9e829fc2"
-        ),
-        "fast_cfg": (
-            "6b2b0cac015c662ba2e8e80cd178f9c8b8f684217302059e589177046cae81c4"
-        ),
-    }
+#: A different valid value for every field of the topology+aggregate
+#: spec; a new spec field must add one here so the rule below covers it.
+CHANGED_FIELD = {
+    "scheme": "pushback",
+    "attack": "colluder",
+    "n_attackers": 13,
+    "seed": 2,
+    "config": ExperimentConfig(duration=4.0),
+    "policy": "filtering",
+    "attack_start": 1.0,
+    "attack_groups": 2,
+    "group_stagger": 0.5,
+    "metrics": True,
+    "metrics_interval": 0.25,
+    "faults": ("reboot:1.0:R1",),
+    "topology": dumbbell_spec(),
+    "aggregate": False,
+    "scheme_options": {"request_fraction": 0.1},
+}
 
-    def specs(self):
-        return {
-            "fig8_tva_k10": ScenarioSpec(
-                scheme="tva", attack="legacy", n_attackers=10
-            ),
-            "fig9_siff_k100": ScenarioSpec(
-                scheme="siff", attack="request", n_attackers=100,
-                policy="filtering",
-            ),
-            "fig10_pushback_k4": ScenarioSpec(
-                scheme="pushback", attack="colluder", n_attackers=4
-            ),
-            "internet_metrics": ScenarioSpec(
-                scheme="internet", attack="legacy", n_attackers=2, metrics=True
-            ),
-            "fig11_tva": build_fig11_spec("tva", "staggered"),
-            "fast_cfg": ScenarioSpec(
-                scheme="tva", attack="legacy", n_attackers=1,
-                config=ExperimentConfig(duration=3.0),
-            ),
-        }
 
-    def test_default_knob_spec_keys_unchanged(self):
-        keys = {label: spec.key() for label, spec in self.specs().items()}
-        assert keys == self.FROZEN_KEYS
+class TestSpecKeyRule:
+    """Every field of the spec is in its canonical form, hence its key."""
 
-    def test_empty_scheme_options_absent_from_canonical(self):
-        spec = ScenarioSpec(scheme="tva", attack="legacy", n_attackers=10)
-        assert "scheme_options" not in spec.canonical()
+    @pytest.mark.parametrize("label", sorted(KEY_RULE_SPECS))
+    def test_canonical_carries_every_field(self, label):
+        assert set(KEY_RULE_SPECS[label].canonical()) == set(SPEC_FIELDS)
+
+    @pytest.mark.parametrize("field_name", SPEC_FIELDS)
+    def test_changing_any_single_field_changes_the_key(self, field_name):
+        base = KEY_RULE_SPECS["topology_aggregate"]
+        changed = dataclasses.replace(
+            base, **{field_name: CHANGED_FIELD[field_name]}
+        )
+        assert changed.key() != base.key()
+
+    @pytest.mark.parametrize("label", sorted(KEY_RULE_SPECS))
+    def test_json_roundtrip_preserves_the_key(self, label):
+        spec = KEY_RULE_SPECS[label]
+        wire = json.loads(json.dumps(spec.to_dict(), sort_keys=True))
+        assert ScenarioSpec.from_dict(wire) == spec
+        assert ScenarioSpec.from_dict(wire).key() == spec.key()
