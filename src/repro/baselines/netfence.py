@@ -13,9 +13,9 @@ polices it on *secure congestion policing feedback*:
   ``reboot_router`` fault injection invalidates outstanding feedback
   exactly like it invalidates capabilities.
 * A congested bottleneck queue flips ``mono`` stamps to ``cong`` as
-  packets cross it (the marking hook on
-  :class:`~repro.sim.queues.Qdisc`); domain routers share keys, so the
-  bottleneck re-MACs with the stamper's secret.
+  packets cross it (:class:`MarkingFifo`, the queue this scheme installs
+  on every link); domain routers share keys, so the bottleneck re-MACs
+  with the stamper's secret.
 * Receivers echo the freshest feedback back to the sender in periodic
   ``nf-ctl`` control packets; senders present the echoed feedback on
   subsequent packets.  The access router verifies it and runs a robust
@@ -54,7 +54,7 @@ from ..core.policy import (
 from ..sim.link import Link
 from ..sim.node import HostShim, Router, RouterProcessor
 from ..sim.packet import Packet
-from ..sim.queues import DropTailQueue, Qdisc, TokenBucket
+from ..sim.queues import DropTailQueue, TokenBucket
 from ..sim.topology import LegacyDefaults, Network
 
 #: Flat shim overhead charged once per packet for the feedback header
@@ -165,6 +165,30 @@ class _SenderState:
         self.cong_seen: Set[str] = set()
         #: bottleneck name ("" = robustness default) -> limiter.
         self.limiters: Dict[str, _Limiter] = {}
+
+
+class MarkingFifo(DropTailQueue):
+    """NetFence's byte-limited FIFO with a congestion-mark threshold.
+
+    Every *accepted* enqueue that leaves ``backlog_bytes`` at or above
+    ``mark_threshold_bytes`` invokes ``mark_hook(pkt)`` — the hook
+    :meth:`NetFenceScheme.wire` installs on router-egress links flips the
+    packet's feedback stamp to ``cong`` there.  Dropped packets never fire
+    it (they carry no feedback onward), and a queue nobody wired (host
+    uplinks) never marks.
+    """
+
+    def __init__(self, limit_bytes: int, mark_threshold_bytes: int) -> None:
+        super().__init__(limit_bytes=limit_bytes, limit_pkts=None)
+        self.mark_threshold_bytes = mark_threshold_bytes
+        self.mark_hook: Optional[Callable[[Packet], None]] = None
+
+    def enqueue(self, pkt: Packet) -> bool:
+        if not super().enqueue(pkt):
+            return False
+        if self.mark_hook is not None and self.backlog_bytes >= self.mark_threshold_bytes:
+            self.mark_hook(pkt)
+        return True
 
 
 class NetFenceRouterProcessor(RouterProcessor):
@@ -504,11 +528,13 @@ class NetFenceScheme(LegacyDefaults):
         self.shims: List[NetFenceHostShim] = []
 
     # -- factory surface -------------------------------------------------
-    def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> Qdisc:
-        # Byte-limited FIFO sized by the protocol's byte budget; wire()
-        # keys the congestion-mark threshold off limit_bytes.
-        return DropTailQueue(
-            limit_bytes=self.queue_limit(link_kind, bandwidth_bps), limit_pkts=None
+    def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> MarkingFifo:
+        # Byte-limited FIFO sized by the protocol's byte budget, marking
+        # from a fixed fraction of it (floored at two MTUs).
+        limit = self.queue_limit(link_kind, bandwidth_bps)
+        return MarkingFifo(
+            limit_bytes=limit,
+            mark_threshold_bytes=max(3000, int(limit * self.mark_threshold_fraction)),
         )
 
     def make_router_processor(self, router_name: str,
@@ -531,18 +557,13 @@ class NetFenceScheme(LegacyDefaults):
         return shim
 
     def wire(self, net: Network) -> None:
-        """Install congestion-mark hooks on every router-egress queue."""
+        """Install congestion-mark hooks on every router-egress queue.
+
+        On an aggregate trunk ``link.qdisc`` is channel 0's queue; the
+        lazily built per-member channels stay unhooked."""
         for link in sorted(net.links, key=lambda l: l.name):
-            if not isinstance(link.src, Router):
-                continue
-            qdisc = getattr(link, "qdisc", None)
-            if qdisc is None:  # aggregate trunks manage per-channel queues
-                continue
-            limit = getattr(qdisc, "limit_bytes", None) or 64_000
-            qdisc.mark_threshold_bytes = max(
-                3000, int(limit * self.mark_threshold_fraction)
-            )
-            qdisc.mark_hook = self._make_mark_hook(link)
+            if isinstance(link.src, Router):
+                link.qdisc.mark_hook = self._make_mark_hook(link)
 
     def _make_mark_hook(self, link: Link) -> Callable[[Packet], None]:
         def hook(pkt: Packet) -> None:

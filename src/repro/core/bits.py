@@ -74,7 +74,7 @@ class BitReader:
         self._data = data
         self._total_bits = len(data) * 8
         # One O(n) conversion up front buys O(1) arbitrary-width reads.
-        self._value = int.from_bytes(data, "big")
+        self._acc = int.from_bytes(data, "big")
         self._pos = 0  # bit cursor
 
     def read(self, nbits: int) -> int:
@@ -85,7 +85,7 @@ class BitReader:
         if end > total:
             raise ValueError("read past end of bitstream")
         self._pos = end
-        return (self._value >> (total - end)) & ((1 << nbits) - 1)
+        return (self._acc >> (total - end)) & ((1 << nbits) - 1)
 
     def read_u64_array(self, count: int) -> Tuple[int, ...]:
         """Read ``count`` consecutive 64-bit values.

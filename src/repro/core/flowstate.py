@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..obs.metrics import Counter
 from .capability import Capability
 from .params import TvaParams
 
@@ -78,25 +77,14 @@ class FlowStateTable:
         self.params = params or TvaParams()
         self._entries: Dict[Hashable, FlowEntry] = {}
         self._expiry_heap: List[Tuple[float, Hashable]] = []
-        # Counters for tests, ops visibility, and the obs registry.
-        self._created = Counter("created_total")
-        self._reclaimed = Counter("reclaimed_total")
-        self._create_failures = Counter("create_failures")
+        # Tallies for tests, ops visibility, and the obs registry (the
+        # scheme exports them per router as flowstate.*).
+        self.created_total = 0
+        self.reclaimed_total = 0
+        self.create_failures = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def created_total(self) -> int:
-        return self._created.value
-
-    @property
-    def reclaimed_total(self) -> int:
-        return self._reclaimed.value
-
-    @property
-    def create_failures(self) -> int:
-        return self._create_failures.value
 
     @property
     def heap_size(self) -> int:
@@ -104,13 +92,6 @@ class FlowStateTable:
         entries by :meth:`_compact_heap`, and exported as an obs gauge so
         regressions are visible in any metrics run."""
         return len(self._expiry_heap)
-
-    def metric_counters(self) -> Dict[str, Counter]:
-        return {
-            "created": self._created,
-            "reclaimed": self._reclaimed,
-            "create_failures": self._create_failures,
-        }
 
     # ------------------------------------------------------------------
     def lookup(self, flow: Hashable, now: float) -> Optional[FlowEntry]:
@@ -122,7 +103,7 @@ class FlowStateTable:
             return None
         if entry.expired(now):
             del self._entries[flow]
-            self._reclaimed.inc()
+            self.reclaimed_total += 1
             return None
         return entry
 
@@ -143,11 +124,11 @@ class FlowStateTable:
         if len(self._entries) >= self.capacity and flow not in self._entries:
             self._reclaim(now)
             if len(self._entries) >= self.capacity:
-                self._create_failures.inc()
+                self.create_failures += 1
                 return None
         entry = FlowEntry(flow, nonce, capability, n_bytes, t_seconds, now)
         self._entries[flow] = entry
-        self._created.inc()
+        self.created_total += 1
         return entry
 
     def replace(
@@ -228,7 +209,7 @@ class FlowStateTable:
             entry = self._entries.get(flow)
             if entry is not None and entry.expired(now):
                 del self._entries[flow]
-                self._reclaimed.inc()
+                self.reclaimed_total += 1
         # Entries that were never charged have no heap presence; sweep them
         # only if the heap alone freed nothing (rare).
         if len(self._entries) >= self.capacity:
@@ -236,4 +217,4 @@ class FlowStateTable:
             dead = [f for f, e in self._entries.items() if e.expired(now)]
             for flow in dead:
                 del self._entries[flow]
-                self._reclaimed.inc()
+                self.reclaimed_total += 1

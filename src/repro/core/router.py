@@ -17,9 +17,9 @@ traffic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
-from ..obs.metrics import Counter
+from ..obs.metrics import MetricItem, tally_items
 from ..perf.counters import PERF
 from ..sim.link import Link
 from ..sim.node import Router, RouterProcessor
@@ -68,17 +68,16 @@ class TvaRouterCore:
         self.state = state
         self.trust_boundary = trust_boundary
         self.params = params or TvaParams()
-        # Counters mirrored in EXPERIMENTS.md sanity checks; external
-        # readers see ints via the properties below, the obs registry
-        # binds the Counter objects via metric_counters().
-        self._requests_processed = Counter("requests_processed")
-        self._regular_validated = Counter("regular_validated")
-        self._regular_cached = Counter("regular_cached")
-        self._renewals = Counter("renewals")
-        self._demotions = Counter("demotions")
-        self._restarts = Counter("restarts")
-        self._valcache_hits = Counter("valcache_hits")
-        self._valcache_misses = Counter("valcache_misses")
+        # Tallies mirrored in EXPERIMENTS.md sanity checks; the obs
+        # registry reads them through metric_items().
+        self.requests_processed = 0
+        self.regular_validated = 0
+        self.regular_cached = 0
+        self.renewals = 0
+        self.demotions = 0
+        self.restarts = 0
+        self.valcache_hits = 0
+        self.valcache_misses = 0
         # The Table 1 "cached" validation path: a bounded LRU memo of the
         # two-hash verdict, keyed on everything the hashes depend on
         # (including the secret epoch, so rotation invalidates naturally).
@@ -87,49 +86,12 @@ class TvaRouterCore:
         # eviction order deterministic across hash seeds.
         self._valcache: "OrderedDict[tuple, bool]" = OrderedDict()
 
-    @property
-    def requests_processed(self) -> int:
-        return self._requests_processed.value
-
-    @property
-    def regular_validated(self) -> int:
-        return self._regular_validated.value
-
-    @property
-    def regular_cached(self) -> int:
-        return self._regular_cached.value
-
-    @property
-    def renewals(self) -> int:
-        return self._renewals.value
-
-    @property
-    def demotions(self) -> int:
-        return self._demotions.value
-
-    @property
-    def restarts(self) -> int:
-        return self._restarts.value
-
-    @property
-    def valcache_hits(self) -> int:
-        return self._valcache_hits.value
-
-    @property
-    def valcache_misses(self) -> int:
-        return self._valcache_misses.value
-
-    def metric_counters(self) -> Dict[str, Counter]:
-        return {
-            "requests_processed": self._requests_processed,
-            "regular_validated": self._regular_validated,
-            "regular_cached": self._regular_cached,
-            "renewals": self._renewals,
-            "demotions": self._demotions,
-            "restarts": self._restarts,
-            "valcache_hits": self._valcache_hits,
-            "valcache_misses": self._valcache_misses,
-        }
+    def metric_items(self) -> List[MetricItem]:
+        return tally_items(self, (
+            "requests_processed", "regular_validated", "regular_cached",
+            "renewals", "demotions", "restarts",
+            "valcache_hits", "valcache_misses",
+        ))
 
     # ------------------------------------------------------------------
     def restart(self, now: float, new_seed: bytes = b"") -> None:
@@ -140,7 +102,7 @@ class TvaRouterCore:
         die with it.  In-flight flows are demoted until their senders
         re-acquire capabilities; the demotion-echo path recovers them.
         """
-        self._restarts.inc()
+        self.restarts += 1
         self.state = FlowStateTable(self.state.capacity, self.params)
         # Cached verdicts are keyed on the secret epoch, but a reseed
         # changes the secret *within* an epoch — drop everything.  (Also
@@ -215,7 +177,7 @@ class TvaRouterCore:
     ) -> int:
         """Stamp a request: path identifier at trust boundaries, then our
         pre-capability (Section 4.3)."""
-        self._requests_processed.inc()
+        self.requests_processed += 1
         added = 0
         if self.trust_boundary and ingress_id is not None:
             shim.path_ids.append(interface_tag(self.name, ingress_id))
@@ -243,7 +205,7 @@ class TvaRouterCore:
                 # Common case: nonce matches the cached flow.
                 is_valid = self.state.charge(entry, size, now)
                 if is_valid:
-                    self._regular_cached.inc()
+                    self.regular_cached += 1
             elif my_cap is not None:
                 # First packet with a renewed capability: check and replace.
                 entry = self._validate_and_install(
@@ -256,7 +218,7 @@ class TvaRouterCore:
                 is_valid = entry is not None and self.state.charge(entry, size, now)
 
         if not is_valid:
-            self._demotions.inc()
+            self.demotions += 1
             shim.demoted = True
             return LEGACY, 0
 
@@ -267,7 +229,7 @@ class TvaRouterCore:
             shim.new_precapabilities.append(
                 mint_precapability(self.secrets, src, dst, now)
             )
-            self._renewals.inc()
+            self.renewals += 1
             added = RENEWAL_BYTES_PER_HOP
         return REGULAR, added
 
@@ -284,7 +246,7 @@ class TvaRouterCore:
     ) -> Optional[FlowEntry]:
         if not self._check_capability(src, dst, cap, shim.n_bytes, shim.t_seconds, now):
             return None
-        self._regular_validated.inc()
+        self.regular_validated += 1
         if replace is not None:
             return self.state.replace(
                 replace, shim.flow_nonce, cap, shim.n_bytes, shim.t_seconds, now
@@ -319,10 +281,10 @@ class TvaRouterCore:
         verdict = cache.get(key)
         if verdict is not None:
             cache.move_to_end(key)
-            self._valcache_hits.inc()
+            self.valcache_hits += 1
             PERF.valcache_hits += 1
             return verdict
-        self._valcache_misses.inc()
+        self.valcache_misses += 1
         PERF.valcache_misses += 1
         verdict = check_capability_hashes(
             self.secrets.secret_for_epoch(epoch), src, dst, cap, n_bytes, t_seconds

@@ -226,17 +226,17 @@ class TvaScheme(LegacyDefaults):
 
     # ------------------------------------------------------------------
     def metric_items(self) -> Iterable[Tuple[str, Callable[[], float]]]:
-        """TVA's router pipeline counters and flow-state occupancy.
+        """TVA's router pipeline tallies and flow-state occupancy.
 
-        Gauges close over the *core*, not its current table —
-        ``restart()`` swaps the table out, and occupancy must track the
-        live one.
+        Flow-state gauges close over the *core*, not its current table —
+        ``restart()`` swaps the table out, and they must track the live
+        one.
         """
         for name in sorted(self.router_cores):
             core = self.router_cores[name]
             prefix = f"router.{name}"
-            for cname, counter in sorted(core.metric_counters().items()):
-                yield f"{prefix}.{cname}", (lambda c=counter: c.value)
+            for cname, read in core.metric_items():
+                yield f"{prefix}.{cname}", read
             yield f"{prefix}.flowstate.entries", (lambda c=core: len(c.state))
             yield f"{prefix}.flowstate.heap", (lambda c=core: c.state.heap_size)
             yield f"{prefix}.flowstate.created", (

@@ -8,14 +8,14 @@ tie-breaking, bit-identical across seeds and worker counts.
 All state mutation goes through the public surface the sim and core layers
 already expose: ``Link.set_down``/``set_up``, ``SchemeFactory.reboot_router``
 and ``build_static_routes(strict=False)``.  The injector itself only keeps
-counters, which the observability layer registers under ``faults.``.
+tallies, which the observability layer registers under ``faults.``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import TYPE_CHECKING, List
 
-from ..obs.metrics import Counter
+from ..obs.metrics import MetricItem, tally_items
 from ..sim.routing import build_static_routes
 from .events import FaultEvent, LinkDown, LinkUp, RouteChange, RouterReboot
 from .schedule import FaultSchedule
@@ -38,13 +38,13 @@ class FaultInjector:
         self._sim: "Simulator" = None  # set by install()
         self._net: "Dumbbell" = None
         self._scheme: "SchemeFactory" = None
-        self.applied = Counter("applied")
-        self.link_downs = Counter("link_downs")
-        self.link_ups = Counter("link_ups")
-        self.reboots = Counter("reboots")
-        self.route_changes = Counter("route_changes")
-        self.drained_packets = Counter("drained_packets")
-        self.drained_bytes = Counter("drained_bytes")
+        self.applied = 0
+        self.link_downs = 0
+        self.link_ups = 0
+        self.reboots = 0
+        self.route_changes = 0
+        self.drained_packets = 0
+        self.drained_bytes = 0
 
     # ------------------------------------------------------------------
     def install(self, sim: "Simulator", net: "Dumbbell", scheme: "SchemeFactory") -> None:
@@ -77,36 +77,33 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _fire(self, ev: FaultEvent) -> None:
-        self.applied.inc()
+        self.applied += 1
         if isinstance(ev, LinkDown):
-            self.link_downs.inc()
+            self.link_downs += 1
             for link in self._resolve_links(ev.link):
                 drained = link.set_down()
-                self.drained_packets.inc(len(drained))
-                self.drained_bytes.inc(sum(pkt.size for pkt in drained))
+                self.drained_packets += len(drained)
+                self.drained_bytes += sum(pkt.size for pkt in drained)
         elif isinstance(ev, LinkUp):
-            self.link_ups.inc()
+            self.link_ups += 1
             for link in self._resolve_links(ev.link):
                 link.set_up()
         elif isinstance(ev, RouterReboot):
-            self.reboots.inc()
+            self.reboots += 1
             self._scheme.reboot_router(
                 ev.router, self._sim.now, rotate_secret=ev.rotate_secret
             )
         elif isinstance(ev, RouteChange):
-            self.route_changes.inc()
+            self.route_changes += 1
             # Non-strict: a partition is a valid mid-experiment state.
             build_static_routes(self._net.nodes, strict=False)
         else:  # pragma: no cover - registry and isinstance stay in sync
             raise FaultInjectionError(f"unhandled fault event {ev!r}")
 
     # ------------------------------------------------------------------
-    def metric_items(self) -> Iterator[Tuple[str, Counter]]:
-        """(name, counter) pairs for the metric registry (``faults.`` scope)."""
-        yield "applied", self.applied
-        yield "link_downs", self.link_downs
-        yield "link_ups", self.link_ups
-        yield "reboots", self.reboots
-        yield "route_changes", self.route_changes
-        yield "drained_packets", self.drained_packets
-        yield "drained_bytes", self.drained_bytes
+    def metric_items(self) -> List[MetricItem]:
+        """``(name, read)`` pairs for the metric registry (``faults.`` scope)."""
+        return tally_items(self, (
+            "applied", "link_downs", "link_ups", "reboots", "route_changes",
+            "drained_packets", "drained_bytes",
+        ))

@@ -3,17 +3,21 @@
 :class:`Observation` bundles one run's registry and sampler and knows how
 to instrument a :class:`~repro.sim.topology.Dumbbell`:
 
-* the bottleneck links get total and per-traffic-class transmit counters
+* the bottleneck links get total and per-traffic-class transmit tallies
   plus derived per-interval utilization gauges (the Figure 2 view of the
   link: requests vs regular vs legacy/demoted bytes);
-* every queue discipline in the bottleneck schedulers exports backlog
-  gauges and drop counters broken down by drop reason;
-* the scheme contributes its own counters through
+* every queue discipline in the bottleneck schedulers exports its backlog
+  and its drop tallies broken down by drop reason;
+* the scheme contributes its own tallies through
   :meth:`~repro.sim.topology.SchemeFactory.metric_items` — TVA's router
-  pipeline counters and flow-state occupancy (the Section 3.6 bound),
-  SIFF's verification counters, pushback's filter activity;
-* the shared :class:`~repro.transport.tcp.TcpStats` counters cover the
+  pipeline tallies and flow-state occupancy (the Section 3.6 bound),
+  SIFF's verification tallies, pushback's filter activity;
+* the shared :class:`~repro.transport.tcp.TcpStats` tallies cover the
   transport view (retransmits, aborts, completions).
+
+Every source speaks the same protocol — ``metric_items()`` yielding
+``(suffix, read)`` pairs over plain ``int`` attributes — so wiring one in
+is a single :meth:`~repro.obs.metrics.MetricRegistry.gauges` call.
 
 The export format is plain data (dicts, tuples, numbers) so it embeds in
 :class:`~repro.eval.results.RunResult` and round-trips through the JSON
@@ -25,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..core.header import RegularHeader, RequestHeader
-from .metrics import Counter, MetricRegistry, MetricValue
+from .metrics import MetricRegistry, MetricValue
 from .sampler import Sampler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,8 +57,8 @@ def traffic_class(pkt: "Packet") -> str:
     return "legacy"
 
 
-def _rate_gauge(counter: Counter, scale: float) -> Callable[[], float]:
-    """A gauge turning a cumulative byte counter into a per-interval rate.
+def _rate_gauge(total: Callable[[], int], scale: float) -> Callable[[], float]:
+    """A gauge turning a cumulative byte tally into a per-interval rate.
 
     Each read returns ``delta_since_last_read * scale`` — with ``scale =
     8 / (bandwidth * interval)`` that is the fraction of link capacity
@@ -64,7 +68,7 @@ def _rate_gauge(counter: Counter, scale: float) -> Callable[[], float]:
     state = {"last": 0}
 
     def read() -> float:
-        current = counter.value
+        current = total()
         delta = current - state["last"]
         state["last"] = current
         return delta * scale
@@ -95,7 +99,7 @@ class Observation:
 
         Must run before ``sim.run`` so the first tick lands at
         ``interval`` and every series has full length.  ``injector`` is
-        an optional :class:`~repro.faults.FaultInjector`; its counters
+        an optional :class:`~repro.faults.FaultInjector`; its tallies
         are registered under the ``faults.`` scope.
         """
         for label, link in (
@@ -104,13 +108,11 @@ class Observation:
         ):
             if link is not None:
                 self.instrument_link(label, link)
-        for name, read in scheme.metric_items():
-            self.registry.gauge(f"scheme.{name}", read)
+        self.registry.gauges("scheme", scheme.metric_items())
         if tcp_stats is not None:
-            self.registry.register_many("transport", tcp_stats.metric_counters())
+            self.registry.gauges("transport", tcp_stats.metric_items())
         if injector is not None:
-            for name, counter in injector.metric_items():
-                self.registry.register(f"faults.{name}", counter)
+            self.registry.gauges("faults", injector.metric_items())
         self.instrument_hosts(net)
         self.sampler = Sampler(sim, self.registry, self.interval)
 
@@ -146,29 +148,29 @@ class Observation:
     # ------------------------------------------------------------------
     def instrument_link(self, label: str, link: "Link") -> None:
         prefix = f"link.{label}"
-        self.registry.register_many(prefix, link.metric_counters())
+        self.registry.gauges(prefix, link.metric_items())
+        # Turn per-class accounting on: every class exists (at zero) from
+        # the start, so each has a full-length series even if it never
+        # transmits.
         link.classify = traffic_class
+        link.class_bytes = dict.fromkeys(TRAFFIC_CLASSES, 0)
         scale = 8.0 / (link.bandwidth_bps * self.interval)
         self.registry.gauge(
-            f"{prefix}.util", _rate_gauge(link.tx_bytes_counter, scale)
+            f"{prefix}.util", _rate_gauge(lambda: link.tx_bytes, scale)
         )
         for cls in TRAFFIC_CLASSES:
-            counter = link.class_counter(cls)
-            self.registry.register(f"{prefix}.tx_bytes.{cls}", counter)
-            self.registry.gauge(f"{prefix}.util.{cls}", _rate_gauge(counter, scale))
+            def read(cls: str = cls) -> int:
+                return link.class_bytes[cls]
+
+            self.registry.gauge(f"{prefix}.tx_bytes.{cls}", read)
+            self.registry.gauge(f"{prefix}.util.{cls}", _rate_gauge(read, scale))
         self.instrument_qdisc(f"{prefix}.qdisc", link.qdisc)
 
     def instrument_qdisc(self, prefix: str, qdisc: "Qdisc") -> None:
-        self.registry.register_many(prefix, qdisc.metric_counters())
-        self.registry.gauge(f"{prefix}.backlog_pkts", lambda q=qdisc: q.backlog_pkts)
-        self.registry.gauge(
-            f"{prefix}.backlog_bytes", lambda q=qdisc: q.backlog_bytes
-        )
-        children = getattr(qdisc, "children", None)
-        if children:
-            for i, child in enumerate(children):
-                label = child.label or f"class{i}"
-                self.instrument_qdisc(f"{prefix}.{label}", child)
+        self.registry.gauges(prefix, qdisc.metric_items())
+        for i, child in enumerate(getattr(qdisc, "children", ())):
+            label = child.label or f"class{i}"
+            self.instrument_qdisc(f"{prefix}.{label}", child)
 
     # ------------------------------------------------------------------
     def export(self) -> Dict:

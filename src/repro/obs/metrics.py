@@ -1,20 +1,18 @@
-"""Deterministic metric primitives: counters and the metric registry.
+"""Deterministic metric primitives: tallies, gauges and the registry.
 
 The paper's claims are statements about *internal* router dynamics —
 per-class queue occupancy (Figure 2), demotion counts (Section 3.8), the
-bounded flow-state table (Section 3.6).  This module provides the
-first-class vocabulary for observing them:
+bounded flow-state table (Section 3.6).  There is one way to count them:
 
-* :class:`Counter` — a monotonically increasing count owned by a
-  component (a qdisc's drops, a router core's demotions).  Components
-  expose the value through an ``int``-returning property so existing
-  readers are unaffected; the observability layer registers the counter
-  object itself.
-* :class:`MetricRegistry` — a per-simulation namespace of metrics.  Each
-  metric is a name bound to a read function (a counter's value or a
-  gauge callback reading live component state).  Reads iterate in sorted
-  name order, so a sample is a deterministic function of simulation
-  state — never of hash seeds or registration order.
+* A component keeps each tally as a plain ``int`` attribute it adds to
+  itself (``self.drops += 1``) and offers ``metric_items()``, an iterable
+  of ``(suffix, read)`` pairs whose ``read()`` returns the live value.
+  :func:`tally_items` builds those pairs for attributes exported under
+  their own names.
+* :class:`MetricRegistry` is a per-simulation namespace binding dotted
+  names to such read functions (*gauges*).  Reads iterate in sorted name
+  order, so a sample is a deterministic function of simulation state —
+  never of hash seeds or registration order.
 
 Nothing in this module depends on the simulator; the periodic driver
 lives in :mod:`repro.obs.sampler`.
@@ -22,82 +20,48 @@ lives in :mod:`repro.obs.sampler`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
-#: A metric read returns an int (counters, occupancy gauges) or a float
+#: A metric read returns an int (tallies, occupancy gauges) or a float
 #: (rates, utilizations).  Both JSON-round-trip exactly, which the
 #: result cache and the cross-process determinism guarantee rely on.
 MetricValue = Union[int, float]
 
+#: What a component's ``metric_items()`` yields.
+MetricItem = Tuple[str, Callable[[], MetricValue]]
 
-class Counter:
-    """A named, monotonically increasing count.
 
-    Mutation goes through :meth:`inc` so every increment site reads as an
-    instrumentation point; the current value is read via :attr:`value`.
-    """
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self._value += n
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name or '?'}={self._value}>"
+def tally_items(owner: object, names: Iterable[str]) -> List[MetricItem]:
+    """``(name, read)`` pairs reading ``owner``'s attributes live."""
+    return [(name, partial(getattr, owner, name)) for name in names]
 
 
 class MetricRegistry:
     """One simulation run's metric namespace.
 
-    ``register`` binds a name to a :class:`Counter` or to a zero-argument
-    callable (a *gauge* reading live state).  Names are dotted paths,
-    e.g. ``link.bottleneck.qdisc.request.drops``; duplicate registration
-    is a programming error and raises.
+    Names are dotted paths, e.g. ``link.bottleneck.qdisc.request.drops``;
+    duplicate registration is a programming error and raises.
     """
 
     def __init__(self) -> None:
         self._reads: Dict[str, Callable[[], MetricValue]] = {}
 
     # ------------------------------------------------------------------
-    def register(
-        self, name: str, source: Union[Counter, Callable[[], MetricValue]]
-    ) -> None:
+    def gauge(self, name: str, read: Callable[[], MetricValue]) -> None:
+        """Bind ``name`` to a zero-argument callable reading live state."""
         if not name:
             raise ValueError("metric name must be non-empty")
         if name in self._reads:
             raise ValueError(f"metric {name!r} already registered")
-        if isinstance(source, Counter):
-            self._reads[name] = lambda c=source: c.value
-        elif callable(source):
-            self._reads[name] = source
-        else:
-            raise TypeError(f"cannot register {type(source).__name__} as a metric")
+        if not callable(read):
+            raise TypeError(f"cannot register {type(read).__name__} as a metric")
+        self._reads[name] = read
 
-    def counter(self, name: str) -> Counter:
-        """Create, register, and return a registry-owned counter."""
-        counter = Counter(name)
-        self.register(name, counter)
-        return counter
-
-    def gauge(self, name: str, fn: Callable[[], MetricValue]) -> None:
-        """Register a callback gauge reading live component state."""
-        self.register(name, fn)
-
-    def register_many(self, prefix: str, counters: Dict[str, Counter]) -> None:
-        """Register a component's counters under a dotted prefix."""
-        for suffix in sorted(counters):
-            self.register(f"{prefix}.{suffix}", counters[suffix])
+    def gauges(self, prefix: str, items: Iterable[MetricItem]) -> None:
+        """Register a component's ``metric_items()`` under a dotted prefix."""
+        for suffix, read in items:
+            self.gauge(f"{prefix}.{suffix}", read)
 
     # ------------------------------------------------------------------
     def names(self) -> List[str]:

@@ -22,8 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Sampler:
     """Record one row of every registered metric each ``interval`` seconds.
 
-    The first sample fires one interval in, matching
-    :class:`~repro.sim.trace.LinkMonitor`; a run of ``duration`` seconds
+    The first sample fires one interval in; a run of ``duration`` seconds
     yields ``floor(duration / interval)`` rows.
     """
 

@@ -66,6 +66,16 @@ class SchemeKnobs:
     never appear in ``ScenarioSpec.scheme_options`` or cache keys.
     """
 
+    def _require(self, knob: str, ok: bool, allowed: str) -> None:
+        """Range check for ``__post_init__``: knob values arrive from
+        ``--scheme-opt`` and spec files, so a bad one must fail when the
+        spec is built, not inside a sweep worker."""
+        if not ok:
+            raise ValueError(
+                f"scheme {self.scheme_name!r}: {knob}={getattr(self, knob)!r} "
+                f"out of range, need {allowed}"
+            )
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON dict of this knob set (tuples folded to lists)."""
         return {k: _jsonify(v) for k, v in sorted(asdict(self).items())}
@@ -117,6 +127,10 @@ class TvaKnobs(SchemeKnobs):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "server_grant", tuple(self.server_grant))
+        self._require("request_fraction", 0 < self.request_fraction < 1,
+                      "0 < request_fraction < 1")
+        self._require("regular_qdisc", self.regular_qdisc in ("drr", "sfq"),
+                      "'drr' or 'sfq'")
 
     def build(self, *, seed: int = 42,
               destination_policy: Optional[Callable] = None) -> TvaScheme:
@@ -196,6 +210,12 @@ class NetFenceKnobs(SchemeKnobs):
     grace: float = 1.0
     release_intervals: int = 4
     mark_threshold_fraction: float = 0.25
+
+    def __post_init__(self) -> None:
+        self._require("mark_threshold_fraction",
+                      0 < self.mark_threshold_fraction <= 1,
+                      "0 < mark_threshold_fraction <= 1")
+        self._require("beta", 0 < self.beta < 1, "0 < beta < 1")
 
     def build(self, *, seed: int = 42,
               destination_policy: Optional[Callable] = None) -> NetFenceScheme:

@@ -41,7 +41,7 @@ from .topospec import (
     partial_deployment_spec,
     tree_spec,
 )
-from .trace import LinkMonitor, LinkSample, TransferLog, TransferRecord
+from .trace import TransferLog, TransferRecord
 
 __all__ = [
     "AggregateHost",
@@ -56,8 +56,6 @@ __all__ = [
     "IP_TCP_HEADER",
     "LegacyDefaults",
     "Link",
-    "LinkMonitor",
-    "LinkSample",
     "LinkSpec",
     "Network",
     "Node",

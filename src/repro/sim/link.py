@@ -19,6 +19,12 @@ Rate-limited disciplines (TVA's request class) can have a backlog without a
 sendable packet; the link then parks itself and re-polls at the time the
 discipline promises readiness via ``next_ready``.
 
+Accounting: a link counts what it put on the wire (``tx_packets``,
+``tx_bytes``, and per-class ``class_bytes`` once the observability layer
+turns classification on) and what it lost to being down (``fault_drops``,
+``fault_drop_bytes``) — plain ints, exported by :meth:`Link.metric_items`.
+Queueing decisions are the qdisc's to count, not the link's.
+
 Links can be taken down and brought back up (fault injection,
 :mod:`repro.faults`): :meth:`Link.set_down` drains the queue backlog and
 refuses new arrivals, :meth:`Link.set_up` resumes transmission.  A packet
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from ..obs.metrics import Counter
+from ..obs.metrics import MetricItem, tally_items
 from .engine import Event, Simulator
 from .packet import Packet
 from .queues import Qdisc
@@ -98,61 +104,24 @@ class Link:
         #: is ignored when it fires.
         self._fault_token = 0
         self._chan = _Channel(qdisc)
-        # Counters for utilization traces; external readers see ints via
-        # the properties below.
-        self._tx_packets = Counter("tx_packets")
-        self._tx_bytes = Counter("tx_bytes")
+        self.tx_packets = 0
+        self.tx_bytes = 0
         # Packets lost to the link being down: the backlog drained by
         # set_down() plus arrivals while down.  Kept separate from qdisc
         # drops so queue-level accounting stays about queueing decisions.
-        self._fault_drops = Counter("fault_drops")
-        self._fault_drop_bytes = Counter("fault_drop_bytes")
+        self.fault_drops = 0
+        self.fault_drop_bytes = 0
         #: Optional packet -> class-name callback.  ``None`` (the default)
         #: keeps the transmit path classification-free; the observability
-        #: layer sets it for instrumented links only, so per-class
-        #: accounting costs nothing when metrics are off.
+        #: layer sets it for instrumented links only, together with a
+        #: zero-filled ``class_bytes`` entry per class it can return.
         self.classify: Optional[Callable[[Packet], str]] = None
-        self._class_bytes: Dict[str, Counter] = {}
+        self.class_bytes: Dict[str, int] = {}
 
-    @property
-    def tx_packets(self) -> int:
-        return self._tx_packets.value
-
-    @property
-    def tx_bytes(self) -> int:
-        return self._tx_bytes.value
-
-    @property
-    def tx_bytes_counter(self) -> Counter:
-        return self._tx_bytes
-
-    def class_counter(self, cls: str) -> Counter:
-        """Get-or-create the transmitted-bytes counter for a traffic class.
-
-        The instrumenter pre-creates one per class before the run starts,
-        so every counter exists for the registry even if its class never
-        transmits."""
-        counter = self._class_bytes.get(cls)
-        if counter is None:
-            counter = Counter(f"tx_bytes.{cls}")
-            self._class_bytes[cls] = counter
-        return counter
-
-    def metric_counters(self) -> Dict[str, Counter]:
-        return {
-            "tx_packets": self._tx_packets,
-            "tx_bytes": self._tx_bytes,
-            "fault_drops": self._fault_drops,
-            "fault_drop_bytes": self._fault_drop_bytes,
-        }
-
-    @property
-    def fault_drops(self) -> int:
-        return self._fault_drops.value
-
-    @property
-    def fault_drop_bytes(self) -> int:
-        return self._fault_drop_bytes.value
+    def metric_items(self) -> List[MetricItem]:
+        return tally_items(
+            self, ("tx_packets", "tx_bytes", "fault_drops", "fault_drop_bytes")
+        )
 
     # ------------------------------------------------------------------
     def ingress_of(self, pkt: Packet) -> str:
@@ -177,8 +146,8 @@ class Link:
         the link is down.
         """
         if not self.up:
-            self._fault_drops.inc()
-            self._fault_drop_bytes.inc(pkt.size)
+            self.fault_drops += 1
+            self.fault_drop_bytes += pkt.size
             return False
         return self._send_on(self._chan, pkt)
 
@@ -219,9 +188,8 @@ class Link:
             channel.poll_event = None
             channel.wake_pending = False
             drained.extend(channel.qdisc.drain())
-        for pkt in drained:
-            self._fault_drops.inc()
-            self._fault_drop_bytes.inc(pkt.size)
+        self.fault_drops += len(drained)
+        self.fault_drop_bytes += sum(pkt.size for pkt in drained)
         return drained
 
     def set_up(self) -> None:
@@ -256,10 +224,10 @@ class Link:
         # end + delay); the next packet starts at exactly this ``end``.
         end = now + pkt.size * 8.0 / self.bandwidth_bps
         channel.busy_until = end
-        self._tx_packets._value += 1
-        self._tx_bytes._value += pkt.size
+        self.tx_packets += 1
+        self.tx_bytes += pkt.size
         if self.classify is not None:
-            self.class_counter(self.classify(pkt)).inc(pkt.size)
+            self.class_bytes[self.classify(pkt)] += pkt.size
         # Fire-and-forget: a started transmission is never cancelled (even
         # set_down lets the on-wire packet finish and propagate).
         self.sim.call_at(end + self.delay, self.dst.receive, pkt, self)
@@ -372,8 +340,8 @@ class AggregateLink(Link):
     # -- data path ------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         if not self.up:
-            self._fault_drops.inc()
-            self._fault_drop_bytes.inc(pkt.size)
+            self.fault_drops += 1
+            self.fault_drop_bytes += pkt.size
             return False
         return self._send_on(self._channel(self._index_of(pkt)), pkt)
 

@@ -132,8 +132,9 @@ class PacketPool:
       a router when the forward failed (processor verdict, no route, or
       ``link.send()`` returning ``False``).  Queued and in-flight packets
       are never released.
-    * Hooks observing a packet (``drop_hook``, ``mark_hook``, classify)
-      run synchronously before release and must not retain it.
+    * Hooks observing a packet (``drop_hook``, classify, a scheme's own
+      queue hooks) run synchronously before release and must not retain
+      it.
 
     Releasing is optional: an unreleased packet is garbage-collected as
     before, the pool just loses the reuse.  Double-release is a hard

@@ -14,75 +14,68 @@ All disciplines share the :class:`Qdisc` interface: ``enqueue`` returns
 ``False`` when the packet is dropped, ``dequeue(now)`` returns the next
 packet or ``None``, and ``next_ready(now)`` tells a link when a currently
 undequeuable backlog will become ready (used by rate-limited classes).
+
+Accounting contract — every decision is counted once, by the discipline
+that made it, on plain ``int`` attributes:
+
+* an accepted ``enqueue`` adds the packet to ``backlog_pkts``/
+  ``backlog_bytes`` and one to ``PERF.enqueues``; a successful ``dequeue``
+  takes it off again and adds one to ``PERF.dequeues``;
+* a refused ``enqueue`` goes through :meth:`Qdisc._drop`, which bumps
+  ``drops``, ``drop_bytes`` and the per-reason tally and fires
+  ``drop_hook``;
+* ``drain`` ends in :meth:`Qdisc._drained`, which zeroes the backlog
+  without touching the drop tallies.
+
+A :class:`PriorityScheduler` is itself a discipline over its children, so
+a packet crossing it is accounted at both levels: the parent's backlog is
+the sum of its children's (plus parked heads), and a child's refusal is
+one drop at the child (its own reason) plus one ``"child"`` drop at the
+parent.  ``PERF.enqueues/dequeues`` therefore count once per level.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple
 
-from ..obs.metrics import Counter
+from ..obs.metrics import MetricItem, tally_items
 from ..perf.counters import PERF
 from .packet import Packet
 
 
 class Qdisc:
-    """Interface shared by all queue disciplines.
+    """Interface and shared accounting of all queue disciplines.
 
-    Drop accounting is :class:`~repro.obs.metrics.Counter`-backed and
-    broken down by reason (each subclass declares its ``DROP_REASONS``);
-    external readers see plain ints through the ``drops``/``drop_bytes``
-    properties, while the observability layer registers the counter
-    objects via :meth:`metric_counters`.
+    ``backlog_pkts``, ``backlog_bytes``, ``drops``, ``drop_bytes`` and the
+    per-reason ``drop_reasons`` are plain ints anyone may read; the
+    observability layer reads them through :meth:`metric_items`.
     """
 
-    #: Reason labels this discipline can drop for; the first is the
-    #: default when ``_account_drop`` is called without one.
+    #: Reason labels this discipline can drop for.
     DROP_REASONS: tuple = ()
 
     def __init__(self) -> None:
         self.backlog_bytes = 0
         self.backlog_pkts = 0
-        self._drops = Counter("drops")
-        self._drop_bytes = Counter("drop_bytes")
-        self._drop_reasons: Dict[str, Counter] = {
-            reason: Counter(f"drops.{reason}") for reason in self.DROP_REASONS
-        }
+        self.drops = 0
+        self.drop_bytes = 0
+        self.drop_reasons: Dict[str, int] = dict.fromkeys(self.DROP_REASONS, 0)
         #: Label used by the observability layer to name this discipline
         #: inside a scheduler hierarchy (e.g. "request", "regular").
         self.label: str = ""
         #: Optional callback invoked with each dropped packet; pushback's
         #: aggregate detection feeds on this.
         self.drop_hook: Optional[Callable[[Packet], None]] = None
-        #: Congestion-marking hook: when both are set, every *accepted*
-        #: enqueue that leaves ``backlog_bytes`` at or above the threshold
-        #: invokes ``mark_hook(pkt)``.  NetFence's bottleneck routers flip
-        #: their feedback stamps to ``cong`` here; dropped packets never
-        #: fire it (they carry no feedback onward).  Off by default — the
-        #: per-enqueue cost when unset is a single attribute test.
-        self.mark_threshold_bytes: Optional[int] = None
-        self.mark_hook: Optional[Callable[[Packet], None]] = None
 
-    @property
-    def drops(self) -> int:
-        return self._drops.value
-
-    @property
-    def drop_bytes(self) -> int:
-        return self._drop_bytes.value
-
-    @property
-    def drop_reasons(self) -> Dict[str, int]:
-        return {reason: c.value
-                for reason, c in sorted(self._drop_reasons.items())}
-
-    def metric_counters(self) -> Dict[str, Counter]:
-        """This discipline's counters, keyed by metric suffix."""
-        out = {"drops": self._drops, "drop_bytes": self._drop_bytes}
-        for reason, counter in sorted(self._drop_reasons.items()):
-            out[f"drops.{reason}"] = counter
-        return out
+    def metric_items(self) -> Iterator[MetricItem]:
+        """This discipline's tallies as ``(suffix, read)`` pairs."""
+        yield from tally_items(
+            self, ("backlog_pkts", "backlog_bytes", "drops", "drop_bytes")
+        )
+        for reason in self.DROP_REASONS:
+            yield f"drops.{reason}", (lambda r=reason: self.drop_reasons[r])
 
     # -- subclass API ---------------------------------------------------
     def enqueue(self, pkt: Packet) -> bool:
@@ -103,40 +96,29 @@ class Qdisc:
         Used when a link goes down (fault injection): the backlog is lost
         with the link.  Drained packets are *not* counted as qdisc drops —
         the queue did nothing wrong — so byte/packet backlog accounting
-        returns to zero while the drop counters stay untouched; the caller
-        (the link) accounts the loss on its own fault counters.
+        returns to zero while the drop tallies stay untouched; the caller
+        (the link) accounts the loss on its own fault tallies.
         """
         raise NotImplementedError
 
     # -- shared bookkeeping ---------------------------------------------
-    # PERF.enqueues/dequeues tally accounting ops, so hierarchical
-    # disciplines (PriorityScheduler over children) count once per level —
-    # by design: the counters measure work done, not packets moved.
-    def _account_in(self, pkt: Packet) -> None:
-        self.backlog_bytes += pkt.size
-        self.backlog_pkts += 1
-        PERF.enqueues += 1
-        if (
-            self.mark_hook is not None
-            and self.mark_threshold_bytes is not None
-            and self.backlog_bytes >= self.mark_threshold_bytes
-        ):
-            self.mark_hook(pkt)
-
-    def _account_out(self, pkt: Packet) -> None:
-        self.backlog_bytes -= pkt.size
-        self.backlog_pkts -= 1
-        PERF.dequeues += 1
-
-    def _account_drop(self, pkt: Packet, reason: Optional[str] = None) -> None:
-        self._drops.inc()
-        self._drop_bytes.inc(pkt.size)
-        if reason is None and self.DROP_REASONS:
-            reason = self.DROP_REASONS[0]
-        if reason is not None:
-            self._drop_reasons[reason].inc()
+    def _drop(self, pkt: Packet, reason: str) -> bool:
+        """Count one refused packet; returns ``False`` so ``enqueue`` can
+        ``return self._drop(...)``."""
+        self.drops += 1
+        self.drop_bytes += pkt.size
+        self.drop_reasons[reason] += 1
         if self.drop_hook is not None:
             self.drop_hook(pkt)
+        return False
+
+    def _drained(self, pkts: List[Packet]) -> List[Packet]:
+        """Close out a :meth:`drain` that removed ``pkts`` — everything
+        this discipline held."""
+        self.backlog_bytes = 0
+        self.backlog_pkts = 0
+        PERF.dequeues += len(pkts)
+        return pkts
 
 
 class DropTailQueue(Qdisc):
@@ -165,26 +147,15 @@ class DropTailQueue(Qdisc):
         self._queue: Deque[Packet] = deque()
 
     def enqueue(self, pkt: Packet) -> bool:
-        # _account_in/_account_out are inlined in these two methods: the
-        # FIFO is on every access link's per-packet path and the extra
-        # call frames are measurable on the fig8 profile.
         size = pkt.size
         if self.limit_bytes is not None and self.backlog_bytes + size > self.limit_bytes:
-            self._account_drop(pkt)
-            return False
+            return self._drop(pkt, "tail")
         if self.limit_pkts is not None and self.backlog_pkts + 1 > self.limit_pkts:
-            self._account_drop(pkt)
-            return False
+            return self._drop(pkt, "tail")
         self._queue.append(pkt)
         self.backlog_bytes += size
         self.backlog_pkts += 1
         PERF.enqueues += 1
-        if (
-            self.mark_hook is not None
-            and self.mark_threshold_bytes is not None
-            and self.backlog_bytes >= self.mark_threshold_bytes
-        ):
-            self.mark_hook(pkt)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -199,9 +170,23 @@ class DropTailQueue(Qdisc):
     def drain(self) -> List[Packet]:
         drained = list(self._queue)
         self._queue.clear()
-        for pkt in drained:
-            self._account_out(pkt)
-        return drained
+        return self._drained(drained)
+
+
+class _Flow:
+    """One backlogged DRR key: its FIFO and its scheduling state."""
+
+    __slots__ = ("key", "queue", "bytes", "deficit", "topped")
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+        self.queue: Deque[Packet] = deque()
+        self.bytes = 0
+        self.deficit = 0
+        # Whether this flow already received its quantum for the current
+        # round visit; without this flag a flow would be topped up on
+        # every dequeue and monopolize the scheduler.
+        self.topped = False
 
 
 class DRRFairQueue(Qdisc):
@@ -231,15 +216,15 @@ class DRRFairQueue(Qdisc):
         self.limit_bytes_per_queue = limit_bytes_per_queue
         self.max_queues = max_queues
         self.quantum = quantum
-        self._queues: "OrderedDict[Hashable, Deque[Packet]]" = OrderedDict()
-        self._bytes: Dict[Hashable, int] = {}
-        self._deficit: Dict[Hashable, int] = {}
-        self._round: List[Hashable] = []  # active keys in round-robin order
+        #: Backlogged keys only: a flow exists exactly while it holds a
+        #: packet, so idle keys keep no state and no deficit.
+        self._flows: Dict[Hashable, _Flow] = {}
+        # The same flows in service order.  New keys join at the tail and
+        # the cursor walks forward, so where a key lands relative to the
+        # cursor — and therefore the service order — is part of the
+        # behaviour the goldens pin; a rotating deque would differ.
+        self._round: List[_Flow] = []
         self._round_idx = 0
-        # Whether the queue at _round_idx already received its quantum for
-        # the current round visit; without this flag a queue would be
-        # topped up on every dequeue and monopolize the scheduler.
-        self._topped: Dict[Hashable, bool] = {}
 
     @property
     def active_queues(self) -> int:
@@ -247,42 +232,27 @@ class DRRFairQueue(Qdisc):
 
     def enqueue(self, pkt: Packet) -> bool:
         key = self.key_fn(pkt)
-        queue = self._queues.get(key)
-        if queue is None:
-            if len(self._queues) >= self.max_queues:
-                self._account_drop(pkt, "no_slot")
-                return False
-            if pkt.size > self.limit_bytes_per_queue:
-                # Reject before registering: an accepted-never first packet
-                # must not leave behind an empty queue.  A drained scheduler
-                # only retires queues on dequeue, so registering first would
-                # let a flood of oversized packets with distinct keys pin
-                # all max_queues slots permanently — state exhaustion inside
-                # the DoS defense itself.
-                self._account_drop(pkt, "overflow")
-                return False
-            queue = deque()
-            self._queues[key] = queue
-            self._bytes[key] = 0
-            self._deficit[key] = 0
-            self._topped[key] = False
-            self._round.append(key)
-        elif self._bytes[key] + pkt.size > self.limit_bytes_per_queue:
-            self._account_drop(pkt, "overflow")
-            return False
-        queue.append(pkt)
         size = pkt.size
-        self._bytes[key] += size
-        # _account_in inlined (hot path; see DropTailQueue.enqueue).
+        flow = self._flows.get(key)
+        if flow is None:
+            if len(self._flows) >= self.max_queues:
+                return self._drop(pkt, "no_slot")
+            if size > self.limit_bytes_per_queue:
+                # Reject before registering: a flow exists only while it
+                # holds a packet, and flows retire on dequeue — registering
+                # first would let a flood of oversized packets with
+                # distinct keys pin all max_queues slots permanently, state
+                # exhaustion inside the DoS defense itself.
+                return self._drop(pkt, "overflow")
+            flow = self._flows[key] = _Flow(key)
+            self._round.append(flow)
+        elif flow.bytes + size > self.limit_bytes_per_queue:
+            return self._drop(pkt, "overflow")
+        flow.queue.append(pkt)
+        flow.bytes += size
         self.backlog_bytes += size
         self.backlog_pkts += 1
         PERF.enqueues += 1
-        if (
-            self.mark_hook is not None
-            and self.mark_threshold_bytes is not None
-            and self.backlog_bytes >= self.mark_threshold_bytes
-        ):
-            self.mark_hook(pkt)
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -292,70 +262,44 @@ class DRRFairQueue(Qdisc):
         # round order its deficit grows by one quantum; packets are served
         # while the deficit covers them; when it no longer does, the
         # scheduler moves on and the queue waits for its next round.
-        # (Hot loop: the per-key dicts are bound to locals; _retire
-        # mutates self._round/_round_idx, so those stay attribute reads.)
         round_ = self._round
-        queues = self._queues
-        deficit = self._deficit
-        topped = self._topped
-        qbytes = self._bytes
-        quantum = self.quantum
         while True:
             if self._round_idx >= len(round_):
                 self._round_idx = 0
-            key = round_[self._round_idx]
-            queue = queues[key]
-            if not queue:
-                self._retire(key)
-                continue
-            if not topped[key]:
-                deficit[key] += quantum
-                topped[key] = True
-            head = queue[0]
-            size = head.size
-            remaining = deficit[key]
-            if remaining < size:
+            flow = round_[self._round_idx]
+            if not flow.topped:
+                flow.deficit += self.quantum
+                flow.topped = True
+            queue = flow.queue
+            size = queue[0].size
+            if flow.deficit < size:
                 # Spent for this round; revisit after the others.
-                topped[key] = False
+                flow.topped = False
                 self._round_idx += 1
                 continue
-            queue.popleft()
-            deficit[key] = remaining - size
-            qbytes[key] -= size
-            # _account_out inlined (hot path).
+            head = queue.popleft()
+            flow.deficit -= size
+            flow.bytes -= size
             self.backlog_bytes -= size
             self.backlog_pkts -= 1
             PERF.dequeues += 1
             if not queue:
-                self._retire(key)
+                # Retire the emptied flow; the cursor now rests on its
+                # successor, which has not been topped up yet.
+                del round_[self._round_idx]
+                del self._flows[flow.key]
             return head
 
     def drain(self) -> List[Packet]:
         # Round order is the deterministic service order, so draining in it
         # keeps the result independent of dict iteration quirks.
         drained: List[Packet] = []
-        for key in self._round:
-            drained.extend(self._queues[key])
-        for pkt in drained:
-            self._account_out(pkt)
-        self._queues.clear()
-        self._bytes.clear()
-        self._deficit.clear()
-        self._topped.clear()
-        self._round = []
+        for flow in self._round:
+            drained.extend(flow.queue)
+        self._flows.clear()
+        self._round.clear()
         self._round_idx = 0
-        return drained
-
-    def _retire(self, key: Hashable) -> None:
-        """Remove an emptied queue so idle keys hold no state or deficit."""
-        idx = self._round.index(key)
-        del self._round[idx]
-        if idx < self._round_idx:
-            self._round_idx -= 1
-        del self._queues[key]
-        del self._bytes[key]
-        del self._deficit[key]
-        del self._topped[key]
+        return self._drained(drained)
 
 
 class StochasticFairQueue(DRRFairQueue):
@@ -410,6 +354,10 @@ class TokenBucket:
     def __init__(self, rate_bps: float, burst_bytes: int = 3000) -> None:
         if rate_bps <= 0:
             raise ValueError("token bucket rate must be positive")
+        if burst_bytes <= 0:
+            # A bucket that can never hold a packet parks its class's head
+            # forever while the link re-polls without end.
+            raise ValueError("token bucket burst must be positive")
         self.rate_Bps = rate_bps / 8.0
         self.burst_bytes = burst_bytes
         self._tokens = float(burst_bytes)
@@ -471,31 +419,27 @@ class PriorityScheduler(Qdisc):
     """Strict-priority composition of child disciplines.
 
     ``classes`` is an ordered list of ``(classifier, qdisc, bucket)``
-    triples.  An arriving packet is enqueued into the first class whose
-    classifier accepts it.  Dequeue serves the highest-priority class with
-    a ready packet; a class with a token bucket may only send when the
-    bucket covers the head packet (this is how TVA confines requests to 5%
-    of the link without ever letting them starve, Figure 2).
+    triples (``bucket`` is ``None`` for an unmetered class).  An arriving
+    packet is enqueued into the first class whose classifier accepts it.
+    Dequeue serves the highest-priority class with a ready packet; a class
+    with a token bucket may only send when the bucket covers the head
+    packet (this is how TVA confines requests to 5% of the link without
+    ever letting them starve, Figure 2).
     """
 
     DROP_REASONS = ("child", "unclassified")
 
     def __init__(
         self,
-        classes: List,
+        classes: List[Tuple[Callable[[Packet], bool], Qdisc, Optional[TokenBucket]]],
     ) -> None:
         super().__init__()
-        self._classes = []
+        self._classes = list(classes)
         # A rate-limited class may have dequeued a head packet it cannot yet
         # afford; it is parked here (index-aligned with _classes) until its
         # tokens accrue.  Parking the real packet lets next_ready() report
         # the exact wait, which is what keeps links from busy-polling.
-        self._deferred: List[Optional[Packet]] = []
-        for entry in classes:
-            classifier, qdisc = entry[0], entry[1]
-            bucket = entry[2] if len(entry) > 2 else None
-            self._classes.append((classifier, qdisc, bucket))
-            self._deferred.append(None)
+        self._deferred: List[Optional[Packet]] = [None] * len(self._classes)
 
     @property
     def children(self) -> List[Qdisc]:
@@ -504,57 +448,37 @@ class PriorityScheduler(Qdisc):
     def enqueue(self, pkt: Packet) -> bool:
         for classifier, qdisc, _ in self._classes:
             if classifier(pkt):
-                ok = qdisc.enqueue(pkt)
-                if ok:
-                    # _account_in inlined (hot path; see DropTailQueue).
-                    self.backlog_bytes += pkt.size
-                    self.backlog_pkts += 1
-                    PERF.enqueues += 1
-                    if (
-                        self.mark_hook is not None
-                        and self.mark_threshold_bytes is not None
-                        and self.backlog_bytes >= self.mark_threshold_bytes
-                    ):
-                        self.mark_hook(pkt)
-                else:
-                    # The child already accounted the drop in its own
-                    # counters (and fired any drop_hook of its own); the
-                    # parent records it too so scheduler totals stay
-                    # consistent with child sums.
-                    self._account_drop(pkt, "child")
-                return ok
-        # No class claimed the packet: drop it.
-        self._account_drop(pkt, "unclassified")
-        return False
+                if not qdisc.enqueue(pkt):
+                    # The child counted the drop under its own reason (and
+                    # fired its own drop_hook); the parent records it too
+                    # so scheduler totals equal the sum over children.
+                    return self._drop(pkt, "child")
+                self.backlog_bytes += pkt.size
+                self.backlog_pkts += 1
+                PERF.enqueues += 1
+                return True
+        return self._drop(pkt, "unclassified")
 
     def dequeue(self, now: float) -> Optional[Packet]:
         # Parked heads stay in this scheduler's backlog accounting, so an
         # empty backlog really means nothing to serve anywhere.
         if not self.backlog_pkts:
             return None
+        deferred = self._deferred
         for idx, (_, qdisc, bucket) in enumerate(self._classes):
-            if bucket is None:
-                pkt = qdisc.dequeue(now)
-                if pkt is not None:
-                    # _account_out inlined (hot path).
-                    self.backlog_bytes -= pkt.size
-                    self.backlog_pkts -= 1
-                    PERF.dequeues += 1
-                    return pkt
-                continue
-            pkt = self._deferred[idx]
+            pkt = deferred[idx]
             if pkt is None:
                 pkt = qdisc.dequeue(now)
-            if pkt is None:
-                continue
-            if bucket.try_consume(pkt.size, now):
-                self._deferred[idx] = None
+                if pkt is None:
+                    continue
+            if bucket is None or bucket.try_consume(pkt.size, now):
+                deferred[idx] = None
                 self.backlog_bytes -= pkt.size
                 self.backlog_pkts -= 1
                 PERF.dequeues += 1
                 return pkt
             # Not enough tokens yet; park the head and let a lower class go.
-            self._deferred[idx] = pkt
+            deferred[idx] = pkt
         return None
 
     def drain(self) -> List[Packet]:
@@ -567,9 +491,7 @@ class PriorityScheduler(Qdisc):
                 self._deferred[idx] = None
                 drained.append(deferred)
             drained.extend(qdisc.drain())
-        for pkt in drained:
-            self._account_out(pkt)
-        return drained
+        return self._drained(drained)
 
     def next_ready(self, now: float) -> Optional[float]:
         if not self.backlog_pkts:

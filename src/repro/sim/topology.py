@@ -14,7 +14,9 @@ legitimate users and a variable number of attackers on the left, a 10 Mb/s
 colluder) on the right.  Access links add 10 ms each way, giving the
 paper's 60 ms RTT.  It is a thin wrapper over
 ``instantiate(dumbbell_spec(...))`` and is construction-order equivalent
-to the historical hand-rolled builder (the golden-run suite pins this).
+to the historical hand-rolled builder (the golden-run suite pins this);
+:func:`build_chain`, :func:`build_parallel` and :func:`build_two_tier`
+wrap their specs the same way.
 
 Builders are scheme-parametric.  A *scheme* object supplies the queue
 discipline for each link, the router processor, and the host shim; the four
@@ -32,7 +34,13 @@ from .link import AggregateLink, Link
 from .node import AggregateHost, Host, HostShim, Node, Router, RouterProcessor
 from .queues import DropTailQueue, Qdisc
 from .routing import build_static_routes
-from .topospec import LinkSpec, NodeSpec, TopologySpec, dumbbell_spec
+from .topospec import (
+    TopologySpec,
+    chain_spec,
+    dumbbell_spec,
+    parallel_spec,
+    two_tier_spec,
+)
 
 
 class SchemeFactory(Protocol):
@@ -214,29 +222,6 @@ class Network:
 #: Backward-compatible alias: the Figure 7 network type grew into the
 #: general Network; existing imports keep working.
 Dumbbell = Network
-
-
-def _duplex(
-    scheme: SchemeFactory,
-    sim: Simulator,
-    a: Node,
-    b: Node,
-    bandwidth_bps: float,
-    delay: float,
-    kind_ab: str,
-    kind_ba: str,
-    links: List[Link],
-) -> tuple:
-    ab = Link(sim, a, b, bandwidth_bps, delay, scheme.make_qdisc(kind_ab, bandwidth_bps))
-    ba = Link(sim, b, a, bandwidth_bps, delay, scheme.make_qdisc(kind_ba, bandwidth_bps))
-    # A host's uplink delivers traffic entering the trust domain: the
-    # router at its far end tags requests arriving over it.
-    ab.boundary_ingress = kind_ab == "access_up"
-    ba.boundary_ingress = kind_ba == "access_up"
-    a.add_link(ab)
-    b.add_link(ba)
-    links.extend((ab, ba))
-    return ab, ba
 
 
 # ---------------------------------------------------------------------------
@@ -437,46 +422,15 @@ def build_two_tier(
     ``net.users`` lists hosts site by site (``hosts_per_site`` hosts per
     site); the destination sits behind the far core router.
     """
-    net = Dumbbell(sim=sim)
-    edge = Router(sim, "EDGE", scheme.make_router_processor("EDGE", trust_boundary=True))
-    core_left = Router(sim, "C1", scheme.make_router_processor("C1", trust_boundary=False))
-    core_right = Router(sim, "C2", scheme.make_router_processor("C2", trust_boundary=True))
-    net.left, net.right = core_left, core_right
-    net.nodes.extend((edge, core_left, core_right))
-    _duplex(scheme, sim, edge, core_left, edge_bps, delay, "core", "core", net.links)
-    net.bottleneck, net.reverse_bottleneck = _duplex(
-        scheme, sim, core_left, core_right, bottleneck_bps, delay,
-        "bottleneck", "core", net.links,
+    net = instantiate(
+        two_tier_spec(n_sites=n_sites, hosts_per_site=hosts_per_site,
+                      bottleneck_bps=bottleneck_bps, edge_bps=edge_bps,
+                      access_bps=access_bps, delay=delay),
+        sim,
+        scheme,
     )
-
-    next_addr = 1
-    for s in range(n_sites):
-        site = Router(sim, f"S{s}", processor=None)  # stub LAN switch
-        net.nodes.append(site)
-        up, _down = _duplex(scheme, sim, site, edge, edge_bps, delay,
-                            "core", "core", net.links)
-        # The site's uplink is where traffic enters the trust domain.
-        up.boundary_ingress = True
-        for h in range(hosts_per_site):
-            host = Host(sim, f"h{s}.{h}", next_addr,
-                        shim=scheme.make_host_shim("user"))
-            next_addr += 1
-            # Host links are *below* the boundary: the site does not tag.
-            host_up, host_down = _duplex(scheme, sim, host, site, access_bps,
-                                         delay, "core", "core", net.links)
-            host_up.boundary_ingress = False
-            net.users.append(host)
-            net.nodes.append(host)
-
-    destination = Host(sim, "destination", next_addr,
-                       shim=scheme.make_host_shim("destination"))
-    net.destination = destination
-    net.nodes.append(destination)
-    _duplex(scheme, sim, destination, core_right, access_bps, delay,
-            "access_up", "access_down", net.links)
-
-    build_static_routes(net.nodes)
-    scheme.wire(net)
+    # The handles name the bottleneck's ends, not the first/last router.
+    net.left, net.right = net.router_by_name("C1"), net.router_by_name("C2")
     return net
 
 
@@ -493,34 +447,12 @@ def build_chain(
     Used by tests and by the incremental-deployment example (Section 8):
     processors can be attached to only a subset of the routers.
     """
-    net = Dumbbell(sim=sim)
-    routers = [
-        Router(sim, f"R{i}", scheme.make_router_processor(f"R{i}", trust_boundary=(i == 0)))
-        for i in range(n_routers)
-    ]
-    net.nodes.extend(routers)
-    net.left, net.right = routers[0], routers[-1]
-    for a, b in zip(routers, routers[1:]):
-        ab, _ = _duplex(scheme, sim, a, b, link_bps, delay, "bottleneck", "core", net.links)
-        if net.bottleneck is None:
-            net.bottleneck = ab
-
-    next_addr = 1
-
-    def add_host(name: str, role: str, side: Router) -> Host:
-        nonlocal next_addr
-        host = Host(sim, name, next_addr, shim=scheme.make_host_shim(role))
-        next_addr += 1
-        _duplex(scheme, sim, host, side, link_bps * 10, delay, "access_up", "access_down", net.links)
-        net.nodes.append(host)
-        return host
-
-    for i in range(n_hosts_per_end):
-        net.users.append(add_host(f"src{i}", "user", routers[0]))
-    net.destination = add_host("dst", "destination", routers[-1])
-    build_static_routes(net.nodes)
-    scheme.wire(net)
-    return net
+    return instantiate(
+        chain_spec(n_routers=n_routers, n_hosts_per_end=n_hosts_per_end,
+                   link_bps=link_bps, delay=delay),
+        sim,
+        scheme,
+    )
 
 
 def build_parallel(
@@ -541,33 +473,9 @@ def build_parallel(
 
     ``net.bottleneck`` is the initially used ``R1->RA`` link.
     """
-    net = Dumbbell(sim=sim)
-    r1 = Router(sim, "R1", scheme.make_router_processor("R1", trust_boundary=True))
-    ra = Router(sim, "RA", scheme.make_router_processor("RA", trust_boundary=False))
-    rb = Router(sim, "RB", scheme.make_router_processor("RB", trust_boundary=False))
-    r2 = Router(sim, "R2", scheme.make_router_processor("R2", trust_boundary=False))
-    net.left, net.right = r1, r2
-    net.nodes.extend((r1, ra, rb, r2))
-    upper, _ = _duplex(scheme, sim, r1, ra, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, ra, r2, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, r1, rb, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, rb, r2, link_bps, delay, "bottleneck", "core", net.links)
-    net.bottleneck = upper
-
-    next_addr = 1
-
-    def add_host(name: str, role: str, side: Router) -> Host:
-        nonlocal next_addr
-        host = Host(sim, name, next_addr, shim=scheme.make_host_shim(role))
-        next_addr += 1
-        _duplex(scheme, sim, host, side, access_bps, delay,
-                "access_up", "access_down", net.links)
-        net.nodes.append(host)
-        return host
-
-    for i in range(n_hosts):
-        net.users.append(add_host(f"src{i}", "user", r1))
-    net.destination = add_host("dst", "destination", r2)
-    build_static_routes(net.nodes)
-    scheme.wire(net)
-    return net
+    return instantiate(
+        parallel_spec(n_hosts=n_hosts, link_bps=link_bps,
+                      access_bps=access_bps, delay=delay),
+        sim,
+        scheme,
+    )

@@ -276,6 +276,89 @@ def dumbbell_spec(
     return TopologySpec(name="dumbbell", nodes=tuple(nodes), links=tuple(links))
 
 
+def _end_hosts(
+    n_src: int, left: str, right: str, access_bps: float, delay: float
+) -> Tuple[List[NodeSpec], List[LinkSpec]]:
+    """``src0..`` users behind ``left`` and one ``dst`` behind ``right``."""
+    access = dict(kind="access_up", kind_back="access_down")
+    return (
+        [NodeSpec("src", role="user", count=n_src, indexed=True),
+         NodeSpec("dst", role="destination", indexed=False)],
+        [LinkSpec("src", left, access_bps, delay, **access),
+         LinkSpec("dst", right, access_bps, delay, **access)],
+    )
+
+
+def chain_spec(
+    n_routers: int = 3,
+    n_hosts_per_end: int = 1,
+    link_bps: float = 10e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """A linear chain ``R0 .. R{n-1}`` with ``src*`` hosts on ``R0`` and
+    ``dst`` on the last router; only ``R0`` is a trust boundary.  Every
+    forward router link is bottleneck-kind; access links are ten times
+    faster."""
+    nodes = [NodeSpec(f"R{i}", kind="router", trust_boundary=(i == 0))
+             for i in range(n_routers)]
+    links = [LinkSpec(f"R{i}", f"R{i + 1}", link_bps, delay,
+                      kind="bottleneck", kind_back="core", bottleneck=(i == 0))
+             for i in range(n_routers - 1)]
+    hosts, access = _end_hosts(n_hosts_per_end, "R0", f"R{n_routers - 1}",
+                               link_bps * 10, delay)
+    return TopologySpec(name="chain", nodes=tuple(nodes + hosts),
+                        links=tuple(links + access))
+
+
+def parallel_spec(
+    n_hosts: int = 2,
+    link_bps: float = 10e6,
+    access_bps: float = 100e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """Two equal-cost paths between the edges: ``R1 -> {RA | RB} -> R2``,
+    ``R1`` the trust boundary, ``R1->RA`` flagged as the bottleneck."""
+    nodes = [NodeSpec("R1", kind="router", trust_boundary=True),
+             NodeSpec("RA", kind="router"), NodeSpec("RB", kind="router"),
+             NodeSpec("R2", kind="router")]
+    links = [LinkSpec(a, b, link_bps, delay, kind="bottleneck",
+                      kind_back="core", bottleneck=(a, b) == ("R1", "RA"))
+             for a, b in (("R1", "RA"), ("RA", "R2"), ("R1", "RB"), ("RB", "R2"))]
+    hosts, access = _end_hosts(n_hosts, "R1", "R2", access_bps, delay)
+    return TopologySpec(name="parallel", nodes=tuple(nodes + hosts),
+                        links=tuple(links + access))
+
+
+def two_tier_spec(
+    n_sites: int = 4,
+    hosts_per_site: int = 4,
+    bottleneck_bps: float = 10e6,
+    edge_bps: float = 100e6,
+    access_bps: float = 100e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """Hosts ``h{s}.{h}`` behind plain site switches ``S{s}``, sites behind
+    the tagging ``EDGE``, then ``EDGE - C1 = C2 - destination`` with
+    ``C1->C2`` the bottleneck.  Only the site uplinks enter the trust
+    domain: host links sit below the boundary and are never tagged."""
+    nodes = [NodeSpec("EDGE", kind="router", trust_boundary=True),
+             NodeSpec("C1", kind="router"),
+             NodeSpec("C2", kind="router", trust_boundary=True)]
+    links = [LinkSpec("EDGE", "C1", edge_bps, delay),
+             LinkSpec("C1", "C2", bottleneck_bps, delay,
+                      kind="bottleneck", kind_back="core", bottleneck=True)]
+    for s in range(n_sites):
+        nodes.append(NodeSpec(f"S{s}", kind="router", scheme_enabled=False))
+        links.append(LinkSpec(f"S{s}", "EDGE", edge_bps, delay, boundary=True))
+        nodes.append(NodeSpec(f"h{s}.", role="user", count=hosts_per_site,
+                              indexed=True))
+        links.append(LinkSpec(f"h{s}.", f"S{s}", access_bps, delay))
+    nodes.append(NodeSpec("destination", role="destination", indexed=False))
+    links.append(LinkSpec("destination", "C2", access_bps, delay,
+                          kind="access_up", kind_back="access_down"))
+    return TopologySpec(name="two_tier", nodes=tuple(nodes), links=tuple(links))
+
+
 def tree_spec(
     branches: int = 3,
     leaves_per_branch: int = 2,

@@ -3,26 +3,18 @@
 The paper's simulation metrics are (i) the average fraction of completed
 transfers and (ii) the average time of the transfers that complete
 (Section 5).  :class:`TransferLog` collects exactly those, plus the
-per-transfer time series needed for Figure 11.  :class:`LinkMonitor`
-samples a link's utilization, backlog, and drops over time — the view an
-operator would graph.
+per-transfer time series needed for Figure 11.
 
-For simulation-wide observability — per-class utilization, drops broken
-down by reason, flow-state occupancy, transport retransmits, exported
-through :class:`~repro.eval.results.RunResult` — use :mod:`repro.obs`
-(``--metrics`` on the CLI).  :class:`LinkMonitor` remains the
-lightweight, standalone tool for watching a single link in tests and
-notebooks.
+For everything sampled over time — link utilization, backlog, drops
+broken down by reason, flow-state occupancy, transport retransmits,
+exported through :class:`~repro.eval.results.RunResult` — use
+:mod:`repro.obs` (``--metrics`` on the CLI).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Simulator
-    from .link import Link
+from typing import List, Optional
 
 
 @dataclass
@@ -104,61 +96,3 @@ class TransferLog:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass
-class LinkSample:
-    """One interval's view of a link."""
-
-    time: float
-    utilization: float  # fraction of capacity used over the interval
-    backlog_pkts: int
-    drops: int          # drops during the interval
-
-
-class LinkMonitor:
-    """Periodic sampler of a link's utilization, backlog, and drops.
-
-    Attach one to any link and read ``samples`` after the run::
-
-        monitor = LinkMonitor(sim, net.bottleneck, interval=0.5)
-        sim.run(until=10.0)
-        peak = max(s.utilization for s in monitor.samples)
-    """
-
-    def __init__(self, sim: "Simulator", link: "Link", interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
-        self.sim = sim
-        self.link = link
-        self.interval = interval
-        self.samples: List[LinkSample] = []
-        self._last_tx_bytes = link.tx_bytes
-        self._last_drops = link.qdisc.drops
-        sim.call_after(interval, self._sample)
-
-    def _sample(self) -> None:
-        link = self.link
-        sent = link.tx_bytes - self._last_tx_bytes
-        dropped = link.qdisc.drops - self._last_drops
-        self._last_tx_bytes = link.tx_bytes
-        self._last_drops = link.qdisc.drops
-        self.samples.append(
-            LinkSample(
-                time=self.sim.now,
-                utilization=min(
-                    1.0, sent * 8.0 / (link.bandwidth_bps * self.interval)
-                ),
-                backlog_pkts=link.qdisc.backlog_pkts,
-                drops=dropped,
-            )
-        )
-        self.sim.call_after(self.interval, self._sample)
-
-    def mean_utilization(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.utilization for s in self.samples) / len(self.samples)
-
-    def total_drops(self) -> int:
-        return sum(s.drops for s in self.samples)

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs.metrics import Counter
+from ..obs.metrics import MetricItem, tally_items
 from ..sim.engine import Event, Simulator
 from ..sim.node import Host
 from ..sim.packet import IP_TCP_HEADER, Packet
@@ -87,20 +87,17 @@ class TcpStats:
     The obs registry exposes them as ``transport.*``."""
 
     def __init__(self) -> None:
-        self.syn_retransmits = Counter("syn_retransmits")
-        self.data_retransmits = Counter("data_retransmits")
-        self.fast_retransmits = Counter("fast_retransmits")
-        self.aborts = Counter("aborts")
-        self.completions = Counter("completions")
+        self.syn_retransmits = 0
+        self.data_retransmits = 0
+        self.fast_retransmits = 0
+        self.aborts = 0
+        self.completions = 0
 
-    def metric_counters(self) -> Dict[str, Counter]:
-        return {
-            "syn_retransmits": self.syn_retransmits,
-            "data_retransmits": self.data_retransmits,
-            "fast_retransmits": self.fast_retransmits,
-            "aborts": self.aborts,
-            "completions": self.completions,
-        }
+    def metric_items(self) -> List[MetricItem]:
+        return tally_items(self, (
+            "syn_retransmits", "data_retransmits", "fast_retransmits",
+            "aborts", "completions",
+        ))
 
 
 class TcpSender:
@@ -178,7 +175,7 @@ class TcpSender:
             self._fail("syn-retries-exhausted")
             return
         if self.stats is not None:
-            self.stats.syn_retransmits.inc()
+            self.stats.syn_retransmits += 1
         self._notify_shim_timeout()
         self._send_syn()
 
@@ -267,7 +264,7 @@ class TcpSender:
                 if not self._check_transmission_budget(self.snd_una):
                     return
                 if self.stats is not None:
-                    self.stats.fast_retransmits.inc()
+                    self.stats.fast_retransmits += 1
                 self._send_segment(self.snd_una)
                 self._arm_timer(reset=True)
 
@@ -295,7 +292,7 @@ class TcpSender:
         self.dupacks = 0
         self._timed_seg = None  # Karn: no samples across retransmits
         if self.stats is not None:
-            self.stats.data_retransmits.inc()
+            self.stats.data_retransmits += 1
         self._notify_shim_timeout()
         self._send_segment(self.snd_una)
         self._arm_timer(reset=True)
@@ -328,7 +325,7 @@ class TcpSender:
         self.state = "done"
         self._teardown()
         if self.stats is not None:
-            self.stats.completions.inc()
+            self.stats.completions += 1
         if self.on_complete is not None:
             self.on_complete(self.sim.now)
 
@@ -336,7 +333,7 @@ class TcpSender:
         self.state = "failed"
         self._teardown()
         if self.stats is not None:
-            self.stats.aborts.inc()
+            self.stats.aborts += 1
         if self.on_fail is not None:
             self.on_fail(self.sim.now, reason)
 

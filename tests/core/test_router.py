@@ -287,6 +287,6 @@ class TestValidationCache:
         assert len(router._valcache) == 0
 
     def test_counters_exported_via_metrics(self, router):
-        counters = router.metric_counters()
-        assert "valcache_hits" in counters
-        assert "valcache_misses" in counters
+        exported = dict(router.metric_items())
+        assert exported["valcache_hits"]() == router.valcache_hits
+        assert exported["valcache_misses"]() == router.valcache_misses

@@ -27,7 +27,8 @@ CONFIG = ExperimentConfig(duration=3.0, n_users=3)
 
 
 class TestAggregateEquivalence:
-    @pytest.mark.parametrize("scheme", ["tva", "siff", "pushback", "internet"])
+    @pytest.mark.parametrize(
+        "scheme", ["tva", "siff", "pushback", "internet", "netfence"])
     def test_legacy_flood_identical(self, scheme):
         agg, exp = _pair(
             dumbbell_spec(n_users=3, n_attackers=4),

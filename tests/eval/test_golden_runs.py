@@ -37,9 +37,12 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 _CONFIG = ExperimentConfig(duration=6.0, seed=1)
 
-#: name -> spec.  Non-instrumented on purpose: the metrics export is a
-#: strict-superset surface that grows when counters are added; the
-#: simulation *outcome* is what the fast path must never change.
+#: name -> spec.  Most are non-instrumented: the simulation *outcome* is
+#: what a fast path must never change.  The two ``*_metrics`` entries
+#: rerun the k=10 points with ``metrics=True`` because a refactor of the
+#: counting code must not rename or shift a metric either, and nothing
+#: else in tier-1 pins metric names or values.  Adding a metric on
+#: purpose is a one-command regeneration (module docstring).
 GOLDEN_SPECS = {
     "fig8_tva_k10": ScenarioSpec(
         scheme="tva", attack="legacy", n_attackers=10, seed=1, config=_CONFIG
@@ -59,6 +62,14 @@ GOLDEN_SPECS = {
     "fig8_netfence_k10": ScenarioSpec(
         scheme="netfence", attack="legacy", n_attackers=10, seed=1,
         config=_CONFIG,
+    ),
+    "fig8_tva_k10_metrics": ScenarioSpec(
+        scheme="tva", attack="legacy", n_attackers=10, seed=1,
+        config=_CONFIG, metrics=True,
+    ),
+    "fig8_netfence_k10_metrics": ScenarioSpec(
+        scheme="netfence", attack="legacy", n_attackers=10, seed=1,
+        config=_CONFIG, metrics=True,
     ),
     # The aggregated 10k-attacker flood at a shortened duration: the
     # largest curated topology, kept golden so scale-dependent paths

@@ -91,6 +91,18 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown scheme 'tvaa'.*tva"):
             ScenarioSpec("tvaa", "legacy", 1)
 
+    @pytest.mark.parametrize("scheme,knob,value", [
+        ("tva", "request_fraction", 2.0),   # used to run and be cached
+        ("tva", "request_fraction", 0),     # used to fail in the worker
+        ("tva", "regular_qdisc", "foo"),    # likewise
+        ("netfence", "mark_threshold_fraction", 0),
+        ("netfence", "mark_threshold_fraction", 1.5),
+        ("netfence", "beta", 1.0),
+    ])
+    def test_rejects_out_of_range_knob(self, scheme, knob, value):
+        with pytest.raises(ValueError, match=f"scheme '{scheme}': {knob}="):
+            ScenarioSpec(scheme, "legacy", 1, scheme_options={knob: value})
+
 
 class TestSpecBuilders:
     def test_flood_specs_cover_the_grid(self):

@@ -82,8 +82,8 @@ class TestLinkDown:
         injector.install(sim, net, scheme)
         sim.at(1.5, flood, sim, net, 5)
         sim.run(until=3.0)
-        assert injector.link_downs.value == 1
-        assert injector.link_ups.value == 1
+        assert injector.link_downs == 1
+        assert injector.link_ups == 1
         assert sink.packets == 5
 
     def test_queue_drop_accounting_untouched_by_drain(self):
@@ -114,7 +114,7 @@ class TestRouteChange:
         )))
         injector.install(sim, net, scheme)
         sim.run(until=2.0)
-        assert injector.route_changes.value == 1
+        assert injector.route_changes == 1
         assert r1.routing[dst] is via_rb
 
     def test_partition_clears_routes_instead_of_raising(self):
@@ -153,7 +153,7 @@ class TestValidation:
         injector = FaultInjector(FaultSchedule((RouterReboot(at=1.0, router="R1"),)))
         injector.install(sim, net, scheme)
         sim.run(until=2.0)
-        assert injector.reboots.value == 1  # counted even when stateless
+        assert injector.reboots == 1  # counted even when stateless
 
     def test_metric_items_names_are_stable(self):
         injector = FaultInjector(FaultSchedule())

@@ -2,38 +2,28 @@
 
 import pytest
 
-from repro.obs import Counter, MetricRegistry, Sampler
+from repro.obs import MetricRegistry, Sampler, tally_items
 from repro.sim import Simulator
 
 
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        c = Counter("drops")
-        assert c.value == 0
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+class _Tally:
+    """A component counting the one way the data path does: plain ints."""
 
-    def test_reset(self):
-        c = Counter()
-        c.inc(3)
-        c.reset()
-        assert c.value == 0
+    def __init__(self):
+        self.drops = 0
+        self.drop_bytes = 0
 
 
 class TestRegistry:
-    def test_counter_helper_registers_and_reads(self):
-        reg = MetricRegistry()
-        c = reg.counter("a.drops")
-        c.inc(2)
-        assert reg.sample() == {"a.drops": 2}
-
-    def test_register_counter_object(self):
-        reg = MetricRegistry()
-        c = Counter("x")
-        reg.register("x", c)
-        c.inc()
-        assert reg.sample()["x"] == 1
+    def test_tally_items_read_live_attributes(self):
+        owner = _Tally()
+        items = tally_items(owner, ("drops", "drop_bytes"))
+        assert [name for name, _ in items] == ["drops", "drop_bytes"]
+        owner.drops += 2
+        owner.drop_bytes += 3000
+        assert {name: read() for name, read in items} == {
+            "drops": 2, "drop_bytes": 3000,
+        }
 
     def test_gauge_reads_live_state(self):
         reg = MetricRegistry()
@@ -45,31 +35,34 @@ class TestRegistry:
 
     def test_duplicate_name_raises(self):
         reg = MetricRegistry()
-        reg.counter("a")
+        reg.gauge("a", lambda: 0)
         with pytest.raises(ValueError):
-            reg.counter("a")
+            reg.gauge("a", lambda: 0)
 
     def test_empty_name_raises(self):
         with pytest.raises(ValueError):
-            MetricRegistry().counter("")
+            MetricRegistry().gauge("", lambda: 0)
 
     def test_non_callable_source_raises(self):
         with pytest.raises(TypeError):
-            MetricRegistry().register("x", 42)
+            MetricRegistry().gauge("x", 42)
 
     def test_sample_is_sorted_regardless_of_registration_order(self):
         reg = MetricRegistry()
         for name in ("z.last", "a.first", "m.middle"):
-            reg.counter(name)
+            reg.gauge(name, lambda: 0)
         assert list(reg.sample()) == ["a.first", "m.middle", "z.last"]
         assert reg.names() == ["a.first", "m.middle", "z.last"]
 
-    def test_register_many_prefixes_and_sorts(self):
+    def test_gauges_prefixes_a_components_items(self):
         reg = MetricRegistry()
-        counters = {"drops": Counter(), "drop_bytes": Counter()}
-        reg.register_many("link.b.qdisc", counters)
+        owner = _Tally()
+        reg.gauges("link.b.qdisc", tally_items(owner, ("drops", "drop_bytes")))
+        owner.drops += 1
+        assert reg.sample() == {
+            "link.b.qdisc.drop_bytes": 0, "link.b.qdisc.drops": 1,
+        }
         assert "link.b.qdisc.drops" in reg
-        assert "link.b.qdisc.drop_bytes" in reg
         assert len(reg) == 2
 
 
@@ -77,10 +70,11 @@ class TestSampler:
     def test_rows_land_on_interval_boundaries(self):
         sim = Simulator()
         reg = MetricRegistry()
-        c = reg.counter("ticks")
+        owner = _Tally()
+        reg.gauge("ticks", lambda: owner.drops)
         sampler = Sampler(sim, reg, interval=0.5)
-        # Bump the counter at 0.6 s; samples at 0.5 and 1.0 straddle it.
-        sim.at(0.6, lambda: c.inc(7))
+        # Bump the tally at 0.6 s; samples at 0.5 and 1.0 straddle it.
+        sim.at(0.6, lambda: setattr(owner, "drops", 7))
         sim.run(until=2.0)
         times = [t for t, _ in sampler.rows]
         assert times == pytest.approx([0.5, 1.0, 1.5, 2.0])
@@ -90,7 +84,7 @@ class TestSampler:
     def test_series_pivots_rows(self):
         sim = Simulator()
         reg = MetricRegistry()
-        reg.counter("a")
+        reg.gauge("a", lambda: 0)
         sampler = Sampler(sim, reg, interval=1.0)
         sim.run(until=3.0)
         series = sampler.series()

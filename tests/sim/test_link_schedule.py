@@ -76,8 +76,9 @@ def _make_qdisc(kind: str):
                 lambda p: p.src == 1,
                 DRRFairQueue(key_fn=lambda p: p.src,
                              limit_bytes_per_queue=4_000),
+                None,
             ),
-            (lambda p: True, DropTailQueue(limit_bytes=6_000)),
+            (lambda p: True, DropTailQueue(limit_bytes=6_000), None),
         ]
     )
 

@@ -1,7 +1,7 @@
 """Unit and property tests for the queue disciplines."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
@@ -181,9 +181,10 @@ class TestDRR:
         assert not q.enqueue(mkpkt(size=400, src=1))  # oversized for any queue
         assert q.drop_reasons == {"overflow": 2, "no_slot": 1}
         assert q.drops == 3
-        counters = q.metric_counters()
-        assert counters["drops"].value == 3
-        assert counters["drops.no_slot"].value == 1
+        exported = {name: read() for name, read in q.metric_items()}
+        assert exported["drops"] == 3
+        assert exported["drops.no_slot"] == 1
+        assert exported["drops.overflow"] == 2
 
     @given(
         st.lists(
@@ -210,6 +211,76 @@ class TestDRR:
         assert out == accepted
         assert q.backlog_bytes == 0
         assert q.backlog_pkts == 0
+
+    @staticmethod
+    def _reference_service_order(ops, quantum, limit, max_queues):
+        """List model of DRR's round list + cursor: flows are
+        ``[key, deficit, topped, [(uid, size), ...]]`` in round order."""
+        order, idx, served = [], 0, []
+        for uid, op in enumerate(ops):
+            if op is not None:
+                key, size = op
+                flow = next((f for f in order if f[0] == key), None)
+                if flow is None:
+                    if len(order) >= max_queues or size > limit:
+                        continue
+                    flow = [key, 0, False, []]
+                    order.append(flow)  # new keys join at the tail
+                elif sum(s for _, s in flow[3]) + size > limit:
+                    continue
+                flow[3].append((uid, size))
+                continue
+            while order:
+                idx = idx if idx < len(order) else 0
+                flow = order[idx]
+                if not flow[2]:
+                    flow[1], flow[2] = flow[1] + quantum, True
+                if flow[1] < flow[3][0][1]:
+                    flow[2], idx = False, idx + 1
+                    continue
+                uid_out, size = flow[3].pop(0)
+                flow[1] -= size
+                if not flow[3]:
+                    del order[idx]  # cursor now rests on the successor
+                served.append(uid_out)
+                break
+        return served
+
+    # A and B are mid-round (cursor at index 1) when new key C arrives:
+    # the round list serves C right after B's turn ends; a rotating deque
+    # would put A ahead of C.
+    @example(ops=[(0, 1000), (0, 1000), (1, 1000), (1, 1000), None, None,
+                  (2, 1000), None, None, None])
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(st.integers(0, 5), st.integers(40, 1500)),
+            ),
+            max_size=120,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_service_order_matches_round_list_model(self, ops):
+        """Arrivals of new keys interleaved with dequeues at any cursor
+        position are served in exactly the round-list order."""
+        q = DRRFairQueue(
+            key_fn=lambda p: p.src, limit_bytes_per_queue=4000, max_queues=4,
+            quantum=1500,
+        )
+        served = []
+        for uid, op in enumerate(ops):  # dst carries the packet's uid
+            if op is None:
+                pkt = q.dequeue(0.0)
+                if pkt is not None:
+                    served.append(pkt.dst)
+            else:
+                q.enqueue(mkpkt(src=op[0], size=op[1], dst=uid))
+        assert served == self._reference_service_order(
+            ops, quantum=1500, limit=4000, max_queues=4
+        )
+        active = q.active_queues
+        assert active == len({p.src for p in q.drain()})  # one record per key
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +312,12 @@ class TestTokenBucket:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             TokenBucket(rate_bps=0)
+
+    def test_rejects_a_bucket_that_can_never_hold_a_packet(self):
+        # The same check set_rate() applies: with no burst allowance a
+        # scheduler would park its head packet forever.
+        with pytest.raises(ValueError, match="burst"):
+            TokenBucket(rate_bps=8000, burst_bytes=0)
 
     def test_rate_is_enforced_over_time(self):
         tb = TokenBucket(rate_bps=80_000, burst_bytes=1000)  # 10 kB/s

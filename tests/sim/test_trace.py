@@ -73,53 +73,3 @@ def test_time_series_sorted_by_start():
     assert [s for s, _ in series] == [1.0, 5.0]
     assert series[0][1] == pytest.approx(0.2)
     assert series[1][1] == pytest.approx(0.5)
-
-
-class TestLinkMonitor:
-    def _net(self):
-        from repro.sim import (DropTailQueue, Host, Link, LinkMonitor,
-                               Simulator, build_static_routes)
-        from repro.transport import CbrFlood, PacketSink
-
-        sim = Simulator()
-        a, b = Host(sim, "a", 1), Host(sim, "b", 2)
-        ab = Link(sim, a, b, 1e6, 0.001,
-                  DropTailQueue(limit_bytes=None, limit_pkts=10))
-        ba = Link(sim, b, a, 1e6, 0.001,
-                  DropTailQueue(limit_bytes=None, limit_pkts=10))
-        a.add_link(ab)
-        b.add_link(ba)
-        build_static_routes([a, b])
-        PacketSink(b, "cbr")
-        return sim, a, b, ab, LinkMonitor(sim, ab, interval=0.5)
-
-    def test_samples_track_utilization(self):
-        sim, a, b, link, mon = self._net()
-        from repro.transport import CbrFlood
-
-        CbrFlood(sim, a, 2, rate_bps=0.5e6, pkt_size=500)  # half the link
-        sim.run(until=5.0)
-        assert len(mon.samples) == 10
-        assert mon.mean_utilization() == pytest.approx(0.5, abs=0.1)
-        assert mon.total_drops() == 0
-
-    def test_overload_shows_saturation_and_drops(self):
-        sim, a, b, link, mon = self._net()
-        from repro.transport import CbrFlood
-
-        CbrFlood(sim, a, 2, rate_bps=3e6, pkt_size=500)  # 3x the link
-        sim.run(until=3.0)
-        assert mon.mean_utilization() > 0.9
-        assert mon.total_drops() > 100
-
-    def test_idle_link_reads_zero(self):
-        sim, a, b, link, mon = self._net()
-        sim.run(until=2.0)
-        assert mon.mean_utilization() == 0.0
-
-    def test_rejects_bad_interval(self):
-        from repro.sim import LinkMonitor, Simulator
-
-        sim, a, b, link, mon = self._net()
-        with pytest.raises(ValueError):
-            LinkMonitor(mon.sim, link, interval=0.0)
