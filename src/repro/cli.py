@@ -377,10 +377,8 @@ def _cmd_lint(args) -> int:
 
     from .lint import (
         Baseline,
-        IncrementalCache,
         LintEngine,
         LintError,
-        default_cache_path,
         mark_baselined,
         render_github,
         render_json,
@@ -393,14 +391,9 @@ def _cmd_lint(args) -> int:
     if args.select:
         select = [token.strip() for token in args.select.split(",")
                   if token.strip()]
-    cache = None
-    if not args.no_incremental:
-        cache_file = Path(args.cache_file) if args.cache_file \
-            else default_cache_path()
-        cache = IncrementalCache(cache_file)
     exclude = [Path(p) for p in args.exclude] if args.exclude else None
     try:
-        engine = LintEngine(select=select, cache=cache, exclude=exclude)
+        engine = LintEngine(select=select, exclude=exclude)
         findings, files_scanned = engine.lint_paths(paths)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -438,8 +431,7 @@ def _cmd_bench(args) -> int:
     """Run the repro.perf workloads and check the op-count guard.
 
     The exit status gates on the deterministic op-count guard
-    (``benchmarks/opcount_guard.json``), and only when running with
-    ``--quick`` (the mode the guard records).  Time is measured by
+    (``benchmarks/opcount_guard.json``).  Time is measured by
     ``python3 benchmarks/e2e/run.py``, not here.
     """
     from pathlib import Path
@@ -451,21 +443,13 @@ def _cmd_bench(args) -> int:
         write_guard,
     )
 
-    if args.update_guard and not args.quick:
-        print("error: the guard records quick-mode counts; "
-              "use --quick with --update-guard", file=sys.stderr)
-        return 2
-
-    report = run_bench(quick=args.quick)
+    report = run_bench()
     print(report.table())
 
     guard_path = Path(args.guard)
     if args.update_guard:
         write_guard(report, guard_path)
         print(f"updated op-count guard {guard_path}")
-        return 0
-    if not args.quick:
-        print("(op-count guard skipped: it records quick-mode counts)")
         return 0
     if not guard_path.exists():
         print(f"(no op-count guard at {guard_path}; "
@@ -481,7 +465,7 @@ def _cmd_bench(args) -> int:
         for line in problems:
             print(f"  {line}", file=sys.stderr)
         print("if the change is intentional, regenerate with: "
-              "repro bench --quick --update-guard", file=sys.stderr)
+              "repro bench --update-guard", file=sys.stderr)
         return 1
     print(f"op-count guard OK ({guard_path})")
     return 0
@@ -826,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "::error workflow annotations)")
     pl.add_argument("--select", default=None, metavar="RULES",
                     help="comma-separated rule codes, slugs, or single-"
-                         "letter families to run (e.g. C or D,X001; "
+                         "letter families to run (e.g. P or D,S001; "
                          "default: all)")
     pl.add_argument("--exclude", action="append", default=None,
                     metavar="PATH",
@@ -840,28 +824,18 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--show-suppressed", action="store_true",
                     help="also list suppressed/baselined findings in text "
                          "output")
-    pl.add_argument("--no-incremental", action="store_true",
-                    help="disable the per-file result cache (always do a "
-                         "cold scan)")
-    pl.add_argument("--cache-file", default=None, metavar="PATH",
-                    help="incremental cache location (default: "
-                         "$REPRO_CACHE_DIR or ~/.cache/repro/"
-                         "lint-cache.json)")
     pl.set_defaults(fn=_cmd_lint)
 
     pb = sub.add_parser(
         "bench",
         help="per-packet op-count workloads and their guard (repro.perf)")
-    pb.add_argument("--quick", action="store_true",
-                    help="small workloads (what CI runs; the op-count "
-                         "guard records this mode)")
     pb.add_argument("--guard", default="benchmarks/opcount_guard.json",
                     metavar="PATH",
                     help="deterministic op-count guard to check "
                          "(default: benchmarks/opcount_guard.json)")
     pb.add_argument("--update-guard", action="store_true",
                     help="rewrite the guard from this run instead of "
-                         "checking it (requires --quick)")
+                         "checking it")
     pb.set_defaults(fn=_cmd_bench)
 
     ps = sub.add_parser("scenario",

@@ -142,17 +142,18 @@ class FloodResult:
         return cls(**data)
 
 
-def _scheme_for(
+def merged_scheme_options(
     name: str,
     config: ExperimentConfig,
     scheme_options: Optional[Dict] = None,
-    destination_policy: Optional[Callable] = None,
-):
-    """Build ``name`` with ``scheme_options`` laid over the config's knobs.
+) -> Dict:
+    """``scheme_options`` laid over the knobs ``config`` carries for ``name``.
 
-    The config carries the paper's experiment parameters (grant size,
+    The config holds the paper's experiment parameters (grant size,
     request-channel fraction, regular-class qdisc); they are the knob
-    defaults here, and a per-spec option of the same name overrides them.
+    defaults, and a per-spec option of the same name overrides them.
+    ``ScenarioSpec`` validates exactly this dict at construction, so a
+    bad value fails the same way whichever of the two routes carried it.
     """
     options: Dict = {}
     if name == "tva":
@@ -164,8 +165,21 @@ def _scheme_for(
     elif name == "siff":
         options.update(server_grant=config.server_grant)
     options.update(scheme_options or {})
+    return options
+
+
+def _scheme_for(
+    name: str,
+    config: ExperimentConfig,
+    scheme_options: Optional[Dict] = None,
+    destination_policy: Optional[Callable] = None,
+):
+    """Build ``name`` from :func:`merged_scheme_options`, seeded by the config."""
     return build_scheme(
-        name, options, seed=config.seed, destination_policy=destination_policy
+        name,
+        merged_scheme_options(name, config, scheme_options),
+        seed=config.seed,
+        destination_policy=destination_policy,
     )
 
 

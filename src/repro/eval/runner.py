@@ -39,6 +39,7 @@ from .cache import ResultCache
 from .experiments import (
     ATTACKS,
     ExperimentConfig,
+    merged_scheme_options,
     reject_removed_keys,
     run_flood_scenario,
 )
@@ -143,9 +144,14 @@ class ScenarioSpec:
             "scheme_options",
             json.loads(json.dumps(self.scheme_options or {}, sort_keys=True)),
         )
-        # Validate eagerly: an unknown scheme is a ValueError listing the
-        # choices, an unknown knob a TypeError naming the scheme.
-        knobs_for(self.scheme, self.scheme_options)
+        # Validate eagerly what the worker will build — the options laid
+        # over the config's knobs: an unknown scheme is a ValueError
+        # listing the choices, an unknown knob a TypeError naming the
+        # scheme, an out-of-range value (from either route) a ValueError.
+        knobs_for(
+            self.scheme,
+            merged_scheme_options(self.scheme, self.config, self.scheme_options),
+        )
 
     def canonical(self) -> dict:
         """The spec as plain data, independent of field ordering."""

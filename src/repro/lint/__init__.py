@@ -1,4 +1,4 @@
-"""repro.lint — AST-based determinism & project-contract analyzer.
+"""repro.lint — AST-based determinism & simulation-safety analyzer.
 
 The reproduction's headline guarantee is bit-identical replay: the same
 :class:`~repro.eval.runner.ScenarioSpec` produces the same bytes whether
@@ -6,8 +6,7 @@ it runs in-process, across a worker pool, or from the result cache, under
 any ``PYTHONHASHSEED``.  Two shipped bugs (the SFQ salted-``hash()``
 buckets, the non-canonical ``ReturnInfo`` decode) broke that guarantee
 and were only caught empirically.  This package rejects the whole bug
-class statically — per-file determinism rules plus a project-wide pass
-that resolves the import graph and checks cross-module contracts:
+class statically, one file at a time:
 
 =====  ====================  =============================================
 code   slug                  hazard
@@ -17,65 +16,47 @@ D002   unordered-iter        set / unsorted dict-view iteration
 D003   unseeded-random       ambient global RNG, ``random.Random()``
 D004   wall-clock            wall-clock reads inside the simulation core
 D005   mutable-default       mutable default arguments
-D006   rng-provenance        RNG seed not derived from a parameter/spec
+D006   rng-provenance        ``random.Random(<literal>)``
 S001   swallowed-exception   bare/silent exception handlers
 P001   hot-path-codec        per-packet codec work in the fast path
-C001   cache-key-fields      dataclass field missing from its trio
-C002   scheme-protocol       registered scheme misses SchemeFactory
-C003   api-exports           ``__all__`` entry without a real symbol
-X001   pool-picklability     unpicklable callable crossing the pool
+P002   hot-path-alloc        discarded Event / direct ``Packet()``
 =====  ====================  =============================================
+
+Contracts that span modules (every spec/knob field reaches the cache
+key, every registered scheme satisfies ``SchemeFactory``, every
+``__all__`` name resolves, pool callables pickle) are not guessed at
+here: they are total ``asdict`` forms checked by the runtime tests named
+in DESIGN.md, "Determinism rules".
 
 Run it as ``repro lint`` (text, ``--format json``, ``--format github``,
 ``--baseline`` support), from Python via :func:`lint_paths`, or rely on
 the CI gate — ``tests/lint/test_self_clean.py`` keeps ``src/repro`` at
 zero unsuppressed findings.  Deliberate exceptions carry an inline
-``# repro: allow-<slug>`` with a one-line justification.  Warm runs are
-incremental: pass-1 results are cached per file by content sha256 and
-invalidated wholesale when the rule set changes.
+``# repro: allow-<slug>`` with a one-line justification.
 """
 
 from .baseline import Baseline, fingerprints_for
 from .engine import (
-    ALL_RULES as RULES,
-    ALL_RULES_BY_KEY as RULES_BY_KEY,
     Finding,
-    IncrementalCache,
     LintEngine,
     LintError,
-    default_cache_path,
     infer_module,
     lint_paths,
     mark_baselined,
-    ruleset_fingerprint,
 )
-from .project import PROJECT_RULES, Project, ProjectRule, RULESET_VERSION
 from .report import render_github, render_json, render_text, summarize
-from .rules import RULES as FILE_RULES
-from .rules import FileContext, Rule, SIM_MODULES
-from .symbols import ClassFacts, MethodFacts, ModuleFacts, collect_facts
+from .rules import RULES, RULES_BY_KEY, FileContext, Rule, SIM_MODULES
 
 __all__ = [
     "Baseline",
-    "ClassFacts",
-    "FILE_RULES",
     "FileContext",
     "Finding",
-    "IncrementalCache",
     "LintEngine",
     "LintError",
-    "MethodFacts",
-    "ModuleFacts",
-    "PROJECT_RULES",
-    "Project",
-    "ProjectRule",
     "RULES",
-    "RULESET_VERSION",
     "RULES_BY_KEY",
     "Rule",
     "SIM_MODULES",
-    "collect_facts",
-    "default_cache_path",
     "fingerprints_for",
     "infer_module",
     "lint_paths",
@@ -83,6 +64,5 @@ __all__ = [
     "render_github",
     "render_json",
     "render_text",
-    "ruleset_fingerprint",
     "summarize",
 ]

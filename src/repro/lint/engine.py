@@ -5,15 +5,12 @@ and deterministic end to end: files are visited in sorted path order,
 findings are emitted in (path, line, col, code) order, and nothing reads
 the environment — the same tree always produces byte-identical reports.
 
-Two passes
-----------
-Pass 1 parses each file once, runs the per-file rules, the dataflow
-analyses (D006/X001), and boils the module down to
-:class:`~repro.lint.symbols.ModuleFacts`.  Pass 2 builds a
-:class:`~repro.lint.project.Project` from every file's facts and runs
-the cross-module contract rules (C001–C003, plus replay of the stored
-dataflow findings).  Pass-1 output is cached per file keyed by content
-sha256 and the rule-set fingerprint, so a warm run re-parses nothing.
+One pass
+--------
+Each file is parsed once, every selected rule in
+:data:`~repro.lint.rules.RULES` walks the tree, suppressions are
+attached, and the findings are sorted.  No rule sees more than one
+file and nothing is kept between runs.
 
 Suppressions
 ------------
@@ -33,29 +30,14 @@ scoping from outside ``src/``.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
-import os
 import re
 import tokenize
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .dataflow import pool_picklability, rng_provenance
-from .project import PROJECT_RULES, Project, ProjectRule, RULESET_VERSION
-from .rules import RULES, FileContext, Rule
-from .symbols import ModuleFacts, collect_facts
-
-#: The full registry: per-file determinism rules + project contract rules.
-ALL_RULES: Tuple[Rule, ...] = tuple(RULES) + tuple(PROJECT_RULES)
-
-#: Lookup by code and by slug (both casings folded by the caller).
-ALL_RULES_BY_KEY: Dict[str, Rule] = {}
-for _rule in ALL_RULES:
-    ALL_RULES_BY_KEY[_rule.code] = _rule
-    ALL_RULES_BY_KEY[_rule.name] = _rule
+from .rules import RULES, RULES_BY_KEY, FileContext, Rule
 
 #: ``# repro: allow-<rules> [justification]`` — rules = slugs/codes.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow-([A-Za-z0-9_-]+(?:,[A-Za-z0-9_-]+)*)")
@@ -63,9 +45,6 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow-([A-Za-z0-9_-]+(?:,[A-Za-z0-9_-]+)*)
 _MODULE_RE = re.compile(r"#\s*repro:\s*module=([A-Za-z0-9_.]+)")
 #: How many leading lines may carry the module override.
 _MODULE_SCAN_LINES = 5
-
-#: On-disk incremental cache format; bump on any layout change.
-CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -111,12 +90,12 @@ class LintError(ValueError):
 def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
     """Map a mixed code/slug/family selection onto canonical rule codes.
 
-    A single letter selects a rule family: ``C`` expands to every
-    ``C###`` code, ``D`` to every ``D###``, and so on.
+    A single letter selects a rule family: ``D`` expands to every
+    ``D###`` code, ``P`` to every ``P###``, and so on.
     """
     if select is None:
         return None
-    families = sorted({r.code[0] for r in ALL_RULES})
+    families = sorted({r.code[0] for r in RULES})
     codes: Set[str] = set()
     for key in select:
         key = key.strip()
@@ -124,7 +103,7 @@ def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
             continue
         if len(key) == 1 and key.isalpha():
             family = key.upper()
-            matched = {r.code for r in ALL_RULES
+            matched = {r.code for r in RULES
                        if r.code.startswith(family)}
             if not matched:
                 raise LintError(
@@ -132,12 +111,12 @@ def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
                     f"known families: {', '.join(families)}")
             codes.update(matched)
             continue
-        rule = ALL_RULES_BY_KEY.get(key) \
-            or ALL_RULES_BY_KEY.get(key.upper()) \
-            or ALL_RULES_BY_KEY.get(key.lower())
+        rule = RULES_BY_KEY.get(key) \
+            or RULES_BY_KEY.get(key.upper()) \
+            or RULES_BY_KEY.get(key.lower())
         if rule is None:
-            known = ", ".join(sorted({r.code for r in ALL_RULES}
-                                     | {r.name for r in ALL_RULES}))
+            known = ", ".join(sorted({r.code for r in RULES}
+                                     | {r.name for r in RULES}))
             raise LintError(f"unknown rule {key!r}; choose from {known}")
         codes.add(rule.code)
     return codes
@@ -201,152 +180,34 @@ def _is_suppressed(finding_line: int, code: str, rule_name: str,
     return False
 
 
-# -- incremental cache -----------------------------------------------------
-
-
-def ruleset_fingerprint() -> str:
-    """Digest of everything that can change pass-1 output for a file."""
-    codes = ",".join(sorted(r.code for r in ALL_RULES))
-    basis = f"format:{CACHE_FORMAT}|ruleset:{RULESET_VERSION}|rules:{codes}"
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-
-def default_cache_path() -> Path:
-    """Where the incremental cache lives (mirrors the result-cache dirs)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env) / "lint-cache.json"
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "lint-cache.json"
-
-
-class IncrementalCache:
-    """Per-file pass-1 results keyed by content sha256.
-
-    The cache file carries a fingerprint of the rule-set version; a
-    mismatch (rule upgrade, format change) silently invalidates the
-    whole cache.  Saving is best-effort — a read-only cache directory
-    degrades to cold runs, never to an error.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self.fingerprint = ruleset_fingerprint()
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, dict] = {}
-        self._dirty = False
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if not isinstance(data, dict):
-            return
-        if data.get("fingerprint") != self.fingerprint:
-            return
-        entries = data.get("files")
-        if isinstance(entries, dict):
-            self._entries = entries
-
-    def lookup(self, key: str, sha: str) -> Optional[dict]:
-        entry = self._entries.get(key)
-        if entry is not None and entry.get("sha") == sha:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        return None
-
-    def store(self, key: str, sha: str, entry: dict) -> None:
-        entry = dict(entry)
-        entry["sha"] = sha
-        self._entries[key] = entry
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        payload = {
-            "format": CACHE_FORMAT,
-            "fingerprint": self.fingerprint,
-            "files": self._entries,
-        }
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, self.path)
-        except OSError:
-            return
-        self._dirty = False
-
-
-# -- the engine ------------------------------------------------------------
-
-
-@dataclass
-class _FileScan:
-    """Everything pass 1 produces for one file."""
-
-    findings: List[Finding]
-    facts: ModuleFacts
-    allowed: Dict[int, Set[str]]
-    lines: List[str]
-
-
 class LintEngine:
     """Run the rule set over sources, files, or trees.
 
     ``select`` restricts to a subset of rules — exact codes, slugs, or
     single-letter families; the default is every registered rule.
-    ``cache`` (an :class:`IncrementalCache`) makes repeated
-    ``lint_paths`` runs skip unchanged files; it only applies when the
-    default rule registry is in use.
+    ``exclude`` prunes files under the given paths from tree walks.
     """
 
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
         select: Optional[Iterable[str]] = None,
-        cache: Optional[IncrementalCache] = None,
         exclude: Optional[Sequence[Path]] = None,
     ) -> None:
         codes = _normalize_select(select)
-        self._default_registry = rules is None
-        chosen = tuple(rules) if rules is not None else ALL_RULES
+        chosen = tuple(rules) if rules is not None else RULES
         if codes is not None:
             chosen = tuple(r for r in chosen if r.code in codes)
         self.rules = chosen
-        self.cache = cache if self._default_registry else None
         self.exclude = tuple(Path(e) for e in (exclude or ()))
 
-    # -- rule partitions ----------------------------------------------
-
-    def _scan_rules(self) -> Tuple[Rule, ...]:
-        """Rules to actually execute in pass 1 (superset when caching)."""
-        base = ALL_RULES if self.cache is not None else self.rules
-        return tuple(r for r in base if not isinstance(r, ProjectRule))
-
-    def _project_rules(self) -> Tuple[ProjectRule, ...]:
-        base = ALL_RULES if self.cache is not None else self.rules
-        return tuple(r for r in base if isinstance(r, ProjectRule))
-
-    def _selected_codes(self) -> Set[str]:
-        return {r.code for r in self.rules}
-
-    # -- pass 1 --------------------------------------------------------
-
-    def _scan_source(
+    def lint_source(
         self,
         source: str,
-        path: str,
+        path: str = "<string>",
         module: Optional[str] = None,
-    ) -> _FileScan:
+    ) -> List[Finding]:
+        """Lint one source string; ``module`` overrides name inference."""
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
@@ -358,72 +219,18 @@ class LintEngine:
         allowed = _suppressions(source)
 
         findings: List[Finding] = []
-        for rule in self._scan_rules():
+        for rule in self.rules:
             for raw in rule.check(tree, ctx):
-                findings.append(self._attach(path, rule.code, rule.name,
-                                             raw.line, raw.col, raw.message,
-                                             lines, allowed))
-
-        local: Dict[str, List[List[object]]] = {}
-        dataflows = (("D006", rng_provenance), ("X001", pool_picklability))
-        for code, analysis in dataflows:
-            raws = analysis(tree)
-            if raws:
-                local[code] = [[r.line, r.col, r.message] for r in raws]
-        facts = collect_facts(tree, path, module, local)
-        return _FileScan(findings=findings, facts=facts,
-                         allowed=allowed, lines=lines)
-
-    def _attach(self, path: str, code: str, rule_name: str, line: int,
-                col: int, message: str, lines: Sequence[str],
-                allowed: Dict[int, Set[str]]) -> Finding:
-        snippet = ""
-        if 1 <= line <= len(lines):
-            snippet = lines[line - 1].strip()
-        return Finding(
-            path=path, line=line, col=col, code=code, rule=rule_name,
-            message=message, snippet=snippet,
-            suppressed=_is_suppressed(line, code, rule_name, allowed),
-        )
-
-    # -- pass 2 --------------------------------------------------------
-
-    def _project_findings(
-        self,
-        scans: Dict[str, _FileScan],
-    ) -> List[Finding]:
-        project = Project(
-            [scan.facts for _, scan in sorted(scans.items())]
-        )
-        findings: List[Finding] = []
-        for rule in self._project_rules():
-            for path, raw in rule.check_project(project):
-                scan = scans.get(path)
-                lines: Sequence[str] = scan.lines if scan else ()
-                allowed = scan.allowed if scan else {}
-                findings.append(self._attach(path, rule.code, rule.name,
-                                             raw.line, raw.col, raw.message,
-                                             lines, allowed))
-        return findings
-
-    # -- public API ----------------------------------------------------
-
-    def lint_source(
-        self,
-        source: str,
-        path: str = "<string>",
-        module: Optional[str] = None,
-    ) -> List[Finding]:
-        """Lint one source string; ``module`` overrides name inference.
-
-        A single source is treated as a one-module project, so the
-        cross-module rules run too (over whatever the file defines).
-        """
-        scan = self._scan_source(source, path, module)
-        findings = list(scan.findings)
-        findings.extend(self._project_findings({path: scan}))
-        selected = self._selected_codes()
-        findings = [f for f in findings if f.code in selected]
+                snippet = ""
+                if 1 <= raw.line <= len(lines):
+                    snippet = lines[raw.line - 1].strip()
+                findings.append(Finding(
+                    path=path, line=raw.line, col=raw.col,
+                    code=rule.code, rule=rule.name,
+                    message=raw.message, snippet=snippet,
+                    suppressed=_is_suppressed(raw.line, rule.code,
+                                              rule.name, allowed),
+                ))
         findings.sort(key=Finding.sort_key)
         return findings
 
@@ -447,27 +254,14 @@ class LintEngine:
 
         Directories are walked recursively for ``*.py``; the scan order
         (and therefore the report) is sorted, independent of filesystem
-        enumeration order.  The project pass runs over the union of all
-        scanned files.
+        enumeration order.
         """
         files = self._gather(paths)
-        scans: Dict[str, _FileScan] = {}
-        for file in files:
-            source = file.read_text(encoding="utf-8")
-            display = _display_path(file, root)
-            scans[display] = self._scan_cached(file, source, display)
         findings: List[Finding] = []
-        for _, scan in sorted(scans.items()):
-            findings.extend(scan.findings)
-        findings.extend(self._project_findings(scans))
-        selected = self._selected_codes()
-        findings = [f for f in findings if f.code in selected]
+        for file in files:
+            findings.extend(self.lint_file(file, root=root))
         findings.sort(key=Finding.sort_key)
-        if self.cache is not None:
-            self.cache.save()
         return findings, len(files)
-
-    # -- internals -----------------------------------------------------
 
     def _gather(self, paths: Sequence[Path]) -> List[Path]:
         files: List[Path] = []
@@ -492,56 +286,6 @@ class LintEngine:
                 return True
         return False
 
-    def _scan_cached(
-        self, file: Path, source: str, display: str
-    ) -> _FileScan:
-        if self.cache is None:
-            return self._scan_source(source, display)
-        key = str(file.resolve())
-        sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        entry = self.cache.lookup(key, sha)
-        lines = source.splitlines()
-        if entry is not None:
-            try:
-                return self._scan_from_entry(entry, display, lines)
-            except (KeyError, TypeError, ValueError):
-                pass  # corrupt entry: fall through to a fresh scan
-        scan = self._scan_source(source, display)
-        self.cache.store(key, sha, self._entry_from_scan(scan))
-        return scan
-
-    @staticmethod
-    def _entry_from_scan(scan: _FileScan) -> dict:
-        facts = scan.facts.to_dict()
-        facts.pop("path", None)  # display path is reattached at load
-        return {
-            "findings": [
-                {k: v for k, v in sorted(f.to_dict().items())
-                 if k != "path"}
-                for f in scan.findings
-            ],
-            "allowed": {
-                str(line): sorted(keys)
-                for line, keys in sorted(scan.allowed.items())
-            },
-            "facts": facts,
-        }
-
-    @staticmethod
-    def _scan_from_entry(
-        entry: dict, display: str, lines: List[str]
-    ) -> _FileScan:
-        findings = [Finding(path=display, **f) for f in entry["findings"]]
-        allowed = {
-            int(line): set(keys)
-            for line, keys in sorted(entry["allowed"].items())
-        }
-        facts_data = dict(entry["facts"])
-        facts_data["path"] = display
-        facts = ModuleFacts.from_dict(facts_data)
-        return _FileScan(findings=findings, facts=facts,
-                         allowed=allowed, lines=lines)
-
 
 def _display_path(path: Path, root: Optional[Path]) -> str:
     base = Path(root) if root is not None else Path.cwd()
@@ -556,11 +300,10 @@ def lint_paths(
     *,
     select: Optional[Iterable[str]] = None,
     root: Optional[Path] = None,
-    cache: Optional[IncrementalCache] = None,
     exclude: Optional[Sequence[Path]] = None,
 ) -> Tuple[List[Finding], int]:
     """Convenience wrapper: lint files/trees with the default rule set."""
-    engine = LintEngine(select=select, cache=cache, exclude=exclude)
+    engine = LintEngine(select=select, exclude=exclude)
     return engine.lint_paths(paths, root=root)
 
 

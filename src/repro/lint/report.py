@@ -10,11 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from .project import PROJECT_RULES
 from .rules import RULES
-
-#: Every rule the reports document: per-file + project contract rules.
-ALL_REPORT_RULES = tuple(RULES) + tuple(PROJECT_RULES)
 
 JSON_VERSION = 1
 
@@ -77,7 +73,7 @@ def render_json(findings: Sequence, files_scanned: int) -> str:
                 "summary": rule.summary,
                 "motivation": rule.motivation,
             }
-            for rule in ALL_REPORT_RULES
+            for rule in RULES
         },
         "findings": [
             dict(f.to_dict(), fingerprint=fp)

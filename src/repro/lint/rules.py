@@ -1,10 +1,11 @@
 """The determinism & simulation-safety rule set.
 
 Each rule is a small AST pass with a stable code, a slug used in
-``# repro: allow-<slug>`` suppressions, and a one-line motivation tying
-it to a bug this repository actually shipped (see DESIGN.md,
-"Determinism rules").  Rules yield :class:`RawFinding`s; the engine in
-:mod:`repro.lint.engine` attaches file context and suppressions.
+``# repro: allow-<slug>`` suppressions, and a docstring that ends with
+why it is kept: the defect it caught here, or why no runtime test can
+stand in for it (see DESIGN.md, "Determinism rules").  Rules yield
+:class:`RawFinding`s; the engine in :mod:`repro.lint.engine` attaches
+file context and suppressions.
 
 The rule set is deliberately conservative: every check is a syntactic
 pattern that has produced a real nondeterminism bug in this codebase
@@ -128,6 +129,9 @@ class HashBuiltinRule(Rule):
     breaks bit-identical replay.  Use ``zlib.crc32`` / ``hashlib`` over
     a canonical encoding instead; in-process-only uses (``__hash__``
     delegating to a content digest) are suppressed with a justification.
+
+    Kept because it names a shipped defect: SFQ keyed its buckets on
+    ``hash(flow)`` and results differed per worker until PR 2.
     """
 
     code = "D001"
@@ -158,6 +162,10 @@ class UnorderedIterRule(Rule):
     only when the insertion order itself is; exported or scheduled
     sequences must be canonicalized with ``sorted(...)`` so the output
     order is a function of content alone.
+
+    Kept because it found a live one: pushback reviewed links and
+    ranked contributors in dict order until the sweep that adopted this
+    rule sorted them (the ``CACHE_SALT`` v4 bump).
     """
 
     code = "D002"
@@ -237,6 +245,10 @@ class UnseededRandomRule(Rule):
     ``random.Random()`` with no arguments does the same; either one
     makes a run irreproducible.  Construct ``random.Random(seed_expr)``
     from configuration instead.
+
+    Kept because the runtime determinism diffs only replay the paths
+    their few scenarios take; an ambient draw elsewhere shows up as a
+    flaky figure nobody can bisect.
     """
 
     code = "D003"
@@ -299,6 +311,10 @@ class WallClockRule(Rule):
     read couples results to host load and walltime, which no cache salt
     can account for.  Benchmark/offline code (``repro.eval``) may time
     itself freely.
+
+    Kept because no test can stand in for it: a wall-clock-coupled
+    result is byte-stable on one idle machine, which is where the
+    determinism diffs run.
     """
 
     code = "D004"
@@ -344,6 +360,9 @@ class MutableDefaultRule(Rule):
     run N's results depending on whether runs 1..N-1 happened in the
     same process — exactly the class of bug the jobs=1 vs jobs=N
     determinism diff exists to catch.
+
+    Kept because that diff sees the leak only when its own scenarios
+    run through the leaking function twice in one process.
     """
 
     code = "D005"
@@ -380,6 +399,49 @@ class MutableDefaultRule(Rule):
         return False
 
 
+class RngProvenanceRule(Rule):
+    """D006 — ``random.Random(<literal>)``: a seed no spec can reach.
+
+    D003 accepts any seeded ``Random``; this rule rejects the seeds that
+    are constants.  A literal-seeded RNG inside a helper draws the same
+    stream for every ``ScenarioSpec.seed``, so a multi-seed sweep
+    silently averages one sample — and no runtime check can see it,
+    because every such run is perfectly deterministic.  The three
+    ``rng or Random(0)`` standalone defaults in host/scheme constructors
+    carry ``# repro: allow-rng-provenance``.
+
+    The check is syntactic: every argument is a constant.  It does not
+    follow names, so ``Random(i)`` over a literal ``range``, a seed
+    laundered through a local variable, and an RNG stored into a module
+    global from a derived seed all pass; ``Random(int(time.time()))``
+    inside the simulation core is D004's.
+    """
+
+    code = "D006"
+    name = "rng-provenance"
+    summary = "RNG seed does not derive from a parameter or spec attribute"
+    motivation = ("a literal-seeded Random() deep in a helper decouples "
+                  "results from ScenarioSpec.seed")
+
+    def check(self, tree: ast.AST, ctx: FileContext) -> Iterator[RawFinding]:
+        bare = _imported_names(tree, "random", ("Random",))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _dotted(node.func)
+            if target != "random.Random" and target not in bare:
+                continue
+            seeds = list(node.args) + [kw.value for kw in node.keywords]
+            if seeds and all(isinstance(s, ast.Constant) for s in seeds):
+                yield RawFinding(
+                    node.lineno, node.col_offset,
+                    "random.Random(...) seed does not derive from a "
+                    "function parameter or spec attribute; thread the "
+                    "seed from ScenarioSpec so results stay coupled to "
+                    "the recorded seed",
+                )
+
+
 class SwallowedExceptionRule(Rule):
     """S001 — bare ``except:`` anywhere; silent ``pass`` handlers in the
     simulation core.
@@ -389,6 +451,9 @@ class SwallowedExceptionRule(Rule):
     whose whole body is ``pass``/``continue`` turns a corrupted event
     into a silently wrong figure — the event loop must either handle an
     error meaningfully or let it surface.
+
+    Kept because an exception that never surfaces is, by construction,
+    invisible to every runtime check.
     """
 
     code = "S001"
@@ -432,6 +497,10 @@ class HotPathCodecRule(Rule):
 
     The designated cached sites — the memo-miss branches that *are* the
     cache — carry ``# repro: allow-p001`` with a justification.
+
+    Kept because it names a shipped defect (``keyed_hash56`` rebuilt its
+    format string per call) and the op-count guard counts hashes, not
+    codec parses.
     """
 
     code = "P001"
@@ -523,6 +592,9 @@ class HotPathAllocRule(Rule):
 
     The pool's own miss branch — the one place that *must* construct a
     ``Packet`` — carries ``# repro: allow-p002``.
+
+    Kept because an Event allocation is not an op the guard counts, and
+    the uid drift only shows when two runs share a process.
     """
 
     code = "P002"
@@ -587,6 +659,7 @@ RULES: Tuple[Rule, ...] = (
     UnseededRandomRule(),
     WallClockRule(),
     MutableDefaultRule(),
+    RngProvenanceRule(),
     SwallowedExceptionRule(),
     HotPathCodecRule(),
     HotPathAllocRule(),

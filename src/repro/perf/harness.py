@@ -8,8 +8,8 @@ work (a cache that stopped hitting, an event-loop regression) shows up
 as an integer diff.
 
 The guard lives in ``benchmarks/opcount_guard.json`` and is
-checked/updated via ``repro bench --quick`` (the guard is recorded for
-quick mode, which is what CI runs).  Time is not measured here: the
+checked/updated via ``repro bench``; the workloads have one size, the
+one the guard records.  Time is not measured here: the
 repo's one clock is ``python3 benchmarks/e2e/run.py`` + ``compare.py``.
 """
 
@@ -38,39 +38,39 @@ SCHEMA = "repro.perf/v1"
 
 
 # ---------------------------------------------------------------------------
-# Workloads.  Each takes quick: bool and performs deterministic work;
-# the harness wraps it in an OpCountProbe.
+# Workloads.  Each performs deterministic work; the harness wraps it in
+# an OpCountProbe.
 # ---------------------------------------------------------------------------
 
-def _run_fig8(scheme: str, quick: bool) -> None:
+def _run_fig8(scheme: str) -> None:
     run_spec(
         ScenarioSpec(
             scheme=scheme,
             attack="legacy",
             n_attackers=10,
             seed=1,
-            config=ExperimentConfig(duration=3.0 if quick else 8.0, seed=1),
+            config=ExperimentConfig(duration=3.0, seed=1),
         )
     )
 
 
-def _workload_fig8(quick: bool) -> None:
+def _workload_fig8() -> None:
     """End-to-end fig8 scenario — the acceptance benchmark."""
-    _run_fig8("tva", quick)
+    _run_fig8("tva")
 
 
-def _workload_fig8_netfence(quick: bool) -> None:
+def _workload_fig8_netfence() -> None:
     """The same fig8 scenario under NetFence: its costs live in feedback
     MACs (hashes) and per-sender limiter churn rather than capability
     validation, so the guard pins a second scheme-shaped profile."""
-    _run_fig8("netfence", quick)
+    _run_fig8("netfence")
 
 
-def _workload_event_loop(quick: bool) -> None:
+def _workload_event_loop() -> None:
     """Pure simulator churn: timer re-arm/cancel cycles (the TCP pattern
     that grows the lazy-deletion heap) plus fire-and-forget deliveries."""
     sim = Simulator()
-    n = 20_000 if quick else 100_000
+    n = 20_000
 
     def tick() -> None:
         pass
@@ -85,10 +85,10 @@ def _workload_event_loop(quick: bool) -> None:
     sim.run()
 
 
-def _workload_validation(quick: bool) -> None:
+def _workload_validation() -> None:
     """Router pipeline batches across the Table 1 packet kinds."""
     bench = RouterWorkbench(pool_size=64)
-    batch = 256 if quick else 2048
+    batch = 256
     for kind in (
         "request",
         "regular_cached",
@@ -100,9 +100,9 @@ def _workload_validation(quick: bool) -> None:
     bench.run_wire_batch("regular_uncached", batch=batch // 4)
 
 
-def _workload_codec(quick: bool) -> None:
+def _workload_codec() -> None:
     """Figure 5 header pack/unpack round trips."""
-    n = 2_000 if quick else 20_000
+    n = 2_000
     caps = [Capability(5, 0x00F00D + i) for i in range(6)]
     pres = [PreCapability(5, 0x00BEEF + i) for i in range(6)]
     regular = RegularHeader(
@@ -121,57 +121,55 @@ def _workload_codec(quick: bool) -> None:
         assert request.wire_size() == len(request.pack())
 
 
-def _run_topology(topology, aggregate: bool, quick: bool) -> None:
+def _run_topology(topology, aggregate: bool) -> None:
     run_spec(
         ScenarioSpec(
             scheme="tva",
             attack="legacy",
             n_attackers=len(topology.role_addresses("attacker")),
             seed=1,
-            config=ExperimentConfig(duration=2.0 if quick else 6.0, seed=1),
+            config=ExperimentConfig(duration=2.0, seed=1),
             topology=topology,
             aggregate=aggregate,
         )
     )
 
 
-def _workload_topo_dumbbell(quick: bool) -> None:
+def _workload_topo_dumbbell() -> None:
     """Topology scaling, point 1: the classic dumbbell (20 hosts)."""
-    _run_topology(dumbbell_spec(), aggregate=False, quick=quick)
+    _run_topology(dumbbell_spec(), aggregate=False)
 
 
-def _workload_topo_tree(quick: bool) -> None:
+def _workload_topo_tree() -> None:
     """Topology scaling, point 2: aggregation tree, aggregated senders
     (one AggregateSender per 40-attacker leaf group — 240 senders)."""
     _run_topology(
         tree_spec(users_per_leaf=1, attackers_per_leaf=40),
         aggregate=True,
-        quick=quick,
     )
 
 
-def _workload_topo_fattree(quick: bool) -> None:
+def _workload_topo_fattree() -> None:
     """Topology scaling, point 3: k=4 fat-tree fabric, aggregated
     senders on every non-victim edge (7 groups of 50 — 350 senders)."""
     _run_topology(
         fat_tree_spec(users_per_edge=1, attackers_per_edge=50),
         aggregate=True,
-        quick=quick,
     )
 
 
-def _workload_flood10k(quick: bool) -> None:
+def _workload_flood10k() -> None:
     """Topology scaling, point 4: the curated ``flood-10k`` scenario —
     10^4 aggregated flood sources against one victim link, the regime
-    ROADMAP item 2 targets.  Quick mode shortens the simulated horizon
-    only; the topology (and hence the per-second shape) is identical."""
+    ROADMAP item 2 targets.  Only the simulated horizon is shortened;
+    the topology (and hence the per-second shape) is the scenario's."""
     from ..scenarios import get_scenario
 
-    run_spec(get_scenario("flood-10k").spec(duration=1.0 if quick else None))
+    run_spec(get_scenario("flood-10k").spec(duration=1.0))
 
 
 #: name -> workload, in report order.
-WORKLOADS: Dict[str, Callable[[bool], None]] = {
+WORKLOADS: Dict[str, Callable[[], None]] = {
     "fig8_e2e": _workload_fig8,
     "fig8_netfence": _workload_fig8_netfence,
     "event_loop": _workload_event_loop,
@@ -190,7 +188,6 @@ WORKLOADS: Dict[str, Callable[[bool], None]] = {
 
 @dataclass(frozen=True)
 class BenchReport:
-    quick: bool
     #: workload name -> its op-count delta, in ``WORKLOADS`` order.
     counts: Dict[str, OpCounts]
 
@@ -206,7 +203,7 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def run_bench(quick: bool = False) -> BenchReport:
+def run_bench() -> BenchReport:
     """Run every workload, capturing its op-count delta.
 
     Op counts are process-global deltas, so workloads run sequentially
@@ -221,9 +218,9 @@ def run_bench(quick: bool = False) -> BenchReport:
         # earlier in this process.
         clear_tag_cache()
         with OpCountProbe() as probe:
-            fn(quick)
+            fn()
         counts[name] = probe.counts
-    return BenchReport(quick=quick, counts=counts)
+    return BenchReport(counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +228,9 @@ def run_bench(quick: bool = False) -> BenchReport:
 # ---------------------------------------------------------------------------
 
 def guard_payload(report: BenchReport) -> dict:
-    """The committed guard: op counts per workload, for one mode."""
+    """The committed guard: op counts per workload."""
     return {
         "schema": SCHEMA,
-        "quick": report.quick,
         "workloads": {
             name: ops.to_dict() for name, ops in sorted(report.counts.items())
         },
@@ -253,7 +249,7 @@ def load_guard(path) -> dict:
     if data.get("schema") != SCHEMA:
         raise ValueError(
             f"guard schema {data.get('schema')!r} != {SCHEMA!r}; "
-            "regenerate with: repro bench --quick --update-guard"
+            "regenerate with: repro bench --update-guard"
         )
     return data
 
@@ -265,11 +261,6 @@ def check_opcount_guard(report: BenchReport, guard: dict) -> List[str]:
     present in the guard are compared, so adding a counter field is not
     retroactively a failure — regenerating the guard picks it up."""
     problems: List[str] = []
-    if bool(guard.get("quick")) != report.quick:
-        return [
-            f"guard was recorded with quick={guard.get('quick')} but this "
-            f"run used quick={report.quick}; op counts are mode-specific"
-        ]
     expected_workloads = guard.get("workloads", {})
     for name, expected in sorted(expected_workloads.items()):
         got = report.counts.get(name)

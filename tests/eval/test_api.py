@@ -1,9 +1,12 @@
 """The stable ``repro.api`` facade."""
 
+import importlib
+import pkgutil
 import warnings
 
 import pytest
 
+import repro
 from repro import api
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec, run_spec
@@ -11,14 +14,25 @@ from repro.eval.runner import ScenarioSpec, run_spec
 FAST = ExperimentConfig(duration=3.0)
 
 
+def _modules_with_all():
+    names = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")  # importing it runs the CLI
+    ]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
 class TestFacade:
-    def test_exports_everything_promised(self):
-        for name in api.__all__:
-            assert getattr(api, name) is not None
+    @pytest.mark.parametrize("module_name", _modules_with_all())
+    def test_exports_everything_promised(self, module_name):
+        # A name in __all__ that the module never binds turns
+        # ``from <module> import *`` into an AttributeError for a user.
+        module = importlib.import_module(module_name)
+        dangling = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not dangling, f"{module_name}.__all__ lists unbound {dangling}"
 
     def test_importable_without_deprecation_warnings(self):
-        import importlib
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             importlib.reload(api)

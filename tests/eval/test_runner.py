@@ -103,6 +103,21 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"scheme '{scheme}': {knob}="):
             ScenarioSpec(scheme, "legacy", 1, scheme_options={knob: value})
 
+    @pytest.mark.parametrize("knob,value", [
+        ("request_fraction", 2.0),   # used to build, hash, and fail in
+        ("request_fraction", 0.0),   # the worker after retries
+        ("regular_qdisc", "foo"),
+    ])
+    def test_rejects_out_of_range_config_knob(self, knob, value):
+        # The same knobs reach TVA through ExperimentConfig; one
+        # validation path means they fail at spec-build time too.
+        with pytest.raises(ValueError, match=f"scheme 'tva': {knob}="):
+            ScenarioSpec("tva", "legacy", 1,
+                         config=ExperimentConfig(**{knob: value}))
+        # A scheme that never reads the knob is unaffected by it.
+        ScenarioSpec("internet", "legacy", 1,
+                     config=ExperimentConfig(**{knob: value}))
+
 
 class TestSpecBuilders:
     def test_flood_specs_cover_the_grid(self):

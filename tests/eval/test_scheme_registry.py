@@ -31,7 +31,13 @@ from repro.eval.experiments import SCHEMES as EXPERIMENT_SCHEMES
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec
 from repro.schemes import SCHEMES, build_scheme, knobs_for, scheme_names
-from repro.sim import Simulator, build_dumbbell, dumbbell_spec, tree_spec
+from repro.sim import (
+    SchemeFactory,
+    Simulator,
+    build_dumbbell,
+    dumbbell_spec,
+    tree_spec,
+)
 
 #: One non-default override per scheme, exercising a representative knob
 #: type each (tuple-free floats, ints, and the empty case).
@@ -67,6 +73,26 @@ class TestKnobContracts:
         assert json.dumps(wire, sort_keys=True) == json.dumps(
             knobs.to_dict(), sort_keys=True
         )
+
+    def test_to_dict_carries_every_field(self, name):
+        # The cache key hashes to_dict(); a field missing from it would
+        # let two different knob sets share one cache entry.
+        knobs = knobs_for(name, SAMPLE_OPTIONS[name])
+        declared = {f.name for f in dataclasses.fields(SCHEMES[name])}
+        assert set(knobs.to_dict()) == declared
+
+    def test_build_satisfies_scheme_factory_protocol(self, name):
+        # Read off the protocol itself, so a member added there is
+        # demanded of every registered scheme without editing this test.
+        required = [
+            member
+            for member in (*SchemeFactory.__annotations__, *vars(SchemeFactory))
+            if not member.startswith("_")
+        ]
+        assert "metric_items" in required and "name" in required
+        scheme = build_scheme(name, SAMPLE_OPTIONS[name])
+        missing = [m for m in required if not hasattr(scheme, m)]
+        assert not missing, f"scheme {name!r} lacks SchemeFactory members {missing}"
 
     def test_spec_roundtrip_preserves_cache_key(self, name):
         spec = ScenarioSpec(

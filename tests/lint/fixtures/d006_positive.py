@@ -1,7 +1,7 @@
-"""D006 positive fixture: RNG seeds with no provenance."""
+"""D006 positive fixture: RNG seeds that are literals."""
 
 import random
-import time
+from random import Random as Rng
 
 _GLOBAL_RNG = random.Random(1234)  # expect: D006
 
@@ -10,13 +10,5 @@ def fixed_seed():
     return random.Random(42)  # expect: D006
 
 
-def wall_clock_seed():
-    return random.Random(int(time.time()))  # expect: D006
-
-
-_CACHE_RNG = None
-
-
-def warm_up(seed):
-    global _CACHE_RNG
-    _CACHE_RNG = random.Random(seed)  # expect: D006
+def aliased_keyword_seed():
+    return Rng(x=7)  # expect: D006

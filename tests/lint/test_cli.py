@@ -110,8 +110,8 @@ def test_github_format_omits_suppressed(capsys):
 
 
 def test_select_family(capsys):
-    # d001_positive has only D-family findings; the C family is clean.
-    assert main(["lint", POSITIVE, "--select", "C"]) == 0
+    # d001_positive has only D-family findings; the P family is clean.
+    assert main(["lint", POSITIVE, "--select", "P"]) == 0
     assert main(["lint", POSITIVE, "--select", "D"]) == 1
 
 
@@ -127,19 +127,3 @@ def test_exclude_skips_subtree(capsys):
     assert main(["lint", str(FIXTURES), "--exclude", str(FIXTURES)]) == 0
     assert "0 file(s)" in capsys.readouterr().out
 
-
-def test_incremental_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    assert main(["lint", POSITIVE, "--cache-file", str(cache)]) == 1
-    cold = capsys.readouterr().out
-    assert cache.exists()
-    assert main(["lint", POSITIVE, "--cache-file", str(cache)]) == 1
-    warm = capsys.readouterr().out
-    assert cold == warm
-
-
-def test_no_incremental_skips_cache_file(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    assert main(["lint", POSITIVE, "--no-incremental",
-                 "--cache-file", str(cache)]) == 1
-    assert not cache.exists()
