@@ -38,7 +38,6 @@ the Figure 9/11 experiments.
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -423,10 +422,8 @@ class NetFenceHostShim(HostShim):
     #: control packets at each other.
     ECHO_INTERVAL = 0.5
 
-    def __init__(self, policy: Optional[DestinationPolicy] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, policy: Optional[DestinationPolicy] = None) -> None:
         self.policy = policy or ServerPolicy()
-        self.rng = rng or random.Random(0)  # repro: allow-rng-provenance — deterministic default for standalone construction; sweeps always inject a spec-derived rng
         self._present: Dict[int, NetFenceFeedback] = {}   # peer -> echo to present
         self._to_echo: Dict[int, NetFenceFeedback] = {}   # peer -> their freshest stamp
         self._last_echo: Dict[int, float] = {}
@@ -523,7 +520,6 @@ class NetFenceScheme(LegacyDefaults):
         self.mark_threshold_fraction = mark_threshold_fraction
         self.destination_policy = destination_policy or ServerPolicy
         self.seed = seed
-        self.rng = random.Random(seed)
         self.cores: Dict[str, NetFenceRouterProcessor] = {}
         self.shims: List[NetFenceHostShim] = []
 
@@ -550,9 +546,7 @@ class NetFenceScheme(LegacyDefaults):
             policy = AlwaysGrant()
         else:
             policy = ClientPolicy()
-        shim = NetFenceHostShim(
-            policy=policy, rng=random.Random(self.rng.getrandbits(32))
-        )
+        shim = NetFenceHostShim(policy=policy)
         self.shims.append(shim)
         return shim
 

@@ -21,7 +21,6 @@ different destinations."  Concretely:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -157,11 +156,9 @@ class SiffHostShim(HostShim):
     def __init__(
         self,
         policy: Optional[DestinationPolicy] = None,
-        rng: Optional[random.Random] = None,
         mark_lifetime: Optional[float] = None,
     ) -> None:
         self.policy = policy or ServerPolicy()
-        self.rng = rng or random.Random(0)  # repro: allow-rng-provenance — deterministic default for standalone construction; sweeps always inject a spec-derived rng
         #: How long senders assume marks stay valid (the router secret
         #: period).  When set, senders refresh proactively by sending an
         #: explorer before expiry — data rides on explorers in SIFF, so the
@@ -257,10 +254,10 @@ class SiffHostShim(HostShim):
         self.host.send(pkt)
 
 
-def _is_verified_data(pkt: Packet) -> bool:
+def _siff_class(pkt: Packet) -> int:
     # Routers drop unverified data before enqueue, so any SiffData reaching
-    # the queue is authorized.
-    return isinstance(pkt.shim, SiffData)
+    # the queue is authorized (class 0); explorers and legacy share class 1.
+    return 0 if isinstance(pkt.shim, SiffData) else 1
 
 
 class SiffScheme(LegacyDefaults):
@@ -281,7 +278,6 @@ class SiffScheme(LegacyDefaults):
         self.mark_bits = mark_bits
         self.destination_policy = destination_policy or ServerPolicy
         self.seed = seed
-        self.rng = random.Random(seed)
         self.processors: Dict[str, SiffRouterProcessor] = {}
         self.shims: Dict[str, SiffHostShim] = {}
 
@@ -291,10 +287,7 @@ class SiffScheme(LegacyDefaults):
         data_queue.label = "data"
         low_queue.label = "low"
         return PriorityScheduler(
-            [
-                (_is_verified_data, data_queue, None),
-                (lambda pkt: True, low_queue, None),  # explorers + legacy
-            ]
+            _siff_class, [(data_queue, None), (low_queue, None)]
         )
 
     def make_router_processor(self, router_name: str, trust_boundary: bool):
@@ -317,7 +310,6 @@ class SiffScheme(LegacyDefaults):
             policy = ClientPolicy()
         shim = SiffHostShim(
             policy=policy,
-            rng=random.Random(self.rng.getrandbits(32)),
             mark_lifetime=self.secret_period,
         )
         self.shims[role] = shim

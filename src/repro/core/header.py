@@ -233,6 +233,25 @@ class RegularHeader(_Header):
         return writer.getvalue() + self._tail()
 
 
+def figure2_class(pkt) -> int:
+    """The Figure 2 output class of a packet: 0 request, 1 regular,
+    2 legacy.
+
+    The one place the decision lives — TVA's link scheduler indexes its
+    class list with it and the observability layer names wire bytes by
+    it.  Demoted packets and anything without a TVA header (plain IP,
+    another scheme's shim) are legacy; that is the point of demotion.
+    """
+    shim = pkt.shim
+    if shim is None or pkt.demoted:
+        return 2
+    if isinstance(shim, RegularHeader):
+        return 1
+    if isinstance(shim, RequestHeader):
+        return 0
+    return 2
+
+
 def unpack_header(data: bytes):
     """Decode a packed header back into its object form.
 

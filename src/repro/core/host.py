@@ -141,12 +141,17 @@ class TvaHostShim(HostShim):
     def __init__(
         self,
         policy: Optional[DestinationPolicy] = None,
-        rng: Optional[random.Random] = None,
+        seed: int = 0,
         renewal_threshold: float = RENEWAL_THRESHOLD,
         infer_dead_caps: bool = True,
     ) -> None:
         self.policy = policy or ServerPolicy()
-        self.rng = rng or random.Random(0)  # repro: allow-rng-provenance — deterministic default for standalone construction; sweeps always inject a spec-derived rng
+        #: Seed of the flow-nonce stream.  The generator itself (2.5 KB of
+        #: Mersenne-Twister state) is built at the first grant received:
+        #: a sender that is never authorized — every member of a legacy
+        #: flood — draws no nonce and so never pays for one.
+        self.seed = seed
+        self._rng: Optional[random.Random] = None
         self.renewal_threshold = renewal_threshold
         #: Whether repeated demote echoes right after caps-bearing sends
         #: make the sender conclude its capabilities are dead (router
@@ -306,7 +311,9 @@ class TvaHostShim(HostShim):
             state.n_bytes = info.n_bytes
             state.t_seconds = info.t_seconds
             state.granted_at = now
-            state.nonce = self.rng.randint(0, _NONCE_MAX)
+            if self._rng is None:
+                self._rng = random.Random(self.seed)
+            state.nonce = self._rng.randint(0, _NONCE_MAX)
             state.bytes_charged = 0
             state.need_caps = True
             state.renewal_outstanding = False

@@ -320,21 +320,32 @@ class TvaRouterProcessor(RouterProcessor):
     def process(
         self, pkt: Packet, router: Router, in_link: Optional[Link], out_link: Link
     ) -> bool:
+        shim = pkt.shim
+        if shim is None:
+            # Plain IP needs no capability processing at all (Section 3.2):
+            # the core would answer (LEGACY, 0) and touch no tally.
+            return True
+        core = self.core
         # Tag requests only at the trust-boundary ingress ("Routers not at
         # trust boundaries do not tag requests as the upstream has already
         # tagged", Section 3.2).  Which links are boundary ingress is
         # topology knowledge: host access links and inter-domain links.
         # (ingress_of lets an AggregateLink report the per-member wire a
         # packet arrived on, so aggregated senders tag like expanded ones.)
-        ingress = (
-            in_link.ingress_of(pkt)
-            if in_link is not None and in_link.boundary_ingress
-            else None
-        )
-        verdict, added = self.core.process(
-            pkt.src, pkt.dst, pkt.size, pkt.shim, router.sim.now, ingress
+        # Only a request at such a router reads the tag, so only it pays
+        # for resolving one.
+        ingress = None
+        if (
+            core.trust_boundary
+            and in_link is not None
+            and in_link.boundary_ingress
+            and isinstance(shim, RequestHeader)
+        ):
+            ingress = in_link.ingress_of(pkt)
+        verdict, added = core.process(
+            pkt.src, pkt.dst, pkt.size, shim, router.sim.now, ingress
         )
         pkt.size += added
-        if verdict == LEGACY and pkt.shim is not None and getattr(pkt.shim, "demoted", False):
+        if verdict == LEGACY and getattr(shim, "demoted", False):
             pkt.demoted = True
         return True

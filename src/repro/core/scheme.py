@@ -27,34 +27,30 @@ from ..sim.queues import (
     TokenBucket,
 )
 from ..sim.topology import LegacyDefaults
-from .flowstate import FlowStateTable
-from .header import RegularHeader, RequestHeader
-from .host import TvaHostShim
 from .crypto import SecretManager
-from .params import REQUEST_FRACTION_DEFAULT, TvaParams
+from .flowstate import FlowStateTable
+from .header import figure2_class
+from .host import TvaHostShim
+from .params import (
+    REQUEST_FRACTION_DEFAULT,
+    SERVER_GRANT_BYTES,
+    SERVER_GRANT_SECONDS,
+    TvaParams,
+)
 from .pathid import most_recent_tag
-from .params import SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS
 from .policy import (
     AlwaysGrant,
     ClientPolicy,
     DestinationPolicy,
     ServerPolicy,
 )
+from .router import TvaRouterCore, TvaRouterProcessor
 
 
 def default_server_policy() -> ServerPolicy:
     """The destination policy for the steady-state experiments: a public
     server granting a generous budget and blacklisting misbehaviour."""
     return ServerPolicy(default_grant=(SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS))
-from .router import TvaRouterCore, TvaRouterProcessor
-
-
-def _is_request(pkt: Packet) -> bool:
-    return isinstance(pkt.shim, RequestHeader) and not pkt.demoted
-
-
-def _is_regular(pkt: Packet) -> bool:
-    return isinstance(pkt.shim, RegularHeader) and not pkt.demoted
 
 
 def _request_key(pkt: Packet):
@@ -154,12 +150,14 @@ class TvaScheme(LegacyDefaults):
         request_queue.label = "request"
         regular_queue.label = "regular"
         legacy_queue.label = "legacy"
+        # In figure2_class order: 0 request, 1 regular, 2 legacy.
         return PriorityScheduler(
+            figure2_class,
             [
-                (_is_request, request_queue, request_bucket),
-                (_is_regular, regular_queue, None),
-                (lambda pkt: True, legacy_queue, None),
-            ]
+                (request_queue, request_bucket),
+                (regular_queue, None),
+                (legacy_queue, None),
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -192,7 +190,7 @@ class TvaScheme(LegacyDefaults):
             policy = ClientPolicy()
         shim = TvaHostShim(
             policy=policy,
-            rng=random.Random(self.rng.getrandbits(32)),
+            seed=self.rng.getrandbits(32),
             renewal_threshold=self.params.renewal_threshold,
             # Modelled attackers never conclude their capabilities are
             # dead — they keep blasting them at full rate.

@@ -406,9 +406,7 @@ class RngProvenanceRule(Rule):
     are constants.  A literal-seeded RNG inside a helper draws the same
     stream for every ``ScenarioSpec.seed``, so a multi-seed sweep
     silently averages one sample — and no runtime check can see it,
-    because every such run is perfectly deterministic.  The three
-    ``rng or Random(0)`` standalone defaults in host/scheme constructors
-    carry ``# repro: allow-rng-provenance``.
+    because every such run is perfectly deterministic.
 
     The check is syntactic: every argument is a constant.  It does not
     follow names, so ``Random(i)`` over a literal ``range``, a seed

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..core.header import RegularHeader, RequestHeader
+from ..core.header import figure2_class
 from .metrics import MetricRegistry, MetricValue
 from .sampler import Sampler
 
@@ -40,21 +40,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.topology import Dumbbell, SchemeFactory
     from ..transport.tcp import TcpStats
 
-#: The three output classes of Figure 2.  Demoted packets count as
-#: legacy — that is the point of demotion.
+#: The three output classes of Figure 2, indexed by
+#: :func:`~repro.core.header.figure2_class`.
 TRAFFIC_CLASSES = ("request", "regular", "legacy")
 
 
 def traffic_class(pkt: "Packet") -> str:
     """Map a packet to its Figure 2 class on the wire."""
-    if pkt.demoted:
-        return "legacy"
-    shim = pkt.shim
-    if isinstance(shim, RequestHeader):
-        return "request"
-    if isinstance(shim, RegularHeader):
-        return "regular"
-    return "legacy"
+    return TRAFFIC_CLASSES[figure2_class(pkt)]
 
 
 def _rate_gauge(total: Callable[[], int], scale: float) -> Callable[[], float]:

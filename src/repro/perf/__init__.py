@@ -2,11 +2,13 @@
 
 Two layers:
 
-* :mod:`repro.perf.counters` — the always-on :data:`~repro.perf.counters.PERF`
-  singleton that hot modules increment (dependency-free; safe for
+* :mod:`repro.perf.counters` — the :data:`~repro.perf.counters.PERF`
+  singleton the counts accumulate in (dependency-free; safe for
   ``repro.core`` / ``repro.sim`` to import).
-* :mod:`repro.perf.opcounts` / :mod:`repro.perf.harness` — delta probes,
-  benchmark workloads, and the op-count guard behind ``repro bench``.
+* :mod:`repro.perf.opcounts` / :mod:`repro.perf.harness` — the delta
+  probe (which also takes the per-packet counts, by wrapping the counted
+  methods while it is open), benchmark workloads, and the op-count guard
+  behind ``repro bench``.
 
 Time is measured by ``benchmarks/e2e`` (the repo benchmark), not here.
 

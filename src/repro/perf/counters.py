@@ -1,23 +1,28 @@
-"""Always-on operation counters for the per-packet fast path.
+"""Operation counters for the per-packet fast path.
 
 The paper's performance claims (Table 1, Figure 12) are statements about
 *how much work* a router does per packet — hashes computed, events
 fired, queue operations.  Wall-clock time is hostage to the host; these
 counts are not: they are exact, seed-stable functions of the scenario,
 which makes them usable as regression guards (``repro bench`` gates on
-them, wall-clock numbers are informational only).
+them; time is the repo benchmark's business).
 
-The counters live in this dependency-free module so the hot modules
-(:mod:`repro.core.crypto`, :mod:`repro.sim.engine`,
-:mod:`repro.sim.queues`) can increment them without import cycles.
-Each increment is one integer add on a ``__slots__`` singleton — cheap
-enough to leave on permanently, which is what keeps the counts exact
-rather than sampled.
+The counters live in this dependency-free module so the modules that
+add to them directly (:mod:`repro.core.crypto`, :mod:`repro.core.router`,
+:mod:`repro.core.pathid`, :mod:`repro.sim.engine`) can do so without
+import cycles.  Those are the rare or already-amortized counts: a hash,
+a cache hit or miss, one add per ``run()``, a heap compaction.  The four
+that would cost an add on *every* packet at *every* hop —
+``events_scheduled``, ``enqueues``, ``dequeues``, ``pool_reuses`` — are
+not incremented by the data path at all:
+:class:`repro.perf.opcounts.OpCountProbe` wraps the counted methods
+while a probe is open, so the counts are as exact as ever under a probe
+and free outside one.
 
 Counters are process-global: capture deltas with
 :class:`repro.perf.opcounts.OpCountProbe` rather than reading absolute
-values, and capture them in-process (``jobs=1``) — a pool worker's
-counts stay in the worker.
+values (outside a probe the per-packet four do not move), and capture
+them in-process (``jobs=1``) — a pool worker's counts stay in the worker.
 """
 
 from __future__ import annotations
@@ -73,5 +78,5 @@ class PerfCounters:
         return f"<PerfCounters {inner}>"
 
 
-#: The singleton every hot module increments.
+#: The singleton every counting site adds to.
 PERF = PerfCounters()

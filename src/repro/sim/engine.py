@@ -12,10 +12,8 @@ Design notes
   simulation is fully deterministic for a given seed.
 * Heap entries are ``(time, seq, event)`` tuples rather than the
   :class:`Event` objects themselves: ``seq`` is unique, so tuple
-  comparison never reaches the event and heap ordering runs entirely in
-  C.  The ordering is identical to the old ``Event.__lt__`` (time, then
-  sequence), just ~2x cheaper on the fig8 profile where heap comparisons
-  dominated.
+  comparison never reaches the event and heap ordering (time, then
+  sequence) runs entirely in C.
 * Cancellation is O(1): a cancelled event stays in the heap but is skipped
   when popped.  This is the standard "lazy deletion" trick and matters for
   protocols (TCP) that cancel and re-arm retransmit timers constantly.
@@ -24,10 +22,15 @@ Design notes
   outnumber live ones — in place, because :meth:`Simulator.run` holds a
   local reference to the heap list while callbacks (which may cancel)
   are executing.
-* :attr:`Simulator.pending` is O(1) too: a live-event counter is maintained
-  on push, cancel, and pop, so the observability layer can sample it as a
+* :attr:`Simulator.pending` is O(1) too — heap length minus the cancelled
+  entries still in it — so the observability layer can sample it as a
   gauge without scanning the heap.
 * Time is a float in seconds, like ns-2.
+* The per-packet op counts (``events_scheduled``, ``pool_reuses``) are not
+  taken here: :class:`repro.perf.opcounts.OpCountProbe` wraps the four
+  scheduling methods and :meth:`Simulator.alloc_packet` while a probe is
+  open.  Only the once-per-``run()`` ``events_fired`` and the rare
+  ``heap_compactions`` are added to ``PERF`` directly.
 """
 
 from __future__ import annotations
@@ -55,33 +58,26 @@ class Event:
     simulated time at which the callback fires.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired", "sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., Any],
         args: tuple,
         sim: Optional["Simulator"] = None,
     ):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
         # ``fired`` is distinct from ``cancelled`` on purpose: timer users
         # (TCP) test ``cancelled`` to decide whether a re-arm is needed, and
         # an executed timer must keep reading as not-cancelled.  The flag
-        # exists so the live-event counter never double-decrements when a
-        # caller cancels an event that already ran.
+        # exists so cancelling an event that already ran is not counted as
+        # a cancelled entry still sitting in the heap.
         self.fired = False
         self.sim = sim
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -110,7 +106,6 @@ class Simulator:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._live = 0
         self._cancelled_in_heap = 0
         self._running = False
         self._stopped = False
@@ -138,12 +133,24 @@ class Simulator:
         this (not ``Packet(...)``) so uid sequences are identical across
         back-to-back runs in one process and allocation churn is bounded
         by the peak number of packets alive, not the total sent."""
-        pool = self._pool
-        if pool._free:
-            PERF.pool_reuses += 1
-        return pool.acquire(
-            next(self._packet_uid), src, dst, size, proto, tcp, shim, created
-        )
+        free = self._pool._free
+        if not free or size <= 0:
+            # Miss — or a bad size, which acquire rejects.
+            return self._pool.acquire(
+                next(self._packet_uid), src, dst, size, proto, tcp, shim, created
+            )
+        pkt = free.pop()
+        pkt.uid = next(self._packet_uid)
+        pkt.src = src
+        pkt.dst = dst
+        pkt.size = size
+        pkt.proto = proto
+        pkt.tcp = tcp
+        pkt.shim = shim
+        pkt.demoted = False
+        pkt.created = created
+        pkt.in_pool = False
+        return pkt
 
     def release_packet(self, pkt: Packet) -> None:
         """Return a dead packet to the pool.  Only terminal owners call
@@ -160,11 +167,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"
             )
-        seq = next(self._seq)
-        event = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        PERF.events_scheduled += 1
+        event = Event(time, fn, args, sim=self)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -172,11 +176,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         time = self.now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        PERF.events_scheduled += 1
+        event = Event(time, fn, args, sim=self)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -196,8 +197,6 @@ class Simulator:
         heapq.heappush(
             self._heap, (self.now + delay, next(self._seq), fn, args)
         )
-        self._live += 1
-        PERF.events_scheduled += 1
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`at`: absolute-time twin of
@@ -214,8 +213,6 @@ class Simulator:
                 f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"
             )
         heapq.heappush(self._heap, (time, next(self._seq), fn, args))
-        self._live += 1
-        PERF.events_scheduled += 1
 
     @staticmethod
     def cancel(event: Optional[Event]) -> None:
@@ -227,7 +224,6 @@ class Simulator:
                 event.sim._note_cancelled()
 
     def _note_cancelled(self) -> None:
-        self._live -= 1
         self._cancelled_in_heap += 1
         heap = self._heap
         if len(heap) >= _COMPACT_FLOOR and self._cancelled_in_heap * 2 > len(heap):
@@ -283,7 +279,6 @@ class Simulator:
                 if len(entry) == 4:
                     # Fire-and-forget entry from call_after: no Event, no
                     # cancellation state to check or maintain.
-                    self._live -= 1
                     self.now = etime
                     entry[2](*entry[3])
                 else:
@@ -292,7 +287,6 @@ class Simulator:
                         self._cancelled_in_heap -= 1
                         continue
                     event.fired = True
-                    self._live -= 1
                     self.now = etime
                     event.fn(*event.args)
                 processed += 1
@@ -315,11 +309,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still in the heap.
-
-        Maintained incrementally on push/cancel/pop — O(1), so it is safe
-        to sample as a gauge every metrics interval."""
-        return self._live
+        """Number of not-yet-cancelled events still in the heap — O(1),
+        so it is safe to sample as a gauge every metrics interval."""
+        return len(self._heap) - self._cancelled_in_heap
 
     @property
     def events_processed(self) -> int:

@@ -155,7 +155,11 @@ class Link:
         if not channel.qdisc.enqueue(pkt):
             return False
         if not channel.wake_pending:
-            self._serve(channel)
+            # _serve, with its free-wire branch inline: the per-packet case.
+            if self.sim.now >= channel.busy_until:
+                self._pump(channel)
+            else:
+                self._serve(channel)
         return True
 
     def _serve(self, channel: _Channel) -> None:
@@ -323,13 +327,6 @@ class AggregateLink(Link):
             )
         return idx
 
-    def _channel(self, idx: int) -> _Channel:
-        channel = self._channels.get(idx)
-        if channel is None:
-            channel = _Channel(self.qdisc_factory())
-            self._channels[idx] = channel
-        return channel
-
     def _all_channels(self) -> Sequence[_Channel]:
         return [self._channels[idx] for idx in sorted(self._channels)]
 
@@ -343,7 +340,15 @@ class AggregateLink(Link):
             self.fault_drops += 1
             self.fault_drop_bytes += pkt.size
             return False
-        return self._send_on(self._channel(self._index_of(pkt)), pkt)
+        # Hit: one lookup.  A miss range-checks the address (_index_of),
+        # then builds the member's channel on first use.
+        channel = self._channels.get(
+            (pkt.src if self.by_src else pkt.dst) - self.base_address
+        )
+        if channel is None:
+            idx = self._index_of(pkt)
+            channel = self._channels[idx] = _Channel(self.qdisc_factory())
+        return self._send_on(channel, pkt)
 
     @property
     def drops(self) -> int:

@@ -158,21 +158,10 @@ class PacketPool:
         shim: Any = None,
         created: float = 0.0,
     ) -> Packet:
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        if self._free:
-            pkt = self._free.pop()
-            pkt.uid = uid
-            pkt.src = src
-            pkt.dst = dst
-            pkt.size = size
-            pkt.proto = proto
-            pkt.tcp = tcp
-            pkt.shim = shim
-            pkt.demoted = False
-            pkt.created = created
-            pkt.in_pool = False
-            return pkt
+        """Build a fresh pool-eligible packet: the miss path.  A hit is
+        served by :meth:`~repro.sim.engine.Simulator.alloc_packet` itself,
+        which pops ``_free`` and refills the packet in place rather than
+        pay a second call per allocation."""
         # repro: allow-p002 — the pool's own miss branch; uid is caller-supplied
         pkt = Packet(src, dst, size, proto, tcp, shim, created, uid=uid)
         pkt.pooled = True

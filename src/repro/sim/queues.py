@@ -19,8 +19,7 @@ Accounting contract — every decision is counted once, by the discipline
 that made it, on plain ``int`` attributes:
 
 * an accepted ``enqueue`` adds the packet to ``backlog_pkts``/
-  ``backlog_bytes`` and one to ``PERF.enqueues``; a successful ``dequeue``
-  takes it off again and adds one to ``PERF.dequeues``;
+  ``backlog_bytes``; a successful ``dequeue`` takes it off again;
 * a refused ``enqueue`` goes through :meth:`Qdisc._drop`, which bumps
   ``drops``, ``drop_bytes`` and the per-reason tally and fires
   ``drop_hook``;
@@ -31,7 +30,13 @@ A :class:`PriorityScheduler` is itself a discipline over its children, so
 a packet crossing it is accounted at both levels: the parent's backlog is
 the sum of its children's (plus parked heads), and a child's refusal is
 one drop at the child (its own reason) plus one ``"child"`` drop at the
-parent.  ``PERF.enqueues/dequeues`` therefore count once per level.
+parent.
+
+The op counts (``enqueues``/``dequeues``, once per level) are not taken
+here: while open, a :class:`repro.perf.opcounts.OpCountProbe` wraps
+``enqueue``, ``dequeue`` and :meth:`Qdisc._drained` of the classes below
+and counts from their return values (``True``/a packet counts, ``False``/
+``None`` does not), so an unprobed run pays nothing for them.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import MetricItem, tally_items
-from ..perf.counters import PERF
 from .packet import Packet
 
 
@@ -117,7 +121,6 @@ class Qdisc:
         this discipline held."""
         self.backlog_bytes = 0
         self.backlog_pkts = 0
-        PERF.dequeues += len(pkts)
         return pkts
 
 
@@ -155,7 +158,6 @@ class DropTailQueue(Qdisc):
         self._queue.append(pkt)
         self.backlog_bytes += size
         self.backlog_pkts += 1
-        PERF.enqueues += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -164,7 +166,6 @@ class DropTailQueue(Qdisc):
         pkt = self._queue.popleft()
         self.backlog_bytes -= pkt.size
         self.backlog_pkts -= 1
-        PERF.dequeues += 1
         return pkt
 
     def drain(self) -> List[Packet]:
@@ -252,7 +253,6 @@ class DRRFairQueue(Qdisc):
         flow.bytes += size
         self.backlog_bytes += size
         self.backlog_pkts += 1
-        PERF.enqueues += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -282,7 +282,6 @@ class DRRFairQueue(Qdisc):
             flow.bytes -= size
             self.backlog_bytes -= size
             self.backlog_pkts -= 1
-            PERF.dequeues += 1
             if not queue:
                 # Retire the emptied flow; the cursor now rests on its
                 # successor, which has not been topped up yet.
@@ -418,22 +417,25 @@ class TokenBucket:
 class PriorityScheduler(Qdisc):
     """Strict-priority composition of child disciplines.
 
-    ``classes`` is an ordered list of ``(classifier, qdisc, bucket)``
-    triples (``bucket`` is ``None`` for an unmetered class).  An arriving
-    packet is enqueued into the first class whose classifier accepts it.
-    Dequeue serves the highest-priority class with a ready packet; a class
-    with a token bucket may only send when the bucket covers the head
-    packet (this is how TVA confines requests to 5% of the link without
-    ever letting them starve, Figure 2).
+    ``classes`` is the ordered list of ``(qdisc, bucket)`` pairs, highest
+    priority first (``bucket`` is ``None`` for an unmetered class).
+    ``classify(pkt)`` is called exactly once per arriving packet and
+    returns the index of the class it joins, or ``None`` to refuse it as
+    ``"unclassified"``.  Dequeue serves the highest-priority class with a
+    ready packet; a class with a token bucket may only send when the
+    bucket covers the head packet (this is how TVA confines requests to
+    5% of the link without ever letting them starve, Figure 2).
     """
 
     DROP_REASONS = ("child", "unclassified")
 
     def __init__(
         self,
-        classes: List[Tuple[Callable[[Packet], bool], Qdisc, Optional[TokenBucket]]],
+        classify: Callable[[Packet], Optional[int]],
+        classes: List[Tuple[Qdisc, Optional[TokenBucket]]],
     ) -> None:
         super().__init__()
+        self.classify = classify
         self._classes = list(classes)
         # A rate-limited class may have dequeued a head packet it cannot yet
         # afford; it is parked here (index-aligned with _classes) until its
@@ -443,21 +445,20 @@ class PriorityScheduler(Qdisc):
 
     @property
     def children(self) -> List[Qdisc]:
-        return [qdisc for _, qdisc, _ in self._classes]
+        return [qdisc for qdisc, _ in self._classes]
 
     def enqueue(self, pkt: Packet) -> bool:
-        for classifier, qdisc, _ in self._classes:
-            if classifier(pkt):
-                if not qdisc.enqueue(pkt):
-                    # The child counted the drop under its own reason (and
-                    # fired its own drop_hook); the parent records it too
-                    # so scheduler totals equal the sum over children.
-                    return self._drop(pkt, "child")
-                self.backlog_bytes += pkt.size
-                self.backlog_pkts += 1
-                PERF.enqueues += 1
-                return True
-        return self._drop(pkt, "unclassified")
+        idx = self.classify(pkt)
+        if idx is None:
+            return self._drop(pkt, "unclassified")
+        if not self._classes[idx][0].enqueue(pkt):
+            # The child counted the drop under its own reason (and fired
+            # its own drop_hook); the parent records it too so scheduler
+            # totals equal the sum over children.
+            return self._drop(pkt, "child")
+        self.backlog_bytes += pkt.size
+        self.backlog_pkts += 1
+        return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         # Parked heads stay in this scheduler's backlog accounting, so an
@@ -465,9 +466,11 @@ class PriorityScheduler(Qdisc):
         if not self.backlog_pkts:
             return None
         deferred = self._deferred
-        for idx, (_, qdisc, bucket) in enumerate(self._classes):
+        for idx, (qdisc, bucket) in enumerate(self._classes):
             pkt = deferred[idx]
             if pkt is None:
+                if not qdisc.backlog_pkts:
+                    continue
                 pkt = qdisc.dequeue(now)
                 if pkt is None:
                     continue
@@ -475,7 +478,6 @@ class PriorityScheduler(Qdisc):
                 deferred[idx] = None
                 self.backlog_bytes -= pkt.size
                 self.backlog_pkts -= 1
-                PERF.dequeues += 1
                 return pkt
             # Not enough tokens yet; park the head and let a lower class go.
             deferred[idx] = pkt
@@ -485,7 +487,7 @@ class PriorityScheduler(Qdisc):
         # Parked heads left the child on dequeue but are still in this
         # scheduler's backlog accounting, so they drain here too.
         drained: List[Packet] = []
-        for idx, (_, qdisc, _) in enumerate(self._classes):
+        for idx, (qdisc, _) in enumerate(self._classes):
             deferred = self._deferred[idx]
             if deferred is not None:
                 self._deferred[idx] = None
@@ -497,7 +499,7 @@ class PriorityScheduler(Qdisc):
         if not self.backlog_pkts:
             return None
         best: Optional[float] = None
-        for idx, (_, qdisc, bucket) in enumerate(self._classes):
+        for idx, (qdisc, bucket) in enumerate(self._classes):
             deferred = self._deferred[idx]
             if deferred is None and not qdisc.backlog_pkts:
                 continue

@@ -274,10 +274,15 @@ class AggregateSender:
             self.sim.call_at(self._heap[0][0], self._fire)
 
     def _fire(self) -> None:
-        _, i = heapq.heappop(self._heap)
+        heap = self._heap
+        i = heap[0][1]
         nxt = self._tick_member(i)
+        # One sift instead of a pop and a push; entries are ordered by the
+        # same (time, i) tuples, so the pop order is unchanged.
         if nxt is not None:
-            heapq.heappush(self._heap, (nxt, i))
+            heapq.heapreplace(heap, (nxt, i))
+        else:
+            heapq.heappop(heap)
         self._schedule()
 
     def _tick_member(self, i: int) -> Optional[float]:

@@ -186,3 +186,31 @@ def test_request_header_roundtrip_property(npids, npre, with_return):
     assert out.path_ids == hdr.path_ids
     assert out.precapabilities == hdr.precapabilities
     assert (out.return_info is not None) == with_return
+
+
+# ---------------------------------------------------------------------------
+# The Figure 2 class decision
+# ---------------------------------------------------------------------------
+
+class _ForeignShim:
+    """Another scheme's shim (SIFF marks, NetFence feedback): not TVA's."""
+
+
+@pytest.mark.parametrize("demoted", [False, True])
+@pytest.mark.parametrize("shim,undemoted_class", [
+    (None, "legacy"),
+    (RequestHeader(), "request"),
+    (RegularHeader(flow_nonce=1), "regular"),
+    (_ForeignShim(), "legacy"),
+])
+def test_figure2_class_matrix(shim, undemoted_class, demoted):
+    from repro.core.header import figure2_class
+    from repro.obs.instrument import TRAFFIC_CLASSES, traffic_class
+    from repro.sim import Packet
+
+    pkt = Packet(1, 2, 100, shim=shim)
+    pkt.demoted = demoted
+    expected = "legacy" if demoted else undemoted_class
+    assert TRAFFIC_CLASSES[figure2_class(pkt)] == expected
+    # The observability layer names wire bytes by the same decision.
+    assert traffic_class(pkt) == expected

@@ -70,6 +70,26 @@ def outgoing(host, size=1000, dst=2, proto="tcp"):
     return pkt
 
 
+class TestNonceStream:
+    def test_nonces_are_the_seeded_stream_built_on_first_grant(self):
+        import random
+
+        from repro.core.host import _NONCE_MAX
+
+        seed = 0xC0FFEE
+        sim = Simulator()
+        host = StubHost(sim, address=1)
+        shim = TvaHostShim(policy=AlwaysGrant(), seed=seed)
+        host.shim = shim
+        shim.attach(host)
+        outgoing(host)  # a request: sending draws nothing
+        assert shim._rng is None  # no generator before the first grant
+        reference = random.Random(seed)
+        for _ in range(3):
+            deliver_grant(sim, shim)
+            assert shim._sender[2].nonce == reference.randint(0, _NONCE_MAX)
+
+
 class TestSenderSide:
     def test_first_packet_is_a_request(self, rig):
         sim, host, shim = rig

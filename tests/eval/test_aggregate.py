@@ -83,3 +83,63 @@ class TestAggregateEquivalence:
         with pytest.raises(ValueError, match="topology"):
             ScenarioSpec(scheme="tva", attack="legacy", n_attackers=4,
                          aggregate=True)
+
+
+class TestIngressTagOnDemand:
+    """Only a request at a trust-boundary router reads the ingress tag,
+    so only it pays for resolving the member wire."""
+
+    def _boundary(self):
+        from repro.core import TvaScheme
+        from repro.sim import Simulator, instantiate
+        from repro.sim.link import AggregateLink
+
+        sim = Simulator()
+        net = instantiate(dumbbell_spec(n_users=2, n_attackers=5), sim,
+                          TvaScheme(), aggregate=True)
+        (uplink,) = [link for link in net.links
+                     if isinstance(link, AggregateLink) and link.by_src]
+        assert uplink.boundary_ingress
+        assert uplink.dst.processor.core.trust_boundary
+        resolved = []
+        ingress_of = uplink.ingress_of
+
+        def spy(pkt):
+            resolved.append(pkt)
+            return ingress_of(pkt)
+
+        uplink.ingress_of = spy
+        return sim, net, uplink, resolved
+
+    def test_legacy_packet_never_resolves_its_ingress(self):
+        sim, net, uplink, resolved = self._boundary()
+        pkt = sim.alloc_packet(uplink.base_address + 3,
+                               net.destination.address, 1000)
+        uplink.dst.receive(pkt, uplink)
+        assert resolved == []
+        assert uplink.dst.processor.core.requests_processed == 0
+
+    def test_request_still_gets_the_per_member_tag(self):
+        from repro.core import RequestHeader, interface_tag
+
+        sim, net, uplink, resolved = self._boundary()
+        router = uplink.dst
+        shim = RequestHeader()
+        pkt = sim.alloc_packet(uplink.base_address + 3,
+                               net.destination.address, 60, shim=shim)
+        router.receive(pkt, uplink)
+        assert resolved == [pkt]
+        # The tag of the expanded topology's own "attacker3->R1" wire.
+        assert shim.path_ids == [
+            interface_tag(router.name, f"attacker3->{router.name}")
+        ]
+
+    def test_foreign_source_is_rejected_before_a_channel_is_built(self):
+        """The one-lookup hit path leaves the range check to the miss."""
+        sim, net, uplink, _ = self._boundary()
+        built = len(uplink._channels)
+        stray = sim.alloc_packet(uplink.base_address + uplink.count,
+                                 net.destination.address, 1000)
+        with pytest.raises(ValueError, match="outside aggregate"):
+            uplink.send(stray)
+        assert len(uplink._channels) == built

@@ -63,6 +63,12 @@ GOLDEN_SPECS = {
         scheme="netfence", attack="legacy", n_attackers=10, seed=1,
         config=_CONFIG,
     ),
+    # Authorized flood: the only golden that exercises the regular
+    # class, the host shim's nonce draws and flow-state charging.
+    "fig10_tva_k10": ScenarioSpec(
+        scheme="tva", attack="colluder", n_attackers=10, seed=1,
+        config=_CONFIG,
+    ),
     "fig8_tva_k10_metrics": ScenarioSpec(
         scheme="tva", attack="legacy", n_attackers=10, seed=1,
         config=_CONFIG, metrics=True,

@@ -35,14 +35,12 @@ def test_deliberate_sites_are_annotated_not_silent():
     assert ("runner.py", "D001") in suppressed
     assert ("crypto.py", "P001") in suppressed
     assert ("bits.py", "P001") in suppressed
-    # The rng-or-default idiom in host/scheme constructors is the one
-    # sanctioned D006 exception: sweeps always inject a spec-derived rng.
-    assert ("host.py", "D006") in suppressed
-    assert ("siff.py", "D006") in suppressed
-    assert ("netfence.py", "D006") in suppressed
+    # No literal-seeded RNG is left in the package: host shims take a
+    # seed (or need no RNG at all), so D006 has nothing to excuse.
+    assert not [entry for entry in suppressed if entry[1] == "D006"]
     # The packet pool's miss branch is the one sanctioned direct
     # Packet() construction — everything else goes through alloc_packet.
     assert ("packet.py", "P002") in suppressed
-    assert len([f for f in findings if f.suppressed]) <= 17, (
+    assert len([f for f in findings if f.suppressed]) <= 14, (
         "suppression count crept up — audit the new allow- annotations"
     )

@@ -66,20 +66,19 @@ def _make_qdisc(kind: str):
     # TVA-shaped: a rate-limited request class above fair-queued regular
     # traffic above a best-effort legacy class.
     return PriorityScheduler(
+        lambda p: 0 if p.src == LIMITED_FLOW else 1 if p.src == 1 else 2,
         [
             (
-                lambda p: p.src == LIMITED_FLOW,
                 DropTailQueue(limit_bytes=4_000),
                 TokenBucket(LIMIT_BPS, burst_bytes=LIMIT_BURST),
             ),
             (
-                lambda p: p.src == 1,
                 DRRFairQueue(key_fn=lambda p: p.src,
                              limit_bytes_per_queue=4_000),
                 None,
             ),
-            (lambda p: True, DropTailQueue(limit_bytes=6_000), None),
-        ]
+            (DropTailQueue(limit_bytes=6_000), None),
+        ],
     )
 
 

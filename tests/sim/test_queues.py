@@ -342,10 +342,7 @@ class TestPriorityScheduler:
         lo = DropTailQueue(limit_bytes=10_000)
         bucket = TokenBucket(request_rate_bps, burst_bytes=200) if request_rate_bps else None
         sched = PriorityScheduler(
-            [
-                (lambda p: p.proto == "hi", hi, bucket),
-                (lambda p: True, lo, None),
-            ]
+            lambda p: 0 if p.proto == "hi" else 1, [(hi, bucket), (lo, None)]
         )
         return sched, hi, lo
 
@@ -399,7 +396,7 @@ class TestPriorityScheduler:
 
     def test_drops_propagate_from_children(self):
         hi = DropTailQueue(limit_bytes=100)
-        sched = PriorityScheduler([(lambda p: True, hi, None)])
+        sched = PriorityScheduler(lambda p: 0, [(hi, None)])
         assert sched.enqueue(mkpkt(size=100))
         assert not sched.enqueue(mkpkt(size=100))
         assert sched.drops == 1
