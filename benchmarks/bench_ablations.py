@@ -16,9 +16,9 @@ import random
 
 from conftest import DURATION, horizon
 
+from repro.api import ExperimentConfig, ScenarioSpec, run_spec
 from repro.core import OraclePolicy, ServerPolicy, TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
-from repro.eval import ExperimentConfig, run_flood_scenario
 from repro.sim import Simulator, TransferLog, build_dumbbell
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
 
@@ -62,9 +62,8 @@ def test_ablation_request_fraction(bench_once, benchmark):
         for fraction in (0.01, 0.05):
             config = ExperimentConfig(duration=DURATION,
                                       request_fraction=fraction)
-            log = run_flood_scenario("tva", "request", 40, config)
-            out[fraction] = (log.fraction_completed(horizon()),
-                             log.average_completion_time())
+            run = run_spec(ScenarioSpec("tva", "request", 40, config=config))
+            out[fraction] = (run.fraction_completed, run.avg_transfer_time)
         return out
 
     out = bench_once(run)

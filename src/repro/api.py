@@ -13,10 +13,17 @@ Three entry points cover the common workflows:
 * :func:`build_scheme` — instantiate any registered scheme by name,
   with knob overrides (the :data:`SCHEMES` registry).
 
-Everything re-exported here is covered by the deprecation policy: names
-may gain parameters but won't move or vanish without a deprecation cycle.
-The deep module paths (``repro.eval.runner`` etc.) remain importable but
-are implementation detail.
+Scripts should import from here; the deep module paths
+(``repro.eval.runner`` etc.) remain importable but are implementation
+detail.  There is one run path — a :class:`ScenarioSpec` goes through
+:func:`run_spec` (directly, or via :func:`run_scenario` / :func:`sweep` /
+:class:`SweepRunner`) and comes back as a :class:`RunResult` — and one
+cache, :class:`ResultCache` over a directory.  This round removes
+duplicates outright rather than deprecating them: the keyword-argument
+twin of the spec, the second per-point result record, the per-figure
+runner functions and the pluggable cache-backend layer are gone from
+this surface with no shim left behind (CHANGES.md, PR 24, lists every
+removed name and its replacement).
 """
 
 from __future__ import annotations
@@ -74,13 +81,7 @@ from .scenarios import (
 )
 
 # -- scenario running ------------------------------------------------------
-from .eval.cache import (
-    CacheBackend,
-    DirectoryBackend,
-    LayeredBackend,
-    ResultCache,
-    default_cache_dir,
-)
+from .eval.cache import ResultCache, default_cache_dir
 from .eval.dynamics import (
     DYNAMICS_SCHEMES,
     DynamicsResult,
@@ -88,7 +89,7 @@ from .eval.dynamics import (
     recovery_time,
     run_dynamics,
 )
-from .eval.experiments import ExperimentConfig, run_flood_scenario
+from .eval.experiments import ExperimentConfig
 from .eval.results import PointResult, RunResult, ShardReport, SweepResult
 from .eval.runner import (
     FIG11_SCHEMES,
@@ -238,12 +239,8 @@ __all__ = [
     "SweepFailure",
     "SpecFailure",
     "ResultCache",
-    "CacheBackend",
-    "DirectoryBackend",
-    "LayeredBackend",
     "default_cache_dir",
     "run_spec",
-    "run_flood_scenario",
     "build_flood_specs",
     "build_fig11_spec",
     "FIG11_SCHEMES",

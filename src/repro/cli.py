@@ -41,7 +41,7 @@ from .eval.experiments import (
     DEFAULT_SWEEP,
     SCHEMES,
     ExperimentConfig,
-    run_fig11_imprecise,
+    Fig11Result,
 )
 from .eval.procbench import (
     PACKET_KINDS,
@@ -49,6 +49,7 @@ from .eval.procbench import (
     format_table1,
     measure_processing_costs,
 )
+from .eval.results import summarize_metrics
 from .eval.runner import (
     FIG11_SCHEMES,
     ScenarioSpec,
@@ -111,46 +112,65 @@ def _nonnegative_int(value: str) -> int:
     return parsed
 
 
+class _BadInput(Exception):
+    """User input a spec builder rejected; ``main`` prints it and exits 2."""
+
+
+def _checked(build, *args, **kwargs):
+    """Call a spec builder on user input.
+
+    Specs validate everything at construction — an unknown knob is a
+    ``TypeError``, an out-of-range value or malformed fault a
+    ``ValueError``, an unknown scenario a ``KeyError`` — so this is the
+    one place the CLI turns those into an ``error:`` line.  Failures
+    inside a run are not input errors and keep their traceback (or
+    arrive as a ``SweepFailure``).
+    """
+    try:
+        return build(*args, **kwargs)
+    except KeyError as exc:
+        raise _BadInput(exc.args[0]) from None
+    except (ValueError, TypeError) as exc:
+        raise _BadInput(str(exc)) from None
+
+
+def _ticker(spec, cached) -> None:
+    tag = " (cached)" if cached else ""
+    print(f"\r{spec.scheme} k={spec.n_attackers} seed={spec.seed}"
+          f" done{tag}   ", end="", file=sys.stderr)
+
+
 def _make_runner(args) -> SweepRunner:
     """Build a :class:`SweepRunner` from the shared CLI flags."""
     cache = None
     if not getattr(args, "no_cache", False):
         cache = ResultCache(getattr(args, "cache_dir", None))
-
-    def ticker(spec, cached):
-        tag = " (cached)" if cached else ""
-        print(f"\r{spec.scheme} k={spec.n_attackers} seed={spec.seed}"
-              f" done{tag}   ", end="", file=sys.stderr)
-
     return SweepRunner(jobs=getattr(args, "jobs", None), cache=cache,
-                       progress=ticker)
+                       progress=_ticker)
+
+
+def _flood_specs(args, attack: str) -> List[ScenarioSpec]:
+    """The scheme × attacker-count grid the shared grid flags describe."""
+    config = ExperimentConfig(duration=args.duration, seed=args.seed)
+    return _checked(build_flood_specs, attack, args.schemes, args.sweep,
+                    config, metrics=args.metrics,
+                    metrics_interval=args.metrics_interval)
 
 
 def _metrics_lines(metrics) -> List[str]:
     """Human summary of one run's observability export."""
     finals = metrics["finals"]
-    series = metrics["series"]
-
-    def peak(name: str) -> float:
-        return max((v for _, v in series.get(name, ())), default=0.0)
-
-    lines = []
-    for cls in ("request", "regular", "legacy"):
-        lines.append(f"  bottleneck util[{cls:7s}] peak : "
-                     f"{peak(f'link.bottleneck.util.{cls}'):.3f}")
+    summary = summarize_metrics(metrics)
+    lines = [f"  bottleneck util[{cls:7s}] peak : {peak:.3f}"
+             for cls, peak in summary["util_peak"]]
     drops = finals.get("link.bottleneck.qdisc.drops")
     if drops is not None:
         lines.append(f"  bottleneck qdisc drops      : {drops}")
-    demotions = sum(v for name, v in sorted(finals.items())
-                    if name.startswith("scheme.router.")
-                    and name.endswith(".demotions"))
-    entry_series = [name for name in series
-                    if name.startswith("scheme.router.")
-                    and name.endswith(".flowstate.entries")]
-    if entry_series:
-        occupancy = max(peak(name) for name in entry_series)
-        lines.append(f"  demotions (all routers)     : {demotions}")
-        lines.append(f"  peak flow-state occupancy   : {occupancy:.0f}")
+    if summary["flowstate_peak"] is not None:
+        lines.append(f"  demotions (all routers)     : "
+                     f"{summary['demotions'] or 0}")
+        lines.append(f"  peak flow-state occupancy   : "
+                     f"{summary['flowstate_peak']:.0f}")
     retrans = finals.get("transport.data_retransmits")
     aborts = finals.get("transport.aborts")
     if retrans is not None:
@@ -171,32 +191,17 @@ def _metrics_lines(metrics) -> List[str]:
     return lines
 
 
-def _run_flood_figure(args, attack: str, title: str) -> int:
-    config = ExperimentConfig(duration=args.duration, seed=args.seed)
-    specs = build_flood_specs(attack, args.schemes, args.sweep, config,
-                              metrics=args.metrics,
-                              metrics_interval=args.metrics_interval)
-    runner = _make_runner(args)
-    result = runner.run_points(specs, seeds=args.seeds, title=title)
+def _cmd_flood(args) -> int:
+    """Figures 8, 9 and 10: ``args.attack``/``args.title`` pick which."""
+    specs = _flood_specs(args, args.attack)
+    result = _make_runner(args).run_points(specs, seeds=args.seeds,
+                                           title=args.title)
     print("", file=sys.stderr)
     if args.json:
         print(result.to_json())
     else:
         print(result.table())
     return 0
-
-
-def _cmd_fig8(args) -> int:
-    return _run_flood_figure(args, "legacy", "Figure 8 — legacy packet floods")
-
-
-def _cmd_fig9(args) -> int:
-    return _run_flood_figure(args, "request", "Figure 9 — request packet floods")
-
-
-def _cmd_fig10(args) -> int:
-    return _run_flood_figure(args, "colluder",
-                             "Figure 10 — authorized floods at a colluder")
 
 
 def _sparkline(series, t_max: float, buckets: int = 60) -> str:
@@ -215,11 +220,11 @@ def _sparkline(series, t_max: float, buckets: int = 60) -> str:
 
 
 def _cmd_fig11(args) -> int:
-    result = run_fig11_imprecise(args.scheme, args.pattern,
-                                 duration=args.duration,
-                                 runner=_make_runner(args),
-                                 metrics=args.metrics,
-                                 metrics_interval=args.metrics_interval)
+    spec = _checked(build_fig11_spec, args.scheme, args.pattern,
+                    duration=args.duration, metrics=args.metrics,
+                    metrics_interval=args.metrics_interval)
+    (run,) = _make_runner(args).run([spec])
+    result = Fig11Result.from_run(spec, run)
     print("", file=sys.stderr)
     if args.json:
         payload = {
@@ -282,43 +287,24 @@ def _cmd_scenario(args) -> int:
     if args.list_scenarios:
         print(format_scenario_table())
         return 0
-    try:
-        faults = FaultSchedule.from_specs(args.fault or ())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    faults = _checked(FaultSchedule.from_specs, args.fault or ())
     scheme_options = dict(args.scheme_opt or ())
-    try:
-        if args.name:
-            try:
-                scenario = get_scenario(args.name)
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            spec = scenario.spec(scheme=args.scheme, seed=args.seed,
-                                 duration=args.duration, metrics=args.metrics,
-                                 metrics_interval=args.metrics_interval,
-                                 faults=faults,
-                                 scheme_options=scheme_options,
-                                 regular_qdisc=args.regular_qdisc)
-            attack = scenario.attack
-            n_attackers = scenario.n_attackers
-        else:
-            duration = 15.0 if args.duration is None else args.duration
-            config = ExperimentConfig(duration=duration, seed=args.seed,
-                                      regular_qdisc=args.regular_qdisc)
-            spec = ScenarioSpec(scheme=args.scheme, attack=args.attack,
-                                n_attackers=args.attackers, seed=args.seed,
-                                config=config, metrics=args.metrics,
-                                metrics_interval=args.metrics_interval,
-                                faults=faults,
-                                scheme_options=scheme_options)
-            attack = args.attack
-            n_attackers = args.attackers
-    except TypeError as exc:
-        # An unknown --scheme-opt key fails spec validation by design.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.name:
+        scenario = _checked(get_scenario, args.name)
+        spec = _checked(scenario.spec, scheme=args.scheme, seed=args.seed,
+                        duration=args.duration, metrics=args.metrics,
+                        metrics_interval=args.metrics_interval,
+                        faults=faults, scheme_options=scheme_options,
+                        regular_qdisc=args.regular_qdisc)
+    else:
+        duration = 15.0 if args.duration is None else args.duration
+        config = ExperimentConfig(duration=duration, seed=args.seed,
+                                  regular_qdisc=args.regular_qdisc)
+        spec = _checked(ScenarioSpec, scheme=args.scheme, attack=args.attack,
+                        n_attackers=args.attackers, seed=args.seed,
+                        config=config, metrics=args.metrics,
+                        metrics_interval=args.metrics_interval,
+                        faults=faults, scheme_options=scheme_options)
     (run,) = _make_runner(args).run([spec])
     print("", file=sys.stderr)
     if args.json:
@@ -326,8 +312,8 @@ def _cmd_scenario(args) -> int:
         return 0
     avg = run.avg_transfer_time
     label = f"scenario={args.name} " if args.name else ""
-    print(f"{label}scheme={args.scheme} attack={attack} k={n_attackers} "
-          f"duration={spec.config.duration:.0f}s")
+    print(f"{label}scheme={args.scheme} attack={spec.attack} "
+          f"k={spec.n_attackers} duration={spec.config.duration:.0f}s")
     print(f"  completion fraction : {run.fraction_completed:.2f}")
     print(f"  avg transfer time   : "
           f"{'-' if avg is None else f'{avg:.2f} s'}")
@@ -341,7 +327,8 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     """Compare post-reboot recovery across schemes (Section 3.8)."""
-    result = run_dynamics(
+    result = _checked(
+        run_dynamics,
         schemes=args.schemes,
         reboot_at=args.reboot_at,
         duration=args.duration,
@@ -488,28 +475,15 @@ def _cmd_sweep(args) -> int:
     from the cache into SweepResult JSON byte-identical to a
     single-process ``--jobs 1`` run.
     """
-    from .eval.cache import default_cache_dir
-
-    config = ExperimentConfig(duration=args.duration, seed=args.seed)
-    specs = build_flood_specs(args.attack, args.schemes, args.sweep, config,
-                              metrics=args.metrics,
-                              metrics_interval=args.metrics_interval)
-    cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    cache = ResultCache(cache_dir)
-
-    def ticker(spec, cached):
-        tag = " (cached)" if cached else ""
-        print(f"\r{spec.scheme} k={spec.n_attackers} seed={spec.seed}"
-              f" done{tag}   ", end="", file=sys.stderr)
-
+    specs = _flood_specs(args, args.attack)
     shard, of = args.shard if args.shard else (0, 1)
     service = SweepService(
-        cache,
+        ResultCache(args.cache_dir),
         jobs=args.jobs,
         retries=args.retries,
         manifest_path=args.manifest,
         progress_log=args.progress_log,
-        progress=ticker,
+        progress=_ticker,
     )
     report = service.run_shard(specs, shard=shard, of=of, seeds=args.seeds)
     print("", file=sys.stderr)
@@ -536,27 +510,22 @@ def _cmd_report(args) -> int:
     single runner pass, so ``--jobs N`` parallelizes across the whole
     evaluation and warm caches regenerate the report near-instantly.
     """
-    config = ExperimentConfig(duration=args.duration, seed=args.seed)
-    runner = _make_runner(args)
     figures = (("legacy", "Figure 8 — legacy packet floods"),
                ("request", "Figure 9 — request packet floods"),
                ("colluder", "Figure 10 — authorized floods"))
 
     specs: List[ScenarioSpec] = []
     for attack, _ in figures:
-        specs.extend(build_flood_specs(attack, args.schemes, args.sweep,
-                                       config, metrics=args.metrics,
-                                       metrics_interval=args.metrics_interval))
-    fig11_cases = [(scheme, pattern)
+        specs.extend(_flood_specs(args, attack))
+    fig11_specs = [_checked(build_fig11_spec, scheme, pattern,
+                            duration=args.fig11_duration,
+                            metrics=args.metrics,
+                            metrics_interval=args.metrics_interval)
                    for scheme in args.schemes if scheme in FIG11_SCHEMES
                    for pattern in ("all_at_once", "staggered")]
-    specs.extend(build_fig11_spec(scheme, pattern,
-                                  duration=args.fig11_duration,
-                                  metrics=args.metrics,
-                                  metrics_interval=args.metrics_interval)
-                 for scheme, pattern in fig11_cases)
-    sweep_result = runner.run_points(specs, seeds=args.seeds,
-                                     title="TVA reproduction report")
+    sweep_result = _make_runner(args).run_points(
+        specs + fig11_specs, seeds=args.seeds,
+        title="TVA reproduction report")
     runs = sweep_result.points
     print("", file=sys.stderr)
     if args.json:
@@ -580,14 +549,11 @@ def _cmd_report(args) -> int:
     lines += ["## Figure 11 — imprecise policies", "",
               "| scheme | pattern | max transfer (s) | completion gaps |",
               "|---|---|---|---|"]
-    from .eval.experiments import Fig11Result
-
-    for point, (scheme, pattern) in zip(runs[3 * per_figure:], fig11_cases):
-        result = Fig11Result(scheme=scheme, pattern=pattern,
-                             series=[tuple(p) for p in point.runs[0].time_series])
+    for point, spec in zip(runs[3 * per_figure:], fig11_specs):
+        result = Fig11Result.from_run(spec, point.runs[0])
         gaps = ", ".join(f"{a:.1f}-{b:.1f}"
                          for a, b in result.completion_gaps())
-        lines.append(f"| {scheme} | {pattern} | "
+        lines.append(f"| {result.scheme} | {result.pattern} | "
                      f"{result.max_transfer_time():.2f} | {gaps or '-'} |")
     lines.append("")
 
@@ -603,29 +569,15 @@ def _cmd_report(args) -> int:
                   "|---|---|---|---|---|---|---|---|"]
         for index, (attack, _) in enumerate(figures):
             for point in runs[index * per_figure:(index + 1) * per_figure]:
-                m = point.runs[0].metrics
-                if m is None:
+                if point.runs[0].metrics is None:
                     continue
-                series = m["series"]
-                peaks = [
-                    max((v for _, v in
-                         series.get(f"link.bottleneck.util.{cls}", ())),
-                        default=0.0)
-                    for cls in ("request", "regular", "legacy")
-                ]
-                occupancy = max(
-                    (max((v for _, v in points_), default=0.0)
-                     for name, points_ in sorted(series.items())
-                     if name.endswith(".flowstate.entries")),
-                    default=0.0)
-                demotions = sum(
-                    v for name, v in sorted(m["finals"].items())
-                    if name.startswith("scheme.router.")
-                    and name.endswith(".demotions"))
+                summary = summarize_metrics(point.runs[0].metrics)
+                peaks = " | ".join(
+                    f"{peak:.3f}" for _, peak in summary["util_peak"])
                 lines.append(
                     f"| {attack} | {point.scheme} | {point.n_attackers} "
-                    f"| {peaks[0]:.3f} | {peaks[1]:.3f} | {peaks[2]:.3f} "
-                    f"| {occupancy:.0f} | {demotions} |")
+                    f"| {peaks} | {summary['flowstate_peak'] or 0:.0f} "
+                    f"| {summary['demotions'] or 0} |")
         lines.append("")
 
     costs = measure_processing_costs(packets_per_kind=args.packets)
@@ -649,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_runner_flags(p, seeds=True):
+    def add_runner_flags(p, seeds=True, no_cache=True):
         """The sweep-runner knobs shared by every simulation command."""
         p.add_argument("--jobs", type=_positive_int, default=None,
                        metavar="N",
@@ -662,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(mean ± 95%% CI when > 1)")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of a table")
-        p.add_argument("--no-cache", action="store_true",
-                       help="skip the on-disk result cache")
+        if no_cache:
+            p.add_argument("--no-cache", action="store_true",
+                           help="skip the on-disk result cache")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro)")
@@ -676,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling interval in simulated seconds "
                             "(default: 0.5)")
 
-    def add_flood(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add_grid_flags(p):
+        """The scheme × attacker-count grid of a Figure 8-10 style sweep."""
         p.add_argument("--schemes", type=_parse_schemes,
                        default=list(SCHEMES),
                        help=f"comma-separated subset of {','.join(SCHEMES)}")
@@ -687,12 +640,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--duration", type=float, default=15.0,
                        help="simulated seconds per point")
         p.add_argument("--seed", type=int, default=1)
-        add_runner_flags(p)
-        p.set_defaults(fn=fn)
 
-    add_flood("fig8", _cmd_fig8, "legacy packet floods")
-    add_flood("fig9", _cmd_fig9, "request packet floods")
-    add_flood("fig10", _cmd_fig10, "authorized floods at a colluder")
+    for name, attack, title, help_text in (
+        ("fig8", "legacy", "Figure 8 — legacy packet floods",
+         "legacy packet floods"),
+        ("fig9", "request", "Figure 9 — request packet floods",
+         "request packet floods"),
+        ("fig10", "colluder", "Figure 10 — authorized floods at a colluder",
+         "authorized floods at a colluder"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_grid_flags(p)
+        add_runner_flags(p)
+        p.set_defaults(fn=_cmd_flood, attack=attack, title=title)
 
     p11 = sub.add_parser("fig11", help="imprecise authorization policies")
     p11.add_argument("--scheme", choices=FIG11_SCHEMES, default="tva")
@@ -719,19 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("legacy", "request", "colluder"),
                      default="legacy",
                      help="flood class for the grid (default: legacy)")
-    psw.add_argument("--schemes", type=_parse_schemes, default=list(SCHEMES),
-                     help=f"comma-separated subset of {','.join(SCHEMES)}")
-    psw.add_argument("--sweep", type=_parse_sweep, default=list(DEFAULT_SWEEP),
-                     help="comma-separated attacker counts")
-    psw.add_argument("--duration", type=float, default=15.0,
-                     help="simulated seconds per point")
-    psw.add_argument("--seed", type=int, default=1)
-    psw.add_argument("--seeds", type=_positive_int, default=1, metavar="N",
-                     help="seed replications per point (sharded with "
-                          "everything else)")
-    psw.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
-                     help="worker processes within this shard "
-                          "(default: all cores)")
+    add_grid_flags(psw)
+    # No --no-cache: the shared cache is how shards hand results over.
+    add_runner_flags(psw, no_cache=False)
     psw.add_argument("--shard", type=_parse_shard_arg, default=None,
                      metavar="I/N",
                      help="run only this deterministic slice of the grid "
@@ -751,15 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="after running the shard, reassemble the whole "
                           "grid from the cache and print the SweepResult "
                           "(implied when unsharded)")
-    psw.add_argument("--json", action="store_true",
-                     help="emit the merged result as JSON")
-    psw.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="shared cache directory all shards read/write "
-                          "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    psw.add_argument("--metrics", action="store_true",
-                     help="record deterministic metric time series")
-    psw.add_argument("--metrics-interval", type=float, default=0.5,
-                     metavar="SEC")
     psw.set_defaults(fn=_cmd_sweep)
 
     pr = sub.add_parser("report", help="run everything, write one markdown report")
@@ -875,7 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

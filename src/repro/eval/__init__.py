@@ -1,16 +1,21 @@
-"""Experiment harnesses: one runner per paper figure/table.
+"""The evaluation stack: one run path, and the grids built on it.
 
-* :mod:`repro.eval.experiments` — Figures 8, 9, 10, 11 (ns-style dumbbell
-  simulations of the four schemes under four attack classes).
-* :mod:`repro.eval.runner` — the sweep runner: declarative
-  :class:`ScenarioSpec` descriptions of single runs, executed cached,
-  multi-seed, and multi-process by :class:`SweepRunner`.
+Every simulation is a :class:`~repro.eval.runner.ScenarioSpec` executed
+by :func:`~repro.eval.runner.run_spec` into a
+:class:`~repro.eval.results.RunResult`; a figure is a list of specs.
+
+* :mod:`repro.eval.experiments` — what a spec is made of
+  (:class:`ExperimentConfig`, the attack classes) and the Figure 11
+  time-series record.
+* :mod:`repro.eval.runner` — :class:`ScenarioSpec`, ``run_spec``, the
+  per-figure spec builders, and :class:`SweepRunner`, which executes
+  spec lists cached, multi-seed, and multi-process.
 * :mod:`repro.eval.results` — :class:`RunResult` / :class:`PointResult` /
   :class:`SweepResult`, JSON-serializable with mean/stdev/95%-CI
-  aggregation across seed replications.
-* :mod:`repro.eval.cache` — content-addressed result cache keyed by
-  spec hash, with pluggable storage backends (local directory, layered
-  local-over-shared), making warm re-runs near-instant.
+  aggregation across seed replications, and the one summary of a
+  metrics export.
+* :mod:`repro.eval.cache` — content-addressed on-disk result cache keyed
+  by spec hash, making warm re-runs near-instant.
 * :mod:`repro.eval.service` — the sharded, resumable sweep service:
   deterministic grid partitioning (``--shard i/N``), an append-only
   resume manifest, per-spec retries, and a JSONL progress stream.
@@ -29,13 +34,7 @@ from .experiments import (
     SCHEMES,
     ExperimentConfig,
     Fig11Result,
-    FloodResult,
-    format_flood_table,
-    run_fig8_legacy_flood,
-    run_fig9_request_flood,
-    run_fig10_colluder_flood,
     run_fig11_imprecise,
-    run_flood_scenario,
 )
 from .procbench import (
     PACKET_KINDS,
@@ -50,18 +49,12 @@ __all__ = [
     "DEFAULT_SWEEP",
     "ExperimentConfig",
     "Fig11Result",
-    "FloodResult",
     "PACKET_KINDS",
     "ProcessingCost",
     "RouterWorkbench",
     "SCHEMES",
-    "format_flood_table",
     "format_table1",
     "forwarding_rate_curve",
     "measure_processing_costs",
-    "run_fig10_colluder_flood",
     "run_fig11_imprecise",
-    "run_fig8_legacy_flood",
-    "run_fig9_request_flood",
-    "run_flood_scenario",
 ]

@@ -1,26 +1,20 @@
-"""Content-addressed result cache with pluggable storage backends.
+"""Content-addressed result cache: one directory of JSON files.
 
 A :class:`~repro.eval.runner.ScenarioSpec` hashes to a stable hex key
-(spec fields + a code-version salt); the cache stores the corresponding
-:class:`~repro.eval.results.RunResult` as JSON.  Because the simulator
-is deterministic given a spec, a warm cache makes re-running a figure,
-regenerating a report, or resuming an interrupted sweep near-instant.
+(spec fields + a code-version salt); :class:`ResultCache` stores the
+corresponding :class:`~repro.eval.results.RunResult` as
+``<dir>/<key[:2]>/<key>.json``.  Because the simulator is deterministic
+given a spec, a warm cache makes re-running a figure, regenerating a
+report, or resuming an interrupted sweep near-instant.
 
-Storage is a :class:`CacheBackend` — ``get``/``put``/``contains``/
-``iter_keys``/``clear`` over JSON payloads keyed by the spec hash:
-
-* :class:`DirectoryBackend` — the historical on-disk layout,
-  ``<dir>/<key[:2]>/<key>.json``, byte-compatible with every cache
-  directory written before backends existed;
-* :class:`LayeredBackend` — read-through/write-through composition of a
-  fast near backend (local disk) over a durable far backend (a shared
-  NFS/S3-style directory), the shape a sharded sweep service needs.
-
-The default directory is ``$REPRO_CACHE_DIR``, or ``~/.cache/repro``
-(``$XDG_CACHE_HOME`` honoured).  Corrupt or unreadable entries are
-treated as misses and overwritten, never raised; an unwritable or
-unserializable ``put`` degrades to no caching rather than losing the
-computed result.
+Writes are atomic (temp file + ``os.replace``): a concurrent reader
+sees the old entry or the new one, never a torn write — which is what
+makes one directory safe to share between sweep shards on the same
+filesystem.  The default directory is ``$REPRO_CACHE_DIR``, or
+``~/.cache/repro`` (``$XDG_CACHE_HOME`` honoured).  Corrupt or
+unreadable entries are treated as misses and overwritten, never raised;
+an unwritable or unserializable ``put`` degrades to no caching rather
+than losing the computed result.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Protocol, runtime_checkable
+from typing import Iterator, Optional
 
 from .results import RunResult
 
@@ -43,68 +37,47 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Storage contract behind :class:`ResultCache`.
+class ResultCache:
+    """Get/put :class:`RunResult` objects keyed by spec hash, on disk."""
 
-    Implementations store JSON-serializable dict payloads under hex
-    keys.  All methods are best-effort: backends must never raise for
-    missing, corrupt, or unwritable entries — ``get`` returns ``None``,
-    ``put`` returns ``False``.
-    """
-
-    def get(self, key: str) -> Optional[Dict]:
-        """The payload stored under ``key``, or ``None`` if absent/corrupt."""
-        ...
-
-    def put(self, key: str, payload: Dict) -> bool:
-        """Store ``payload`` under ``key``; ``True`` if it was persisted."""
-        ...
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists under ``key`` (no payload validation)."""
-        ...
-
-    def iter_keys(self) -> Iterator[str]:
-        """Every stored key, in sorted order."""
-        ...
-
-    def clear(self) -> int:
-        """Delete every entry (and stale temp files); returns entries removed."""
-        ...
-
-
-def _check_key(key: str) -> str:
-    if not key:
-        raise ValueError("cache key must be non-empty")
-    return key
-
-
-class DirectoryBackend:
-    """The historical on-disk layout: ``<dir>/<key[:2]>/<key>.json``.
-
-    Writes are atomic (temp file + ``os.replace``): a concurrent reader
-    sees the old entry or the new one, never a torn write — which also
-    makes one directory safe to share between sweep shards on the same
-    filesystem.
-    """
-
-    def __init__(self, directory: os.PathLike) -> None:
-        self.directory = Path(directory)
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+        self.directory = Path(directory if directory else default_cache_dir())
+        self.hits = 0
+        self.misses = 0
 
     def path_for(self, key: str) -> Path:
-        _check_key(key)
+        if not key:
+            raise ValueError("cache key must be non-empty")
         return self.directory / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict]:
+    def get(self, key: str) -> Optional[RunResult]:
+        result = self._load(key)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
+
+    def _load(self, key: str) -> Optional[RunResult]:
+        path = self.path_for(key)
         try:
-            with open(self.path_for(key), "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except (OSError, ValueError):
             return None
-        return data if isinstance(data, dict) else None
+        if not isinstance(data, dict):
+            return None
+        try:
+            result = RunResult.from_dict(data)
+        except (ValueError, TypeError, KeyError):
+            return None
+        # A stale file from an older key scheme is ignored.
+        return result if result.spec_key == key else None
 
-    def put(self, key: str, payload: Dict) -> bool:
+    def put(self, key: str, result: RunResult) -> bool:
+        """Store a result; best-effort — an unwritable cache directory or
+        unserializable payload degrades to no caching rather than losing
+        the computed result."""
         path = self.path_for(key)
         tmp = None
         try:
@@ -113,7 +86,7 @@ class DirectoryBackend:
             # directory, then rename over the final name.
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                json.dump(result.to_dict(), handle)
             os.replace(tmp, path)
             tmp = None  # published; nothing to clean up
             return True
@@ -129,9 +102,11 @@ class DirectoryBackend:
                     pass
 
     def contains(self, key: str) -> bool:
+        """Whether ``key`` has a stored entry (no payload validation)."""
         return self.path_for(key).is_file()
 
     def iter_keys(self) -> Iterator[str]:
+        """Every cached spec key, in sorted order."""
         if not self.directory.exists():
             return
         for path in sorted(self.directory.glob("*/*.json")):
@@ -139,7 +114,10 @@ class DirectoryBackend:
 
     def clear(self) -> int:
         """Delete every entry, stale ``.tmp`` files from interrupted
-        writes, and the then-empty two-hex shard directories."""
+        writes and the then-empty two-hex shard directories, and reset
+        the hit/miss statistics; returns how many entries were removed."""
+        self.hits = 0
+        self.misses = 0
         removed = 0
         if not self.directory.exists():
             return 0
@@ -162,118 +140,5 @@ class DirectoryBackend:
                     pass
         return removed
 
-
-class LayeredBackend:
-    """Read-through/write-through composition: ``near`` over ``far``.
-
-    ``get`` consults the fast ``near`` backend first and falls back to
-    ``far``, populating ``near`` on the way back; ``put`` writes both.
-    The intended shape: ``near`` is a process-local directory, ``far``
-    a shared one (NFS mount, synced bucket) that several sweep shards
-    read and write through the same interface.
-    """
-
-    def __init__(self, near: CacheBackend, far: CacheBackend) -> None:
-        self.near = near
-        self.far = far
-
-    def get(self, key: str) -> Optional[Dict]:
-        payload = self.near.get(key)
-        if payload is not None:
-            return payload
-        payload = self.far.get(key)
-        if payload is not None:
-            self.near.put(key, payload)  # warm the near tier
-        return payload
-
-    def put(self, key: str, payload: Dict) -> bool:
-        near_ok = self.near.put(key, payload)
-        far_ok = self.far.put(key, payload)
-        return near_ok or far_ok
-
-    def contains(self, key: str) -> bool:
-        return self.near.contains(key) or self.far.contains(key)
-
-    def iter_keys(self) -> Iterator[str]:
-        seen = sorted(set(self.near.iter_keys()) | set(self.far.iter_keys()))
-        return iter(seen)
-
-    def clear(self) -> int:
-        return self.near.clear() + self.far.clear()
-
-
-class ResultCache:
-    """Get/put :class:`RunResult` objects keyed by spec hash.
-
-    ``directory`` selects the historical single-directory layout;
-    ``backend`` plugs in any :class:`CacheBackend` instead (pass one or
-    the other, not both).
-    """
-
-    def __init__(
-        self,
-        directory: Optional[os.PathLike] = None,
-        backend: Optional[CacheBackend] = None,
-    ) -> None:
-        if backend is not None and directory is not None:
-            raise ValueError("pass either a directory or a backend, not both")
-        self.backend: CacheBackend = backend or DirectoryBackend(
-            directory if directory else default_cache_dir()
-        )
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """The on-disk root for directory-backed caches, else ``None``."""
-        return getattr(self.backend, "directory", None)
-
-    def path_for(self, key: str) -> Path:
-        path_for = getattr(self.backend, "path_for", None)
-        if path_for is None:
-            raise TypeError(
-                f"{type(self.backend).__name__} has no on-disk entry paths"
-            )
-        return path_for(key)
-
-    def get(self, key: str) -> Optional[RunResult]:
-        data = self.backend.get(_check_key(key))
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            result = RunResult.from_dict(data)
-        except (ValueError, TypeError, KeyError):
-            self.misses += 1
-            return None
-        if result.spec_key != key:
-            # A stale file from an older key scheme: ignore it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, key: str, result: RunResult) -> bool:
-        """Store a result; best-effort — an unwritable cache directory or
-        unserializable payload degrades to no caching rather than losing
-        the computed result."""
-        return self.backend.put(_check_key(key), result.to_dict())
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` has a stored entry (no payload validation)."""
-        return self.backend.contains(_check_key(key))
-
-    def iter_keys(self) -> Iterator[str]:
-        """Every cached spec key, in sorted order."""
-        return self.backend.iter_keys()
-
-    def clear(self) -> int:
-        """Delete every cached entry (plus stale temp files) and reset
-        the hit/miss statistics; returns how many entries were removed."""
-        removed = self.backend.clear()
-        self.hits = 0
-        self.misses = 0
-        return removed
-
     def __len__(self) -> int:
-        return sum(1 for _ in self.backend.iter_keys())
+        return sum(1 for _ in self.iter_keys())

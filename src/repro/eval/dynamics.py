@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..faults import FaultSchedule, RouterReboot
 from .experiments import ExperimentConfig
-from .results import RunResult
+from .results import RunResult, summarize_metrics
 from .runner import ScenarioSpec, SweepRunner
 
 #: Schemes compared by default: TVA against SIFF (capability baseline
@@ -103,22 +103,6 @@ def recovery_time(
     return None
 
 
-def _metric_final(run: RunResult, name: str) -> Optional[float]:
-    if not run.metrics:
-        return None
-    return run.metrics.get("finals", {}).get(name)
-
-
-def _metric_sum(run: RunResult, suffix: str) -> Optional[float]:
-    """Sum every final metric whose name ends with ``suffix`` (per-router
-    counters like ``scheme.router.R1.demotions``)."""
-    if not run.metrics:
-        return None
-    finals = run.metrics.get("finals", {})
-    values = [v for k, v in sorted(finals.items()) if k.endswith(suffix)]
-    return sum(values) if values else None
-
-
 @dataclass
 class DynamicsResult:
     """The dynamics comparison across schemes, JSON-ready.
@@ -197,9 +181,10 @@ def run_dynamics(
             "transfers_completed": run.transfers_completed,
         }
         if run.metrics:
-            row["reboots"] = _metric_final(run, "faults.reboots")
-            row["demotions"] = _metric_sum(run, ".demotions")
-            row["re_requests"] = _metric_final(run, "hosts.requests_sent")
-            row["explorers"] = _metric_final(run, "hosts.explorers_sent")
+            finals = run.metrics["finals"]
+            row["reboots"] = finals.get("faults.reboots")
+            row["demotions"] = summarize_metrics(run.metrics)["demotions"]
+            row["re_requests"] = finals.get("hosts.requests_sent")
+            row["explorers"] = finals.get("hosts.explorers_sent")
         rows.append(row)
     return DynamicsResult(reboot_at=reboot_at, duration=duration, rows=rows)

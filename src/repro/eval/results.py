@@ -65,6 +65,41 @@ def normalize_metrics(metrics: Optional[Dict]) -> Optional[Dict]:
     }
 
 
+def summarize_metrics(metrics: Dict) -> Dict:
+    """The headline numbers of one run's observability export.
+
+    * ``util_peak`` — ``(class, peak per-interval bottleneck
+      utilization)`` for Figure 2's output classes, in its order
+      (request, regular, legacy);
+    * ``flowstate_peak`` — peak flow-state occupancy at any router (the
+      Section 3.6 bound);
+    * ``demotions`` — capability demotions summed over all routers.
+
+    The last two are ``None`` when the scheme's routers keep no such
+    tally (only TVA's do).  The text summaries, the report's Metrics
+    table and the dynamics comparison all read these from here.
+    """
+    finals, series = metrics["finals"], metrics["series"]
+
+    def per_router(table: Dict, suffix: str) -> List:
+        return [value for name, value in sorted(table.items())
+                if name.startswith("scheme.router.") and name.endswith(suffix)]
+
+    def peak(points) -> float:
+        return max((value for _, value in points), default=0.0)
+
+    occupancy = per_router(series, ".flowstate.entries")
+    demotions = per_router(finals, ".demotions")
+    return {
+        "util_peak": [
+            (cls, peak(series.get(f"link.bottleneck.util.{cls}", ())))
+            for cls in ("request", "regular", "legacy")
+        ],
+        "flowstate_peak": max(map(peak, occupancy)) if occupancy else None,
+        "demotions": sum(demotions) if demotions else None,
+    }
+
+
 def _mean_stdev_ci(values: Sequence[float]) -> Tuple[float, float, float]:
     n = len(values)
     mean = sum(values) / n
@@ -110,19 +145,6 @@ class RunResult:
         )
         data["metrics"] = normalize_metrics(data.get("metrics"))
         return cls(**data)
-
-    def to_flood_result(self):
-        """The legacy per-point record the figure runners still return."""
-        from .experiments import FloodResult
-
-        return FloodResult(
-            scheme=self.scheme,
-            attack=self.attack,
-            n_attackers=self.n_attackers,
-            fraction_completed=self.fraction_completed,
-            avg_transfer_time=self.avg_transfer_time,
-            transfers_attempted=self.transfers_attempted,
-        )
 
 
 @dataclass(frozen=True)
@@ -277,10 +299,6 @@ class SweepResult:
         lines = [self.title, header] if self.title else [header]
         lines.extend(p.row() for p in self.points)
         return "\n".join(lines)
-
-    def flood_results(self) -> List:
-        """Flatten back to the legacy ``FloodResult`` rows (seed 0 run)."""
-        return [p.runs[0].to_flood_result() for p in self.points]
 
     def to_dict(self) -> Dict:
         return {

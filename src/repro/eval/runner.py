@@ -5,12 +5,14 @@ simulations — scheme × attack × attacker count × seed.  This module
 makes that grid a first-class object:
 
 * :class:`ScenarioSpec` — a declarative, hashable description of one
-  simulation run.  Everything :func:`repro.eval.run_flood_scenario`
-  needs is a spec field; the destination policy is named (``"server"``,
-  ``"filtering"``, ``"oracle"``) rather than passed as a callable, so a
-  spec pickles across processes and hashes to a stable cache key.
-* :func:`run_spec` — execute one spec, returning a
-  :class:`~repro.eval.results.RunResult` summary.
+  simulation run.  Everything a run depends on is a spec field; the
+  destination policy is named (``"server"``, ``"filtering"``,
+  ``"oracle"``) rather than passed as a callable, so a spec pickles
+  across processes and hashes to a stable cache key.
+* :func:`run_spec` — the only function that builds and runs a scenario:
+  it reads the spec's fields, wires network, workload, faults and
+  observer, and returns a :class:`~repro.eval.results.RunResult`.  A
+  new run parameter is one spec field read here.
 * :class:`SweepRunner` — execute many specs, fanning out across a
   ``ProcessPoolExecutor`` (``jobs > 1``) or running deterministically
   in-process (``jobs = 1``), consulting an optional
@@ -18,8 +20,7 @@ makes that grid a first-class object:
   multi-seed replications into mean/stdev/95%-CI points.
 
 The ``build_*_specs`` helpers turn the per-figure parameters into spec
-lists; the ``run_fig*`` functions in :mod:`repro.eval.experiments` are
-thin wrappers over them.
+lists: Figures 8–10 are ``SweepRunner.run_points(build_flood_specs(…))``.
 """
 
 from __future__ import annotations
@@ -27,21 +28,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import __version__
-from ..faults import FaultSchedule, coerce_schedule
-from ..schemes import knobs_for
+from ..faults import FaultInjector, FaultSchedule, coerce_schedule
+from ..schemes import build_scheme, knobs_for
+from ..sim import Simulator, TransferLog, dumbbell_spec, instantiate
+from ..sim.node import AggregateHost
 from ..sim.topospec import TopologySpec
+from ..transport import (
+    AggregateSender,
+    CbrFlood,
+    PacketSink,
+    RepeatingTransferClient,
+    TcpListener,
+)
+from ..transport.tcp import TcpStats
 from .cache import ResultCache
 from .experiments import (
+    ATTACK_PLANS,
     ATTACKS,
     ExperimentConfig,
     merged_scheme_options,
     reject_removed_keys,
-    run_flood_scenario,
 )
 from .results import PointResult, RunResult, SweepResult, normalize_metrics
 
@@ -223,32 +235,128 @@ def _policy_factory(spec: ScenarioSpec) -> Optional[Callable]:
 
 
 def run_spec(spec: ScenarioSpec) -> RunResult:
-    """Execute one spec and summarize its transfer log.
+    """Build, run and summarize the one simulation ``spec`` describes.
 
     Module-level so a ``ProcessPoolExecutor`` can pickle it; the only
     thing shipped to the worker is the spec itself.
+
+    The network is the Figure 7 dumbbell with ``n_attackers`` flood
+    sources unless the spec carries a ``topology`` — the
+    attacker/user/destination/colluder populations then come from the
+    graph's node roles and ``n_attackers`` is ignored.  ``aggregate``
+    collapses attacker groups into
+    :class:`~repro.sim.node.AggregateHost` nodes driven by one
+    :class:`~repro.transport.AggregateSender` each, with per-member
+    start times and RNG streams drawn in exactly the order the expanded
+    build would draw them (so small-k aggregated runs are bit-identical
+    to expanded ones).  Faults are booked on the same calendar as the
+    traffic and the observer only reads, so fault-bearing and
+    instrumented runs stay bit-identical across hash seeds and worker
+    counts.
     """
     config = replace(spec.config, seed=spec.seed)
+    sim = Simulator()
+    scheme = build_scheme(
+        spec.scheme,
+        merged_scheme_options(spec.scheme, config, spec.scheme_options),
+        seed=config.seed,
+        destination_policy=_policy_factory(spec),
+    )
+    topology = spec.topology
+    if topology is None:
+        topology = dumbbell_spec(
+            n_users=config.n_users,
+            n_attackers=spec.n_attackers,
+            bottleneck_bps=config.bottleneck_bps,
+            with_colluder=True,
+        )
+    net = instantiate(topology, sim, scheme, aggregate=spec.aggregate)
+    log = TransferLog()
+    TcpListener(sim, net.destination, 80)
+    # Flood targets run an open datagram service; authorized-flood
+    # experiments need the attack traffic to be deliverable.
+    PacketSink(net.destination, "cbr")
+    if net.colluder is not None:
+        PacketSink(net.colluder, "cbr")
+    tcp_stats = TcpStats()
+    rng = random.Random(config.seed)
+    for user in net.users:
+        RepeatingTransferClient(
+            sim,
+            user,
+            net.destination.address,
+            80,
+            nbytes=config.transfer_bytes,
+            log=log,
+            start_at=rng.uniform(0.0, 0.3),
+            stop_at=config.duration,
+            tcp_stats=tcp_stats,
+        )
+
+    victim, mode = ATTACK_PLANS[spec.attack]
+    victim_host = getattr(net, victim)
+    if victim_host is None:  # a topology may declare no colluder
+        raise ValueError(
+            f"{spec.attack} attack needs a {victim} host in the topology"
+        )
+    target = victim_host.address
+
+    # Attacker units are plain hosts and/or aggregated groups; ``idx``
+    # counts individual senders across both so start-time RNG draws and
+    # per-sender RNG seeds are identical however the units are packaged.
+    units = net.attacker_units or net.attackers
+    k_total = sum(getattr(unit, "count", 1) for unit in units)
+    group_size = max(1, k_total // max(1, spec.attack_groups))
+    idx = 0
+    for unit in units:
+        if isinstance(unit, AggregateHost):
+            starts = [
+                spec.attack_start
+                + ((idx + j) // group_size) * spec.group_stagger
+                + rng.uniform(0, 0.01)
+                for j in range(unit.count)
+            ]
+            AggregateSender(
+                sim,
+                unit,
+                target,
+                rate_bps=config.attack_rate_bps,
+                pkt_size=config.attack_pkt_size,
+                mode=mode,
+                starts=starts,
+                jitter=0.3,
+                rngs=[
+                    random.Random(config.seed * 1000 + idx + j)
+                    for j in range(unit.count)
+                ],
+            )
+            idx += unit.count
+        else:
+            start = spec.attack_start + (idx // group_size) * spec.group_stagger
+            CbrFlood(
+                sim,
+                unit,
+                target,
+                rate_bps=config.attack_rate_bps,
+                pkt_size=config.attack_pkt_size,
+                mode=mode,
+                start_at=start + rng.uniform(0, 0.01),
+                jitter=0.3,
+                rng=random.Random(config.seed * 1000 + idx),
+            )
+            idx += 1
+    injector = None
+    if spec.faults:
+        injector = FaultInjector(spec.faults)
+        injector.install(sim, net, scheme)
     observer = None
     if spec.metrics:
         from ..obs.instrument import Observation
 
         observer = Observation(interval=spec.metrics_interval)
-    log = run_flood_scenario(
-        spec.scheme,
-        spec.attack,
-        spec.n_attackers,
-        config,
-        destination_policy=_policy_factory(spec),
-        attack_start=spec.attack_start,
-        attack_groups=spec.attack_groups,
-        group_stagger=spec.group_stagger,
-        scheme_options=spec.scheme_options,
-        observer=observer,
-        faults=spec.faults,
-        topology=spec.topology,
-        aggregate=spec.aggregate,
-    )
+        observer.install(sim, net, scheme, tcp_stats, injector=injector)
+    sim.run(until=config.duration)
+
     horizon = max(0.0, config.duration - 2.0)
     metrics = normalize_metrics(observer.export()) if observer else None
     return RunResult(
@@ -368,6 +476,24 @@ def build_fig11_spec(
         metrics=metrics,
         metrics_interval=metrics_interval,
     )
+
+
+def expand_seeds(
+    specs: Sequence[ScenarioSpec], seeds: int = 1
+) -> List[ScenarioSpec]:
+    """Every spec under ``seeds`` consecutive seeds, replications adjacent.
+
+    Replication ``j`` of a point uses ``spec.seed + j``, so seeds stay
+    disjoint per point and ``seeds=1`` is exactly the input.  Aggregation
+    (:meth:`SweepRunner.run_points`) and sharding
+    (:class:`~repro.eval.service.SweepService`) both expand through
+    here, so they cannot disagree on which seeds a point has.
+    """
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
+    return [
+        spec.with_seed(spec.seed + j) for spec in specs for j in range(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +713,9 @@ class SweepRunner:
         seeds: int = 1,
         title: str = "",
     ) -> SweepResult:
-        """Run each spec under ``seeds`` consecutive seeds and aggregate.
-
-        Replication ``j`` of a point uses ``spec.seed + j``, so seeds
-        stay disjoint per point and the ``seeds=1`` case is exactly the
-        base spec.
-        """
-        if seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        expanded = [
-            spec.with_seed(spec.seed + j) for spec in specs
-            for j in range(seeds)
-        ]
-        runs = self.run(expanded)
+        """Run each spec under ``seeds`` consecutive seeds
+        (:func:`expand_seeds`) and aggregate each point's replications."""
+        runs = self.run(expand_seeds(specs, seeds))
         points = [
             PointResult.from_runs(runs[i: i + seeds])
             for i in range(0, len(runs), seeds)

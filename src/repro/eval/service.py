@@ -32,12 +32,19 @@ import hashlib
 import json
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .cache import ResultCache
 from .results import ShardReport, SweepResult
-from .runner import ScenarioSpec, SweepEvent, SweepFailure, SweepRunner
+from .runner import (
+    ScenarioSpec,
+    SweepEvent,
+    SweepFailure,
+    SweepRunner,
+    expand_seeds,
+)
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -199,11 +206,10 @@ class SweepService:
 
     ``cache`` is the shared store every shard reads and writes — a
     :class:`~repro.eval.cache.ResultCache` over a directory all shards
-    can reach (or a :class:`~repro.eval.cache.LayeredBackend` for a
-    local-over-shared tier).  The cache, not the manifest, is the source
-    of truth for resume: a spec re-runs unless its result is actually
-    retrievable, so a manifest that over-claims (e.g. the cache was
-    pruned) heals itself instead of silently dropping grid points.
+    can reach.  The cache, not the manifest, is the source of truth for
+    resume: a spec re-runs unless its result is actually retrievable, so
+    a manifest that over-claims (e.g. the cache was pruned) heals itself
+    instead of silently dropping grid points.
     """
 
     def __init__(
@@ -227,32 +233,9 @@ class SweepService:
         self.progress_log = progress_log
         self.progress = progress
 
-    # -- spec expansion -----------------------------------------------------
-
-    @staticmethod
-    def expand(
-        specs: Sequence[ScenarioSpec], seeds: int = 1
-    ) -> List[ScenarioSpec]:
-        """Seed-expand a grid exactly like ``SweepRunner.run_points``.
-
-        Sharding operates on the expanded list, so seed replications of
-        one point spread across shards like any other spec.
-        """
-        if seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        return [
-            spec.with_seed(spec.seed + j) for spec in specs
-            for j in range(seeds)
-        ]
-
     def _manifest_for(self, expanded: Sequence[ScenarioSpec]) -> SweepManifest:
         if self.manifest_path is not None:
             return SweepManifest(self.manifest_path)
-        if self.cache.directory is None:
-            raise ValueError(
-                "manifest_path is required when the cache backend has no "
-                "on-disk directory to place the manifest next to"
-            )
         return SweepManifest(default_manifest_path(
             self.cache.directory, expanded))
 
@@ -272,7 +255,9 @@ class SweepService:
         manifest/progress log are appended as specs finish so a SIGKILL
         mid-grid loses nothing already completed.
         """
-        expanded = self.expand(specs, seeds)
+        # Sharding operates on the seed-expanded list, so replications of
+        # one point spread across shards like any other spec.
+        expanded = expand_seeds(specs, seeds)
         mine = shard_specs(expanded, shard, of)
         report = ShardReport(
             shard=shard, of=of, total=len(expanded), assigned=len(mine)
@@ -280,8 +265,11 @@ class SweepService:
         if not mine:
             return report
 
-        with self._manifest_for(expanded) as manifest, \
-                _maybe_log(self.progress_log) as plog:
+        progress_log = (
+            ProgressLog(self.progress_log)
+            if self.progress_log is not None else nullcontext()
+        )
+        with self._manifest_for(expanded) as manifest, progress_log as plog:
             started_at: Dict[str, float] = {}
 
             def on_event(event: SweepEvent) -> None:
@@ -359,20 +347,6 @@ class SweepService:
             retries=self.retries,
         )
         return runner.run_points(specs, seeds=seeds, title=title)
-
-
-class _NullLog:
-    """Context-manager stand-in when no progress log was requested."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-def _maybe_log(path: Optional[os.PathLike]):
-    return ProgressLog(path) if path is not None else _NullLog()
 
 
 def _event_record(event: SweepEvent, key: str) -> Dict:

@@ -1,18 +1,14 @@
-"""Tests for the pluggable cache backends and the cache bugfix batch:
-``put`` must survive unserializable payloads without leaking temp files,
-``clear`` must remove stale temp files/empty shard dirs and reset stats,
-and the layered backend must read/write through both tiers."""
+"""Tests for the on-disk result cache and its bugfix batch: the layout
+is ``<dir>/<key[:2]>/<key>.json``, ``put`` must survive unserializable
+payloads without leaking temp files, and ``clear`` must remove stale
+temp files/empty shard dirs and reset stats."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.api import (
-    DirectoryBackend,
-    LayeredBackend,
-    ResultCache,
-    RunResult,
-)
+from repro.api import ResultCache, RunResult
 
 
 def result_for(key: str, **overrides) -> RunResult:
@@ -28,9 +24,9 @@ KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
 
 
-class TestDirectoryBackend:
+class TestOnDiskCache:
     def test_layout_is_byte_compatible(self, tmp_path):
-        """The backend writes exactly the pre-backend on-disk format."""
+        """The cache writes exactly the on-disk format it always has."""
         cache = ResultCache(tmp_path)
         result = result_for(KEY_A)
         assert cache.put(KEY_A, result)
@@ -40,21 +36,22 @@ class TestDirectoryBackend:
             result.to_dict())
 
     def test_get_put_contains_iter(self, tmp_path):
-        backend = DirectoryBackend(tmp_path)
-        assert backend.get(KEY_A) is None
-        assert not backend.contains(KEY_A)
-        assert backend.put(KEY_A, {"x": 1})
-        assert backend.put(KEY_B, {"x": 2})
-        assert backend.contains(KEY_A)
-        assert backend.get(KEY_A) == {"x": 1}
-        assert list(backend.iter_keys()) == sorted([KEY_A, KEY_B])
+        cache = ResultCache(tmp_path)
+        assert cache.get(KEY_A) is None
+        assert not cache.contains(KEY_A)
+        assert cache.put(KEY_A, result_for(KEY_A))
+        assert cache.put(KEY_B, result_for(KEY_B, n_attackers=2))
+        assert cache.contains(KEY_A)
+        assert cache.get(KEY_A) == result_for(KEY_A)
+        assert list(cache.iter_keys()) == sorted([KEY_A, KEY_B])
 
     def test_non_dict_payload_is_a_miss(self, tmp_path):
-        backend = DirectoryBackend(tmp_path)
-        path = backend.path_for(KEY_A)
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(KEY_A)
         path.parent.mkdir(parents=True)
         path.write_text("[1, 2]")
-        assert backend.get(KEY_A) is None
+        assert cache.get(KEY_A) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_put_unserializable_does_not_raise_or_leak_tmp(self, tmp_path):
         """Regression: a TypeError from json.dump used to escape the
@@ -99,67 +96,18 @@ class TestDirectoryBackend:
         assert ResultCache(tmp_path / "nope").clear() == 0
 
 
-class TestLayeredBackend:
-    def make(self, tmp_path):
-        near = DirectoryBackend(tmp_path / "near")
-        far = DirectoryBackend(tmp_path / "far")
-        return near, far, LayeredBackend(near, far)
-
-    def test_put_writes_both_tiers(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        assert layered.put(KEY_A, {"x": 1})
-        assert near.get(KEY_A) == {"x": 1}
-        assert far.get(KEY_A) == {"x": 1}
-
-    def test_get_reads_through_and_warms_near(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        far.put(KEY_A, {"x": 1})
-        assert not near.contains(KEY_A)
-        assert layered.get(KEY_A) == {"x": 1}
-        assert near.get(KEY_A) == {"x": 1}  # populated on the way back
-
-    def test_near_hit_skips_far(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        near.put(KEY_A, {"x": "near"})
-        far.put(KEY_A, {"x": "far"})
-        assert layered.get(KEY_A) == {"x": "near"}
-
-    def test_contains_and_iter_keys_union(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        near.put(KEY_B, {"x": 1})
-        far.put(KEY_A, {"x": 2})
-        assert layered.contains(KEY_A) and layered.contains(KEY_B)
-        assert list(layered.iter_keys()) == sorted([KEY_A, KEY_B])
-
-    def test_clear_clears_both(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        layered.put(KEY_A, {"x": 1})
-        assert layered.clear() == 2
-        assert not layered.contains(KEY_A)
-
-    def test_result_cache_over_layered_backend(self, tmp_path):
-        near, far, _ = self.make(tmp_path)
-        cache = ResultCache(backend=LayeredBackend(near, far))
-        result = result_for(KEY_A)
-        cache.put(KEY_A, result)
-        # A second shard sharing only the far tier sees the entry.
-        other = ResultCache(
-            backend=LayeredBackend(DirectoryBackend(tmp_path / "near2"), far))
-        assert other.get(KEY_A) == result
-        assert other.hits == 1
-
-    def test_layered_cache_has_no_entry_paths(self, tmp_path):
-        near, far, layered = self.make(tmp_path)
-        cache = ResultCache(backend=layered)
-        assert cache.directory is None
-        with pytest.raises(TypeError):
-            cache.path_for(KEY_A)
-
-
 class TestResultCacheConstruction:
-    def test_rejects_directory_and_backend_together(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, backend=DirectoryBackend(tmp_path))
+    def test_takes_a_directory_and_nothing_else(self, tmp_path):
+        assert list(inspect.signature(ResultCache).parameters) == ["directory"]
+        assert ResultCache(tmp_path).directory == tmp_path
+
+    def test_empty_key_is_an_error_not_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for call in (cache.get, cache.contains, cache.path_for):
+            with pytest.raises(ValueError, match="non-empty"):
+                call("")
+        with pytest.raises(ValueError, match="non-empty"):
+            cache.put("", result_for(KEY_A))
 
     def test_contains_and_iter_keys_delegate(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -85,6 +85,58 @@ class TestEndToEnd:
         assert "Figure 12" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """What a spec rejects at construction reaches the shell as one
+    ``error:`` line and exit status 2 — never a traceback — whichever
+    subcommand built the spec."""
+
+    @pytest.mark.parametrize("argv, complaint", [
+        pytest.param(["scenario", "--scheme", "netfence",
+                      "--scheme-opt", "beta=7"], "beta",
+                     id="scenario-knob-out-of-range"),
+        pytest.param(["scenario", "--scheme-opt", "request_fraction=2"],
+                     "request_fraction", id="scenario-tva-knob-out-of-range"),
+        pytest.param(["fig8", "--metrics-interval", "0"], "metrics_interval",
+                     id="fig8-metrics-interval"),
+        pytest.param(["dynamics", "--reboot-at", "30", "--duration", "5"],
+                     "reboot_at", id="dynamics-reboot-after-end"),
+        pytest.param(["sweep", "--metrics-interval", "-1"],
+                     "metrics_interval", id="sweep-metrics-interval"),
+        pytest.param(["fig11", "--metrics-interval", "0"],
+                     "metrics_interval", id="fig11-metrics-interval"),
+        pytest.param(["report", "--metrics-interval", "0"],
+                     "metrics_interval", id="report-metrics-interval"),
+        pytest.param(["scenario", "--scheme", "netfence",
+                      "--scheme-opt", "bogus=7"], "bogus",
+                     id="scenario-unknown-knob"),
+        pytest.param(["scenario", "--name", "bogus"],
+                     "unknown scenario 'bogus'", id="scenario-unknown-name"),
+        pytest.param(["scenario", "--fault", "nonsense"],
+                     "unknown fault kind", id="scenario-malformed-fault"),
+    ])
+    def test_one_error_line_exit_2(self, capsys, tmp_path, argv, complaint):
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and complaint in line
+        assert list(tmp_path.iterdir()) == []  # nothing ran, nothing cached
+
+    def test_failures_inside_a_run_are_not_swallowed(self, monkeypatch):
+        # A ValueError raised while a spec *runs* is not bad input: the
+        # runner reports it as a SweepFailure and main lets that through.
+        from repro.api import SweepFailure
+        from repro.eval import runner
+
+        def boom(spec):
+            raise ValueError("raised inside the run")
+
+        monkeypatch.setattr(runner, "run_spec", boom)
+        with pytest.raises(SweepFailure, match="raised inside the run"):
+            main(["scenario", "--attackers", "1", "--duration", "1",
+                  "--jobs", "1", "--no-cache"])
+
+
 class TestRunnerFlags:
     """The sweep-runner flags shared by the simulation subcommands."""
 

@@ -2,35 +2,37 @@
 
 import pytest
 
-from repro.eval import (
-    ExperimentConfig,
-    Fig11Result,
-    FloodResult,
-    format_flood_table,
-    run_flood_scenario,
-)
-from repro.eval.experiments import _scheme_for
+from repro.api import RunResult, build_fig11_spec, build_scheme, run_spec
+from repro.eval import ExperimentConfig, Fig11Result
+from repro.eval import runner as runner_module
+from repro.eval.experiments import merged_scheme_options
 from repro.eval.runner import ScenarioSpec
+
+
+def scheme_for(name, config, options=None):
+    """The scheme ``run_spec`` builds for ``name`` under ``config``."""
+    return build_scheme(name, merged_scheme_options(name, config, options),
+                        seed=config.seed)
 
 
 class TestSchemeFromConfig:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            _scheme_for("bogus", ExperimentConfig())
+            scheme_for("bogus", ExperimentConfig())
 
     def test_unknown_knob_raises(self):
         with pytest.raises(TypeError, match="siff"):
-            _scheme_for("siff", ExperimentConfig(), {"secret_perod": 3.0})
+            scheme_for("siff", ExperimentConfig(), {"secret_perod": 3.0})
 
     def test_tva_uses_sim_request_fraction(self):
-        scheme = _scheme_for("tva", ExperimentConfig())
+        scheme = scheme_for("tva", ExperimentConfig())
         assert scheme.request_fraction == 0.01
 
     def test_options_override_config_knobs(self):
         config = ExperimentConfig(regular_qdisc="sfq")
-        assert _scheme_for("tva", config).regular_qdisc == "sfq"
-        scheme = _scheme_for("tva", config, {"regular_qdisc": "drr",
-                                             "request_fraction": 0.05})
+        assert scheme_for("tva", config).regular_qdisc == "sfq"
+        scheme = scheme_for("tva", config, {"regular_qdisc": "drr",
+                                            "request_fraction": 0.05})
         assert scheme.regular_qdisc == "drr"
         assert scheme.request_fraction == 0.05
 
@@ -40,44 +42,40 @@ class TestRunFloodScenario:
         # A typo'd attack must not run (and cache) some other experiment.
         with pytest.raises(ValueError, match="unknown attack 'flood'.*legacy"):
             ScenarioSpec(scheme="tva", attack="flood", n_attackers=1)
-        with pytest.raises(ValueError, match="unknown attack 'flood'.*legacy"):
-            run_flood_scenario("internet", "flood", 1,
-                               ExperimentConfig(duration=3.0))
+
+    @pytest.mark.parametrize("bad", [{"attack": "flood"},
+                                     {"policy": "nobody"}],
+                             ids=["attack", "policy"])
+    def test_bad_spec_never_starts_a_simulator(self, monkeypatch, bad):
+        # The spec is the one place left that checks attack and policy:
+        # the error is raised at construction, before run_spec is entered.
+        built = []
+        monkeypatch.setattr(runner_module, "Simulator",
+                            lambda: built.append("sim"))
+        fields = dict(scheme="internet", attack="legacy", n_attackers=1)
+        with pytest.raises(ValueError, match="unknown (attack|policy)"):
+            run_spec(ScenarioSpec(**{**fields, **bad}))
+        assert built == []
 
     def test_no_attackers(self):
-        log = run_flood_scenario("tva", "legacy", 0,
-                                 ExperimentConfig(duration=3.0))
-        assert log.fraction_completed(1.0) == 1.0
+        run = run_spec(ScenarioSpec("tva", "legacy", 0,
+                                    config=ExperimentConfig(duration=3.0)))
+        assert run.fraction_completed == 1.0
 
     def test_deterministic_given_seed(self):
-        config = ExperimentConfig(duration=3.0, seed=9)
-        a = run_flood_scenario("internet", "legacy", 3, config)
-        b = run_flood_scenario("internet", "legacy", 3, config)
-        assert a.time_series() == b.time_series()
+        spec = ScenarioSpec("internet", "legacy", 3, seed=9,
+                            config=ExperimentConfig(duration=3.0))
+        assert run_spec(spec).time_series == run_spec(spec).time_series
 
     def test_seed_changes_outcome_detail(self):
-        a = run_flood_scenario("internet", "legacy", 3,
-                               ExperimentConfig(duration=3.0, seed=1))
-        b = run_flood_scenario("internet", "legacy", 3,
-                               ExperimentConfig(duration=3.0, seed=2))
-        assert a.time_series() != b.time_series()
+        spec = ScenarioSpec("internet", "legacy", 3,
+                            config=ExperimentConfig(duration=3.0))
+        a = run_spec(spec.with_seed(1))
+        b = run_spec(spec.with_seed(2))
+        assert a.time_series != b.time_series
 
 
 class TestResultTypes:
-    def test_flood_result_row_formats(self):
-        row = FloodResult("tva", "legacy", 10, 1.0, 0.314, 120).row()
-        assert "tva" in row and "10" in row and "0.31" in row
-
-    def test_flood_result_row_handles_none(self):
-        row = FloodResult("internet", "legacy", 100, 0.0, None, 5).row()
-        assert "-" in row
-
-    def test_format_flood_table(self):
-        table = format_flood_table(
-            [FloodResult("tva", "legacy", 10, 1.0, 0.31, 100)], "Title")
-        assert table.startswith("Title")
-        assert "tva" in table
-
     def test_fig11_result_metrics(self):
         result = Fig11Result(
             scheme="tva", pattern="all_at_once", attack_start=10.0,
@@ -94,6 +92,27 @@ class TestResultTypes:
                              series=[(t, 0.3) for t in range(30)])
         assert result.effective_attack_seconds() == 0.0
 
+    def test_fig11_from_run_matches_the_hand_built_records(self):
+        # ``repro fig11`` used to assemble the record field by field...
+        spec = build_fig11_spec("tva", "staggered", n_attackers=4,
+                                attack_start=2.0, duration=6.0, metrics=True)
+        run = run_spec(spec)
+        assert run.metrics is not None
+        assert Fig11Result.from_run(spec, run) == Fig11Result(
+            scheme="tva", pattern="staggered",
+            series=[tuple(point) for point in run.time_series],
+            attack_start=2.0, metrics=run.metrics)
+        # ...and ``repro report`` built it from the series alone, leaving
+        # the attack start at the spec builder's default.
+        spec = build_fig11_spec("siff", "all_at_once")
+        run = RunResult(scheme="siff", attack="authorized", n_attackers=100,
+                        seed=1, fraction_completed=1.0, avg_transfer_time=0.3,
+                        transfers_attempted=2, transfers_completed=2,
+                        time_series=((9.0, 0.3), (10.5, 3.0)))
+        assert Fig11Result.from_run(spec, run) == Fig11Result(
+            scheme="siff", pattern="all_at_once",
+            series=[(9.0, 0.3), (10.5, 3.0)])
+
     def test_fig11_rejects_bad_pattern(self):
         from repro.eval import run_fig11_imprecise
 
@@ -102,8 +121,8 @@ class TestResultTypes:
 
 
 class TestConfigRoundTrip:
-    """ExperimentConfig and FloodResult must survive dict/JSON cycles so
-    cached results compare equal to fresh ones."""
+    """ExperimentConfig must survive dict/JSON cycles so cached results
+    compare equal to fresh ones."""
 
     def test_config_round_trips_through_dict(self):
         config = ExperimentConfig(duration=7.5, seed=3)
@@ -122,18 +141,6 @@ class TestConfigRoundTrip:
     def test_config_normalizes_list_grant(self):
         assert ExperimentConfig(server_grant=[1000, 5]) == \
             ExperimentConfig(server_grant=(1000, 5))
-
-    def test_flood_result_round_trips(self):
-        import json
-
-        result = FloodResult("tva", "legacy", 10, 1.0, 0.31, 120)
-        clone = FloodResult.from_dict(json.loads(
-            json.dumps(result.to_dict())))
-        assert clone == result
-
-    def test_flood_result_round_trips_none_time(self):
-        result = FloodResult("internet", "legacy", 100, 0.0, None, 5)
-        assert FloodResult.from_dict(result.to_dict()) == result
 
 
 class TestFig11ConfigIsolation:

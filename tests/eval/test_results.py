@@ -1,13 +1,19 @@
 """Tests for the result types: aggregation math and JSON round-trips."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.eval.results import (
     PointResult,
     RunResult,
     SweepResult,
+    summarize_metrics,
     t95,
 )
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 
 def _run(seed=1, frac=1.0, avg=0.3, series=((0.1, 0.3), (0.5, 0.3))):
@@ -33,12 +39,49 @@ class TestRunResult:
         run = _run()
         assert RunResult.from_dict(json.loads(json.dumps(run.to_dict()))) == run
 
-    def test_to_flood_result(self):
-        flood = _run().to_flood_result()
-        assert flood.scheme == "tva"
-        assert flood.n_attackers == 10
-        assert flood.fraction_completed == 1.0
-        assert flood.transfers_attempted == 40
+
+class TestSummarizeMetrics:
+    """The one summary the text output, the report's Metrics table and
+    the dynamics comparison all read, pinned on the two metrics goldens."""
+
+    def _golden(self, name):
+        data = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        return RunResult.from_dict(data).metrics
+
+    def test_tva_golden(self):
+        assert summarize_metrics(self._golden("fig8_tva_k10_metrics")) == {
+            "util_peak": [("request", 0.000864),
+                          ("regular", 0.5532159999999999),
+                          ("legacy", 0.6112)],
+            "flowstate_peak": 20,
+            "demotions": 0,
+        }
+
+    def test_netfence_golden_has_no_router_tallies(self):
+        # NetFence routers export neither flow state nor demotions: absent
+        # (None), not zero, so the dynamics JSON can say null.
+        assert summarize_metrics(
+            self._golden("fig8_netfence_k10_metrics")) == {
+            "util_peak": [("request", 0.0), ("regular", 0.0),
+                          ("legacy", 1.000864)],
+            "flowstate_peak": None,
+            "demotions": None,
+        }
+
+    def test_only_router_scoped_names_count(self):
+        metrics = {
+            "finals": {"scheme.router.R1.demotions": 2,
+                       "scheme.router.R2.demotions": 3,
+                       "hosts.demotions": 100,
+                       "scheme.router.R1.demotions_seen": 100},
+            "series": {"scheme.router.R1.flowstate.entries": ((0.5, 4), (1.0, 9)),
+                       "scheme.router.R2.flowstate.entries": ((0.5, 7),),
+                       "other.flowstate.entries": ((0.5, 99),)},
+        }
+        summary = summarize_metrics(metrics)
+        assert summary["demotions"] == 5
+        assert summary["flowstate_peak"] == 9
+        assert summary["util_peak"][2] == ("legacy", 0.0)
 
 
 class TestStudentT:
@@ -113,8 +156,3 @@ class TestSweepResult:
         assert table.startswith("Figure 8")
         assert "tva" in table
         assert "CI" in table  # replicated points advertise the interval
-
-    def test_flood_results_flatten(self):
-        floods = self._sweep().flood_results()
-        assert len(floods) == 1
-        assert floods[0].scheme == "tva"

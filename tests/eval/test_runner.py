@@ -141,11 +141,13 @@ class TestSpecBuilders:
     def test_fig11_siff_knobs_ride_scheme_options(self):
         # The paper's Figure 11 SIFF (3 s turnover, no previous-secret
         # grace) plus idealized 16-bit marks; other schemes take defaults.
+        from repro.api import build_scheme
         from repro.baselines import SiffScheme
-        from repro.eval.experiments import _scheme_for
+        from repro.eval.experiments import merged_scheme_options
 
         spec = build_fig11_spec("siff")
-        scheme = _scheme_for("siff", spec.config, spec.scheme_options)
+        scheme = build_scheme("siff", merged_scheme_options(
+            "siff", spec.config, spec.scheme_options))
         assert isinstance(scheme, SiffScheme)
         assert scheme.secret_period == 3.0
         assert not scheme.accept_previous
@@ -373,16 +375,15 @@ class TestSweepRunner:
         assert {r.seed for r in point.runs} == {1, 2, 3}
         assert sweep.meta["seeds"] == 3
 
+    def test_expand_seeds_keeps_replications_adjacent(self):
+        from repro.eval.runner import expand_seeds
+
+        specs = build_flood_specs("legacy", ("tva", "internet"), (1,), FAST)
+        assert [(s.scheme, s.seed) for s in expand_seeds(specs, 3)] == [
+            ("tva", 1), ("tva", 2), ("tva", 3),
+            ("internet", 1), ("internet", 2), ("internet", 3)]
+        assert expand_seeds(specs, 1) == specs
+
     def test_run_points_rejects_bad_seeds(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=1).run_points([], seeds=0)
-
-    def test_figure_runner_serial_matches_parallel_runner(self):
-        from repro.eval import run_fig8_legacy_flood
-
-        serial = run_fig8_legacy_flood(schemes=("internet",), sweep=(1, 2),
-                                       config=FAST)
-        parallel = run_fig8_legacy_flood(schemes=("internet",), sweep=(1, 2),
-                                         config=FAST,
-                                         runner=SweepRunner(jobs=2))
-        assert serial == parallel

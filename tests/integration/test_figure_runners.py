@@ -1,43 +1,43 @@
-"""Smoke tests of the public figure-runner API at tiny scale.
+"""Smoke tests of the public figure API at tiny scale.
 
-The benchmarks exercise these at experiment scale; here we pin the API
-shape (types, fields, row counts) with seconds-long runs.
+A Figure 8/9/10 curve is ``build_flood_specs`` + ``SweepRunner``; Figure
+11 has its own time-series record.  The benchmarks exercise these at
+experiment scale; here we pin the API shape (types, fields, row counts)
+with seconds-long runs.
 """
 
-import pytest
-
-from repro.eval import (
+from repro.api import (
     ExperimentConfig,
-    FloodResult,
-    format_flood_table,
-    run_fig8_legacy_flood,
-    run_fig9_request_flood,
-    run_fig10_colluder_flood,
-    run_fig11_imprecise,
+    RunResult,
+    SweepRunner,
+    build_flood_specs,
 )
+from repro.eval import run_fig11_imprecise
 
 TINY = ExperimentConfig(duration=4.0)
 
 
+def run_figure(attack, schemes, sweep):
+    return SweepRunner(jobs=1).run(
+        build_flood_specs(attack, schemes, sweep, TINY))
+
+
 class TestFigureRunners:
     def test_fig8_runner_rows(self):
-        results = run_fig8_legacy_flood(schemes=("tva",), sweep=(1, 2),
-                                        config=TINY)
+        results = run_figure("legacy", ("tva",), (1, 2))
         assert len(results) == 2
-        assert all(isinstance(r, FloodResult) for r in results)
+        assert all(isinstance(r, RunResult) for r in results)
         assert all(r.attack == "legacy" for r in results)
         assert {r.n_attackers for r in results} == {1, 2}
 
     def test_fig9_runner_rows(self):
-        results = run_fig9_request_flood(schemes=("internet",), sweep=(1,),
-                                         config=TINY)
+        results = run_figure("request", ("internet",), (1,))
         assert len(results) == 1
         assert results[0].attack == "request"
         assert results[0].transfers_attempted > 0
 
     def test_fig10_runner_rows(self):
-        results = run_fig10_colluder_flood(schemes=("internet",), sweep=(1,),
-                                           config=TINY)
+        results = run_figure("colluder", ("internet",), (1,))
         assert results[0].attack == "colluder"
         assert 0.0 <= results[0].fraction_completed <= 1.0
 
@@ -49,7 +49,7 @@ class TestFigureRunners:
         assert result.series  # transfers completed
 
     def test_table_formatting(self):
-        results = run_fig8_legacy_flood(schemes=("tva",), sweep=(1,),
-                                        config=TINY)
-        table = format_flood_table(results, "t")
+        specs = build_flood_specs("legacy", ("tva",), (1,), TINY)
+        table = SweepRunner(jobs=1).run_points(specs, title="t").table()
+        assert table.startswith("t\n")
         assert "tva" in table
