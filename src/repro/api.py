@@ -18,11 +18,15 @@ Scripts should import from here; the deep module paths
 detail.  There is one run path — a :class:`ScenarioSpec` goes through
 :func:`run_spec` (directly, or via :func:`run_scenario` / :func:`sweep` /
 :class:`SweepRunner`) and comes back as a :class:`RunResult` — and one
-cache, :class:`ResultCache` over a directory.  This round removes
-duplicates outright rather than deprecating them: the keyword-argument
-twin of the spec, the second per-point result record, the per-figure
-runner functions and the pluggable cache-backend layer are gone from
-this surface with no shim left behind (CHANGES.md, PR 24, lists every
+cache, :class:`ResultCache` over a directory.  :class:`SweepRunner` is
+also the one sweep driver: :func:`run_scenario`, :func:`sweep` and
+:func:`run_shard` (one slice of a sharded grid) all go through it, and
+its ``on_event`` stream is the one progress channel.  Duplicates are
+removed outright rather than deprecated: the keyword-argument twin of
+the spec, the second per-point result record, the per-figure runner
+functions, the pluggable cache-backend layer, the second sweep driver
+class with its resume manifest, and the second progress callback are
+gone from this surface with no shim left behind (CHANGES.md lists every
 removed name and its replacement).
 """
 
@@ -102,14 +106,7 @@ from .eval.runner import (
     build_flood_specs,
     run_spec,
 )
-from .eval.service import (
-    ProgressLog,
-    SweepManifest,
-    SweepService,
-    default_manifest_path,
-    parse_shard,
-    shard_specs,
-)
+from .eval.service import ProgressLog, parse_shard, run_shard, shard_specs
 
 # -- building blocks for custom topologies (what examples/ use) ------------
 from .baselines import (
@@ -170,20 +167,15 @@ def run_scenario(
         run_scenario(scheme="tva", attack="legacy", n_attackers=10)
 
     ``cache`` (a :class:`ResultCache`) is consulted before running and
-    updated after.
+    updated after — by a one-spec, in-process, no-retry
+    :class:`SweepRunner`, the one cache-then-run path; a failing run
+    raises :class:`SweepFailure`.
     """
     if spec is None:
         spec = ScenarioSpec(**kwargs)
     elif kwargs:
         raise TypeError("pass either a spec or spec fields, not both")
-    if cache is not None:
-        hit = cache.get(spec.key())
-        if hit is not None:
-            return hit
-    result = run_spec(spec)
-    if cache is not None:
-        cache.put(spec.key(), result)
-    return result
+    return SweepRunner(jobs=1, cache=cache, retries=0).run([spec])[0]
 
 
 def sweep(
@@ -193,7 +185,7 @@ def sweep(
     seeds: int = 1,
     cache: Optional[ResultCache] = None,
     title: str = "",
-    progress: Optional[Callable[[ScenarioSpec, bool], None]] = None,
+    on_event: Optional[Callable[[SweepEvent], None]] = None,
 ) -> SweepResult:
     """Run many scenarios — parallel, cached, seed-replicated.
 
@@ -201,8 +193,9 @@ def sweep(
     into a mean/stdev/CI :class:`PointResult`; the returned
     :class:`SweepResult` serializes bit-identically regardless of
     ``jobs`` (execution strategy never leaks into results).
+    ``on_event`` receives every :class:`SweepEvent` of the run.
     """
-    runner = SweepRunner(jobs=jobs, cache=cache, progress=progress)
+    runner = SweepRunner(jobs=jobs, cache=cache, on_event=on_event)
     return runner.run_points(specs, seeds=seeds, title=title)
 
 
@@ -244,14 +237,12 @@ __all__ = [
     "build_flood_specs",
     "build_fig11_spec",
     "FIG11_SCHEMES",
-    # sharded sweep service
-    "SweepService",
-    "SweepManifest",
+    # sharded sweeps
+    "run_shard",
     "ShardReport",
     "ProgressLog",
     "shard_specs",
     "parse_shard",
-    "default_manifest_path",
     # curated scenario library
     "SCENARIO_LIBRARY",
     "ScenarioDef",

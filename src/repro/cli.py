@@ -53,11 +53,12 @@ from .eval.results import summarize_metrics
 from .eval.runner import (
     FIG11_SCHEMES,
     ScenarioSpec,
+    SweepEvent,
     SweepRunner,
     build_fig11_spec,
     build_flood_specs,
 )
-from .eval.service import SweepService, parse_shard
+from .eval.service import ProgressLog, parse_shard, run_shard
 from .faults import FaultSchedule
 
 
@@ -134,19 +135,31 @@ def _checked(build, *args, **kwargs):
         raise _BadInput(str(exc)) from None
 
 
-def _ticker(spec, cached) -> None:
-    tag = " (cached)" if cached else ""
+def _ticker(event: SweepEvent) -> None:
+    """The stderr progress line: one update per spec done or cached."""
+    if event.kind not in ("done", "cached"):
+        return
+    spec = event.spec
+    tag = " (cached)" if event.kind == "cached" else ""
     print(f"\r{spec.scheme} k={spec.n_attackers} seed={spec.seed}"
           f" done{tag}   ", end="", file=sys.stderr)
 
 
-def _make_runner(args) -> SweepRunner:
-    """Build a :class:`SweepRunner` from the shared CLI flags."""
+def _make_runner(args, log: Optional[ProgressLog] = None) -> SweepRunner:
+    """Build a :class:`SweepRunner` from the shared CLI flags; its events
+    feed the stderr ticker and, when given, ``log``."""
     cache = None
     if not getattr(args, "no_cache", False):
         cache = ResultCache(getattr(args, "cache_dir", None))
+
+    def on_event(event: SweepEvent) -> None:
+        _ticker(event)
+        if log is not None:
+            log(event)
+
     return SweepRunner(jobs=getattr(args, "jobs", None), cache=cache,
-                       progress=_ticker)
+                       retries=getattr(args, "retries", 1),
+                       on_event=on_event)
 
 
 def _flood_specs(args, attack: str) -> List[ScenarioSpec]:
@@ -468,24 +481,17 @@ def _parse_shard_arg(value: str):
 def _cmd_sweep(args) -> int:
     """Sharded, resumable sweep over a shared cache (repro.eval.service).
 
-    Each invocation runs its ``--shard i/N`` slice of the grid,
-    journaling per-spec status to a manifest next to the cache; a
-    re-invocation after a crash re-runs only missing/failed specs.  With
-    ``--merge`` (or when unsharded) it then reassembles the whole grid
-    from the cache into SweepResult JSON byte-identical to a
+    Each invocation runs its ``--shard i/N`` slice of the grid; the
+    shared cache makes a re-invocation after a crash re-run only the
+    missing specs, and ``--progress-log`` is the sweep's one journal.
+    With ``--merge`` (or when unsharded) it then reassembles the whole
+    grid from the cache into SweepResult JSON byte-identical to a
     single-process ``--jobs 1`` run.
     """
     specs = _flood_specs(args, args.attack)
     shard, of = args.shard if args.shard else (0, 1)
-    service = SweepService(
-        ResultCache(args.cache_dir),
-        jobs=args.jobs,
-        retries=args.retries,
-        manifest_path=args.manifest,
-        progress_log=args.progress_log,
-        progress=_ticker,
-    )
-    report = service.run_shard(specs, shard=shard, of=of, seeds=args.seeds)
+    log = ProgressLog(args.progress_log) if args.progress_log else None
+    report = run_shard(_make_runner(args, log), specs, shard, of, args.seeds)
     print("", file=sys.stderr)
     print(report.summary(), file=sys.stderr)
     if not report.ok:
@@ -493,7 +499,8 @@ def _cmd_sweep(args) -> int:
     if of == 1 or args.merge:
         title = (f"Sharded sweep — {args.attack} floods, "
                  f"{','.join(args.schemes)}")
-        result = service.merge(specs, seeds=args.seeds, title=title)
+        result = _make_runner(args).run_points(specs, seeds=args.seeds,
+                                               title=title)
         print("", file=sys.stderr)
         if args.json:
             print(result.to_json())
@@ -691,12 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="extra attempts per spec after a worker failure "
                           "(default: 2)")
-    psw.add_argument("--manifest", default=None, metavar="PATH",
-                     help="resume manifest (default: "
-                          "<cache-dir>/manifests/sweep-<grid>.jsonl)")
     psw.add_argument("--progress-log", default=None, metavar="PATH",
-                     help="append JSONL progress events (start/done/"
-                          "retry/failed, with per-spec timing) to PATH")
+                     help="append JSONL progress events (cached/start/"
+                          "done/retry/failed, with per-spec timing) to "
+                          "PATH — the sweep's one journal")
     psw.add_argument("--merge", action="store_true",
                      help="after running the shard, reassemble the whole "
                           "grid from the cache and print the SweepResult "

@@ -16,9 +16,11 @@ by :func:`~repro.eval.runner.run_spec` into a
   metrics export.
 * :mod:`repro.eval.cache` — content-addressed on-disk result cache keyed
   by spec hash, making warm re-runs near-instant.
-* :mod:`repro.eval.service` — the sharded, resumable sweep service:
-  deterministic grid partitioning (``--shard i/N``), an append-only
-  resume manifest, per-spec retries, and a JSONL progress stream.
+* :mod:`repro.eval.service` — sharded, resumable sweeps: deterministic
+  grid partitioning (``--shard i/N``), ``run_shard`` (one slice through
+  a :class:`SweepRunner`, resumed from the shared cache), and the JSONL
+  progress log that is the sweep's one journal.  The second sweep
+  driver class and its resume manifest are removed, not deprecated.
 * :mod:`repro.eval.procbench` — Table 1 and Figure 12 (packet-processing
   cost and forwarding-rate micro-benchmarks of the TVA router pipeline).
 * :mod:`repro.eval.dynamics` — the network-dynamics experiment: recovery

@@ -12,9 +12,12 @@ Three layers, mirroring how the paper's evaluation is assembled:
   points plus run metadata, serializable to/from JSON so cached or
   archived sweeps reload losslessly.
 
-Everything here round-trips through ``to_dict``/``from_dict`` and JSON:
+These three round-trip through ``to_dict``/``from_dict`` and JSON:
 tuples are restored as tuples, so a reloaded result compares equal to
-the original — the property the on-disk cache relies on.
+the original — the property the on-disk cache relies on — and a
+payload of the wrong shape is a ``ValueError`` the cache reads as a
+miss.  :class:`ShardReport` (what one ``repro sweep`` invocation did)
+is execution facts only and is never serialized.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # runner imports this module
+    from .runner import SpecFailure
 
 #: Two-sided Student-t critical values at 95% confidence, indexed by
 #: degrees of freedom.  Seed replication counts are small, so the normal
@@ -46,21 +52,43 @@ def t95(dof: int) -> float:
     return _T95[1]
 
 
+def _pairs(points, what: str) -> Tuple[Tuple[float, float], ...]:
+    """``points`` as a tuple of ``(number, number)`` tuples.
+
+    A payload of any other shape is a ``ValueError`` naming ``what``, so a
+    damaged cache entry reads as a miss instead of a wrong series.
+    """
+    if isinstance(points, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2
+        and all(isinstance(v, (int, float)) for v in p)
+        for p in points
+    ):
+        return tuple(tuple(p) for p in points)
+    raise ValueError(f"{what} must be a list of (number, number) pairs")
+
+
 def normalize_metrics(metrics: Optional[Dict]) -> Optional[Dict]:
     """Canonicalize a metrics export for value equality.
 
     JSON turns the series' tuples into lists; restoring tuples here makes
     a cache-reloaded :class:`RunResult` compare equal to a fresh one —
-    the same convention ``time_series`` follows.
+    the same convention ``time_series`` follows.  Anything but ``None``
+    or a dict with dict ``finals``/``series`` of number pairs is a
+    ``ValueError``.
     """
     if metrics is None:
         return None
+    finals = metrics.get("finals", {}) if isinstance(metrics, dict) else None
+    series = metrics.get("series", {}) if isinstance(metrics, dict) else None
+    if not (isinstance(finals, dict) and isinstance(series, dict)):
+        raise ValueError("metrics must be null or a dict with dict "
+                         "finals/series")
     return {
         "interval": metrics.get("interval"),
-        "finals": dict(metrics.get("finals", {})),
+        "finals": dict(finals),
         "series": {
-            name: tuple(tuple(point) for point in points)
-            for name, points in sorted(metrics.get("series", {}).items())
+            name: _pairs(points, f"metrics series {name!r}")
+            for name, points in sorted(series.items())
         },
     }
 
@@ -139,10 +167,11 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
+        """Inverse of :meth:`to_dict`; a ``time_series`` or ``metrics`` of
+        the wrong shape is a ``ValueError``."""
         data = dict(data)
-        data["time_series"] = tuple(
-            tuple(point) for point in data.get("time_series", ())
-        )
+        data["time_series"] = _pairs(data.get("time_series", ()),
+                                     "time_series")
         data["metrics"] = normalize_metrics(data.get("metrics"))
         return cls(**data)
 
@@ -230,7 +259,7 @@ class ShardReport:
     assigned: int = 0     #: specs in this shard's deterministic slice
     completed: int = 0    #: specs simulated by this invocation
     cached: int = 0       #: specs served from the shared cache (resume skips)
-    failures: List[Dict] = field(default_factory=list)
+    failures: List[SpecFailure] = field(default_factory=list)
     results: List[Optional[RunResult]] = field(default_factory=list)
 
     @property
@@ -245,43 +274,9 @@ class ShardReport:
             f"{len(self.failures)} failed",
         ]
         for failure in self.failures:
-            lines.append(
-                f"  FAILED {failure.get('scheme')}/{failure.get('attack')}"
-                f"/k={failure.get('n_attackers')}/seed={failure.get('seed')}"
-                f" after {failure.get('attempts')} attempt(s): "
-                f"{failure.get('error')}"
-            )
+            lines.append(f"  FAILED {failure.label()} after "
+                         f"{failure.attempts} attempt(s): {failure.error}")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        return {
-            "shard": self.shard,
-            "of": self.of,
-            "total": self.total,
-            "assigned": self.assigned,
-            "completed": self.completed,
-            "cached": self.cached,
-            "failures": [dict(f) for f in self.failures],
-            "results": [
-                None if r is None else r.to_dict() for r in self.results
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardReport":
-        return cls(
-            shard=data.get("shard", 0),
-            of=data.get("of", 1),
-            total=data.get("total", 0),
-            assigned=data.get("assigned", 0),
-            completed=data.get("completed", 0),
-            cached=data.get("cached", 0),
-            failures=[dict(f) for f in data.get("failures", [])],
-            results=[
-                None if r is None else RunResult.from_dict(r)
-                for r in data.get("results", [])
-            ],
-        )
 
 
 @dataclass

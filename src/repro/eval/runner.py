@@ -13,11 +13,15 @@ makes that grid a first-class object:
   it reads the spec's fields, wires network, workload, faults and
   observer, and returns a :class:`~repro.eval.results.RunResult`.  A
   new run parameter is one spec field read here.
-* :class:`SweepRunner` — execute many specs, fanning out across a
-  ``ProcessPoolExecutor`` (``jobs > 1``) or running deterministically
-  in-process (``jobs = 1``), consulting an optional
-  :class:`~repro.eval.cache.ResultCache` first, and aggregating
-  multi-seed replications into mean/stdev/95%-CI points.
+* :class:`SweepRunner` — the one thing that turns specs into cached
+  results: it consults an optional
+  :class:`~repro.eval.cache.ResultCache`, runs what is missing in
+  retry rounds — in-process (``jobs = 1``) or on a fresh
+  ``ProcessPoolExecutor`` (``jobs > 1``) — streams every step to one
+  ``on_event`` callback, and aggregates multi-seed replications into
+  mean/stdev/95%-CI points.  The second progress callback (a
+  ``(spec, cached)`` keyword argument) and the second retry loop are
+  removed, not deprecated.
 
 The ``build_*_specs`` helpers turn the per-figure parameters into spec
 lists: Figures 8–10 are ``SweepRunner.run_points(build_flood_specs(…))``.
@@ -30,8 +34,10 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..faults import FaultInjector, FaultSchedule, coerce_schedule
@@ -139,6 +145,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {POLICIES}"
             )
+        for name, value in (("n_attackers", self.n_attackers),
+                            ("config.n_users", self.config.n_users),
+                            ("config.duration", self.config.duration)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")
         if not isinstance(self.faults, FaultSchedule):
@@ -486,8 +497,8 @@ def expand_seeds(
     Replication ``j`` of a point uses ``spec.seed + j``, so seeds stay
     disjoint per point and ``seeds=1`` is exactly the input.  Aggregation
     (:meth:`SweepRunner.run_points`) and sharding
-    (:class:`~repro.eval.service.SweepService`) both expand through
-    here, so they cannot disagree on which seeds a point has.
+    (:func:`~repro.eval.service.run_shard`) both expand through here, so
+    they cannot disagree on which seeds a point has.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
@@ -525,6 +536,12 @@ class SpecFailure:
     attempts: int
     error: str
 
+    def label(self) -> str:
+        """``scheme/attack/k=N/seed=S`` — how failure reports name it."""
+        spec = self.spec
+        return (f"{spec.scheme}/{spec.attack}/k={spec.n_attackers}"
+                f"/seed={spec.seed}")
+
 
 class SweepFailure(RuntimeError):
     """Raised after a sweep finishes with at least one failed spec.
@@ -543,10 +560,7 @@ class SweepFailure(RuntimeError):
     ) -> None:
         self.failures = list(failures)
         self.results = list(results)
-        names = ", ".join(
-            f"{f.spec.scheme}/{f.spec.attack}/k={f.spec.n_attackers}"
-            f"/seed={f.spec.seed}" for f in self.failures[:3]
-        )
+        names = ", ".join(f.label() for f in self.failures[:3])
         more = len(self.failures) - 3
         if more > 0:
             names += f" (+{more} more)"
@@ -559,28 +573,28 @@ class SweepFailure(RuntimeError):
 class SweepRunner:
     """Execute scenario specs: cached, multi-process, multi-seed.
 
-    ``jobs=1`` runs every spec in-process, in order — the deterministic
-    reference path.  ``jobs>1`` fans uncached specs out across a
-    ``ProcessPoolExecutor``; the simulator seeds all randomness from the
-    spec, so both paths produce bit-identical results.
+    Uncached specs run in rounds of one attempt each: in-process and in
+    input order when ``jobs=1`` or one spec is pending (the
+    deterministic reference path), else on a fresh
+    ``ProcessPoolExecutor`` per round, so a crashed worker poisons at
+    most one round.  The mode is chosen once per :meth:`run`.  All
+    randomness is seeded from the spec, so both modes are bit-identical.
 
-    A worker exception never aborts the sweep: the spec is retried up to
-    ``retries`` more times (in a fresh pool if the old one broke), every
-    sibling spec still completes and is cached, and only then is a
-    :class:`SweepFailure` raised naming the specs that never succeeded.
+    A spec's exception never aborts the sweep: the spec is retried in
+    the next round, up to ``retries`` more times; every sibling still
+    completes and is cached; and only then is a :class:`SweepFailure`
+    raised naming the specs that never succeeded.
 
-    ``progress`` (if given) is called as ``progress(spec, cached)``
-    after each spec completes — the CLI uses it for its stderr ticker.
     ``on_event`` (if given) receives a :class:`SweepEvent` for every
-    cache hit, attempt start, completion, retry, and failure — the
-    sweep service's manifest and progress log hang off this stream.
+    cache hit, attempt start, completion, retry, and failure — the CLI's
+    stderr ticker and the sweep's :class:`~repro.eval.service.ProgressLog`
+    both hang off this stream.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        progress: Optional[Callable[[ScenarioSpec, bool], None]] = None,
         retries: int = 1,
         on_event: Optional[Callable[[SweepEvent], None]] = None,
     ) -> None:
@@ -590,7 +604,6 @@ class SweepRunner:
             raise ValueError("retries must be >= 0")
         self.jobs = jobs or (os.cpu_count() or 1)
         self.cache = cache
-        self.progress = progress
         self.retries = retries
         self.on_event = on_event
 
@@ -607,88 +620,63 @@ class SweepRunner:
             if hit is not None:
                 results[i] = hit
                 self._emit("cached", spec)
-                if self.progress:
-                    self.progress(spec, True)
             else:
                 pending.append(i)
 
+        in_process = self.jobs == 1 or len(pending) == 1
+        attempts = dict.fromkeys(pending, 0)
         failures: Dict[int, SpecFailure] = {}
-        if pending and (self.jobs == 1 or len(pending) == 1):
-            for i in pending:
-                self._run_serial(specs[i], i, results, failures)
-        elif pending:
-            self._run_pool(specs, pending, results, failures)
+        while pending:
+            retry: List[int] = []
+            for i, outcome in self._round(specs, pending, attempts,
+                                          in_process):
+                spec = specs[i]
+                try:
+                    result = outcome()
+                except Exception as exc:  # per-spec isolation
+                    error = repr(exc)
+                    if attempts[i] <= self.retries:
+                        self._emit("retry", spec, attempts[i], error)
+                        retry.append(i)
+                    else:
+                        failures[i] = SpecFailure(spec, attempts[i], error)
+                        self._emit("failed", spec, attempts[i], error)
+                    continue
+                if self.cache is not None:
+                    self.cache.put(spec.key(), result)
+                results[i] = result
+                self._emit("done", spec, attempts[i])
+            pending = sorted(retry)
         if failures:
             raise SweepFailure(
                 [failures[i] for i in sorted(failures)], results
             )
         return results  # type: ignore[return-value]
 
-    def _run_serial(
-        self,
-        spec: ScenarioSpec,
-        index: int,
-        results: List[Optional[RunResult]],
-        failures: Dict[int, SpecFailure],
-    ) -> None:
-        for attempt in range(1, self.retries + 2):
-            self._emit("start", spec, attempt)
-            try:
-                result = run_spec(spec)
-            except Exception as exc:  # per-spec isolation, not control flow
-                if attempt <= self.retries:
-                    self._emit("retry", spec, attempt, repr(exc))
-                    continue
-                failures[index] = SpecFailure(spec, attempt, repr(exc))
-                self._emit("failed", spec, attempt, repr(exc))
-                return
-            results[index] = self._finish(spec, result)
-            self._emit("done", spec, attempt)
-            return
-
-    def _run_pool(
+    def _round(
         self,
         specs: Sequence[ScenarioSpec],
         pending: Sequence[int],
-        results: List[Optional[RunResult]],
-        failures: Dict[int, SpecFailure],
-    ) -> None:
-        """Fan ``pending`` out over a process pool, retrying failures.
-
-        Each round submits the still-pending specs to a fresh pool; a
-        crashed worker (``BrokenProcessPool``) therefore poisons at most
-        one round, and every completed sibling was already cached by
-        ``_finish`` before the next round starts.
-        """
-        attempts = {i: 0 for i in pending}
-        remaining = list(pending)
-        while remaining:
-            workers = min(self.jobs, len(remaining))
-            retry_round: List[int] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {}
-                for i in remaining:
-                    attempts[i] += 1
-                    self._emit("start", specs[i], attempts[i])
+        attempts: Dict[int, int],
+        in_process: bool,
+    ) -> Iterator[Tuple[int, Callable[[], RunResult]]]:
+        """One attempt at each pending spec, as ``(index, outcome)`` pairs:
+        ``outcome()`` returns the result or raises.  In-process, a spec
+        runs when its outcome is called, before the next one starts; on
+        a pool, all are submitted up front and yielded as they finish."""
+        pool = None if in_process else ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(pending)))
+        with pool or nullcontext():
+            futures = {}
+            for i in pending:
+                attempts[i] += 1
+                self._emit("start", specs[i], attempts[i])
+                if pool is None:
+                    yield i, partial(run_spec, specs[i])
+                else:
                     futures[pool.submit(run_spec, specs[i])] = i
-                for future in as_completed(futures):
-                    i = futures[future]
-                    spec = specs[i]
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # worker died or raised
-                        if attempts[i] <= self.retries:
-                            self._emit("retry", spec, attempts[i], repr(exc))
-                            retry_round.append(i)
-                        else:
-                            failures[i] = SpecFailure(
-                                spec, attempts[i], repr(exc)
-                            )
-                            self._emit("failed", spec, attempts[i], repr(exc))
-                        continue
-                    results[i] = self._finish(spec, result)
-                    self._emit("done", spec, attempts[i])
-            remaining = sorted(retry_round)
+            for future in as_completed(futures):
+                yield futures[future], future.result
 
     def _emit(
         self,
@@ -699,13 +687,6 @@ class SweepRunner:
     ) -> None:
         if self.on_event is not None:
             self.on_event(SweepEvent(kind, spec, attempt, error))
-
-    def _finish(self, spec: ScenarioSpec, result: RunResult) -> RunResult:
-        if self.cache is not None:
-            self.cache.put(spec.key(), result)
-        if self.progress:
-            self.progress(spec, False)
-        return result
 
     def run_points(
         self,

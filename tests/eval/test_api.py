@@ -60,6 +60,20 @@ class TestFacade:
         assert warm == cold
         assert cache.hits == 1
 
+    def test_run_scenario_failure_is_a_sweep_failure(self):
+        # One attempt, no retry: the same runner path as every sweep.
+        spec = ScenarioSpec("internet", "colluder", 1, config=FAST,
+                            topology=api.tree_spec())
+        with pytest.raises(api.SweepFailure, match="colluder") as excinfo:
+            api.run_scenario(spec)
+        assert excinfo.value.failures[0].attempts == 1
+
+    def test_sweep_streams_events(self):
+        events = []
+        api.sweep([ScenarioSpec("internet", "legacy", 1, config=FAST)],
+                  jobs=1, on_event=events.append)
+        assert [e.kind for e in events] == ["start", "done"]
+
     def test_sweep_aggregates_points(self):
         specs = [ScenarioSpec("internet", "legacy", n, config=FAST)
                  for n in (1, 2)]

@@ -113,6 +113,16 @@ class TestBadInput:
                      "unknown scenario 'bogus'", id="scenario-unknown-name"),
         pytest.param(["scenario", "--fault", "nonsense"],
                      "unknown fault kind", id="scenario-malformed-fault"),
+        pytest.param(["fig8", "--schemes", "internet", "--sweep", "-3"],
+                     "n_attackers must be >= 0", id="fig8-negative-sweep"),
+        pytest.param(["scenario", "--attackers", "-2"],
+                     "n_attackers must be >= 0",
+                     id="scenario-negative-attackers"),
+        pytest.param(["scenario", "--duration", "-1"],
+                     "config.duration must be >= 0",
+                     id="scenario-negative-duration"),
+        pytest.param(["sweep", "--sweep", "1,-4"],
+                     "n_attackers must be >= 0", id="sweep-negative-sweep"),
     ])
     def test_one_error_line_exit_2(self, capsys, tmp_path, argv, complaint):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Tests for the sweep-runner subsystem: specs, cache, parallel execution."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -17,6 +18,42 @@ from repro.api import (
 from repro.eval.results import RunResult
 
 FAST = ExperimentConfig(duration=3.0)
+
+
+def _with(**fields):
+    """Damage: the stored result with ``fields`` replaced."""
+    def damage(text):
+        return json.dumps({**json.loads(text), **fields}).encode()
+    return damage
+
+
+def _flip_byte(text):
+    """Damage: one bit flipped in a field name (time_series -> uime_series)."""
+    data = bytearray(text.encode())
+    data[text.index('"time_series"') + 1] ^= 0x01
+    return bytes(data)
+
+
+#: Ways a cache entry can be damaged; each must read as a miss.
+DAMAGE = {
+    "truncated": lambda text: text[: len(text) // 2].encode(),
+    "flipped-byte": _flip_byte,
+    "non-dict": lambda text: json.dumps([json.loads(text)]).encode(),
+    "wrong-spec-key": _with(spec_key="0" * 64),
+    "metrics-list": _with(metrics=[]),
+    "metrics-string": _with(metrics="finals"),
+    "metrics-finals-list": _with(metrics={"finals": [], "series": {}}),
+    "metrics-series-1-tuples": _with(
+        metrics={"finals": {}, "series": {"m": [[0.5]]}}),
+    "time-series-string": _with(time_series="ab"),
+    "time-series-1-tuples": _with(time_series=[[1.0], [2.0]]),
+}
+
+
+@pytest.fixture(scope="module")
+def damage_fresh():
+    spec = ScenarioSpec("internet", "legacy", 1, config=FAST)
+    return spec, run_spec(spec)
 
 
 def failing_spec():
@@ -90,6 +127,24 @@ class TestScenarioSpec:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'tvaa'.*tva"):
             ScenarioSpec("tvaa", "legacy", 1)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("n_attackers", {"n_attackers": -3}),
+        ("config.n_users", {"config": ExperimentConfig(n_users=-1)}),
+        ("config.duration", {"config": ExperimentConfig(duration=-1.0)}),
+    ], ids=["n_attackers", "n_users", "duration"])
+    def test_rejects_negative_counts_and_durations(self, field, kwargs):
+        # These used to build, hash and fail inside the run (or, for the
+        # duration, "measure" a completion fraction of 0.00).
+        spec = {"scheme": "internet", "attack": "legacy", "n_attackers": 1,
+                **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            ScenarioSpec(**spec)
+
+    def test_zero_duration_and_counts_stay_legal(self):
+        # A set-up-only spec (duration 0) and an attack-free run are fine.
+        ScenarioSpec("tva", "legacy", 0,
+                     config=ExperimentConfig(duration=0.0, n_users=0))
 
     @pytest.mark.parametrize("scheme,knob,value", [
         ("tva", "request_fraction", 2.0),   # used to run and be cached
@@ -251,6 +306,22 @@ class TestCache:
         cache.put(spec.key(), fresh)
         assert cache.get(spec.key()) == fresh
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_a_miss_and_recomputed(self, tmp_path, damage,
+                                                     damage_fresh):
+        spec, fresh = damage_fresh
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(spec.key())
+        path.parent.mkdir(parents=True)
+        path.write_bytes(DAMAGE[damage](json.dumps(fresh.to_dict())))
+        assert cache.get(spec.key()) is None
+        events = []
+        (result,) = SweepRunner(jobs=1, cache=cache, on_event=lambda e:
+                                events.append(e.kind)).run([spec])
+        assert events == ["start", "done"]  # a miss, not a crash or a hit
+        assert result == fresh
+        assert cache.get(spec.key()) == fresh  # the entry was overwritten
+
 
 class TestFaultTolerance:
     """Regression: one worker exception used to abort the whole sweep,
@@ -326,6 +397,31 @@ class TestFaultTolerance:
         assert events[3].attempt == 2
         assert events[3].error and "colluder" in events[3].error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retries_run_in_rounds(self, jobs):
+        # A failed attempt is retried in the next round — in-process,
+        # after its siblings' first attempts, exactly as on a pool.
+        from repro.eval.runner import SweepFailure
+
+        bad = failing_spec()
+        good = ScenarioSpec("internet", "legacy", 1, config=FAST)
+        events = []
+        runner = SweepRunner(jobs=jobs, retries=1,
+                             on_event=lambda e: events.append(e))
+        with pytest.raises(SweepFailure) as excinfo:
+            runner.run([bad, good])
+        assert excinfo.value.results[1] == run_spec(good)
+        order = [(e.kind, "bad" if e.spec == bad else "good")
+                 for e in events]
+        if jobs == 1:
+            assert order == [("start", "bad"), ("retry", "bad"),
+                             ("start", "good"), ("done", "good"),
+                             ("start", "bad"), ("failed", "bad")]
+        else:  # completion order within a pool round is not fixed
+            assert order[:2] == [("start", "bad"), ("start", "good")]
+            assert sorted(order[2:4]) == [("done", "good"), ("retry", "bad")]
+            assert order[4:] == [("start", "bad"), ("failed", "bad")]
+
     def test_transient_failure_recovers_on_retry(self, monkeypatch):
         """A spec that fails once then succeeds (a crashed worker's
         retry) completes the sweep with no failure raised."""
@@ -358,14 +454,23 @@ class TestSweepRunner:
         assert SweepRunner().jobs == (os.cpu_count() or 1)
 
     def test_progress_callback_fires(self, tmp_path):
+        # on_event is the one progress channel: a spec is finished once
+        # per run, as "done" when simulated and "cached" when served.
         seen = []
         cache = ResultCache(tmp_path)
         specs = build_flood_specs("legacy", ("internet",), (1,), FAST)
         runner = SweepRunner(jobs=1, cache=cache,
-                             progress=lambda spec, cached: seen.append(cached))
+                             on_event=lambda e: seen.append(e.kind))
         runner.run(specs)
         runner.run(specs)
-        assert seen == [False, True]
+        assert [k for k in seen if k in ("done", "cached")] == [
+            "done", "cached"]
+
+    def test_takes_jobs_cache_retries_on_event_only(self):
+        import inspect
+
+        assert list(inspect.signature(SweepRunner).parameters) == [
+            "jobs", "cache", "retries", "on_event"]
 
     def test_run_points_aggregates_seeds(self):
         specs = build_flood_specs("legacy", ("internet",), (1,), FAST)

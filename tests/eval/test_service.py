@@ -1,31 +1,32 @@
-"""Tests for the sharded, resumable sweep service (repro.eval.service):
-deterministic partitioning, the crash-safe manifest, resume-after-failure
-byte-identity, progress streaming, and the `repro sweep` CLI."""
+"""Tests for sharded, resumable sweeps (repro.eval.service): deterministic
+partitioning, ``run_shard`` over a ``SweepRunner``, resume-after-failure
+byte-identity from the shared cache, the progress log, and the
+`repro sweep` CLI."""
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.api import (
     ExperimentConfig,
+    ProgressLog,
     ResultCache,
-    ScenarioSpec,
-    SweepManifest,
     SweepRunner,
-    SweepService,
     build_flood_specs,
-    default_manifest_path,
     parse_shard,
+    run_shard,
     shard_specs,
 )
-from repro.eval import service as service_module
 
 FAST = ExperimentConfig(duration=3.0)
 
 
 def fast_grid(schemes=("internet",), sweep=(1, 2, 3, 4)):
     return build_flood_specs("legacy", schemes, sweep, FAST)
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestParseShard:
@@ -66,59 +67,24 @@ class TestShardSpecs:
             shard_specs(specs, 0, 0)
 
 
-class TestManifest:
-    def test_record_and_statuses_last_wins(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        with SweepManifest(path) as manifest:
-            manifest.record("k1", "failed", error="boom")
-            manifest.record("k2", "done", elapsed=0.5)
-            manifest.record("k1", "done", elapsed=1.0)
-        statuses = SweepManifest(path).statuses()
-        assert statuses["k1"]["status"] == "done"
-        assert statuses["k2"]["elapsed"] == 0.5
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert SweepManifest(tmp_path / "nope.jsonl").statuses() == {}
-
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        """A SIGKILL mid-append must not make the manifest unloadable."""
-        path = tmp_path / "m.jsonl"
-        with SweepManifest(path) as manifest:
-            manifest.record("k1", "done")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k2", "stat')  # torn write
-        statuses = SweepManifest(path).statuses()
-        assert set(statuses) == {"k1"}
-
-    def test_default_path_is_grid_stable(self, tmp_path):
-        specs = fast_grid()
-        a = default_manifest_path(tmp_path, specs)
-        b = default_manifest_path(tmp_path, list(reversed(specs)))
-        assert a == b  # order-independent fingerprint
-        other = default_manifest_path(tmp_path, specs[:-1])
-        assert a != other
-
-
 class TestSweepService:
+    """``run_shard`` + ``SweepRunner.run_points`` over one shared cache."""
+
     def test_two_shards_cover_grid_with_zero_duplicates(self, tmp_path):
         specs = fast_grid()
         cache = ResultCache(tmp_path / "cache")
         logs = [tmp_path / "s0.jsonl", tmp_path / "s1.jsonl"]
         reports = []
         for shard in (0, 1):
-            service = SweepService(cache, jobs=1,
-                                   progress_log=logs[shard])
-            reports.append(service.run_shard(specs, shard=shard, of=2))
+            runner = SweepRunner(jobs=1, cache=cache,
+                                 on_event=ProgressLog(logs[shard]))
+            reports.append(run_shard(runner, specs, shard, 2))
         assert all(r.ok for r in reports)
         assert sum(r.assigned for r in reports) == len(specs)
         assert sum(r.completed for r in reports) == len(specs)
         # Zero duplicate simulation executions across the two shards.
-        done = [set(), set()]
-        for shard, log in enumerate(logs):
-            for line in log.read_text().splitlines():
-                record = json.loads(line)
-                if record["event"] == "done":
-                    done[shard].add(record["key"])
+        done = [{r["key"] for r in read_log(log) if r["event"] == "done"}
+                for log in logs]
         assert not done[0] & done[1]
         assert len(done[0] | done[1]) == len(specs)
 
@@ -126,67 +92,52 @@ class TestSweepService:
         specs = fast_grid()
         cache = ResultCache(tmp_path / "cache")
         for shard in (0, 1):
-            SweepService(cache, jobs=1).run_shard(specs, shard=shard, of=2)
+            run_shard(SweepRunner(jobs=1, cache=cache), specs, shard, 2)
         merge_cache = ResultCache(tmp_path / "cache")
-        merged = SweepService(merge_cache, jobs=1).merge(specs, title="t")
+        merged = SweepRunner(jobs=1, cache=merge_cache).run_points(
+            specs, title="t")
         assert merge_cache.hits == len(specs)  # zero re-executions
         reference = SweepRunner(jobs=1).run_points(specs, title="t")
         assert merged.to_json() == reference.to_json()
 
     def test_seed_replications_are_sharded_too(self, tmp_path):
         specs = fast_grid(sweep=(1, 2))
-        cache = ResultCache(tmp_path / "cache")
-        reports = [
-            SweepService(cache, jobs=1).run_shard(
-                specs, shard=shard, of=2, seeds=2)
-            for shard in (0, 1)
-        ]
+        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
+        reports = [run_shard(runner, specs, shard, 2, seeds=2)
+                   for shard in (0, 1)]
         assert sum(r.assigned for r in reports) == len(specs) * 2
-        merged = SweepService(cache, jobs=1).merge(specs, seeds=2, title="t")
+        merged = runner.run_points(specs, seeds=2, title="t")
         reference = SweepRunner(jobs=1).run_points(specs, seeds=2, title="t")
         assert merged.to_json() == reference.to_json()
 
     def test_rerun_is_served_from_cache(self, tmp_path):
         specs = fast_grid(sweep=(1, 2))
-        cache = ResultCache(tmp_path / "cache")
-        service = SweepService(cache, jobs=1)
-        first = service.run_shard(specs)
+        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
+        first = run_shard(runner, specs)
         assert (first.completed, first.cached) == (2, 0)
-        again = service.run_shard(specs)
+        again = run_shard(runner, specs)
         assert (again.completed, again.cached) == (0, 2)
 
-    def test_manifest_records_every_spec(self, tmp_path):
-        specs = fast_grid(sweep=(1, 2))
-        cache = ResultCache(tmp_path / "cache")
-        SweepService(cache, jobs=1).run_shard(specs)
-        manifest = SweepManifest(
-            default_manifest_path(cache.directory, specs))
-        statuses = manifest.statuses()
-        assert set(statuses) == {s.key() for s in specs}
-        assert all(r["status"] == "done" for r in statuses.values())
-        assert all(r["elapsed"] >= 0 for r in statuses.values())
-
     def test_requires_a_cache(self):
-        with pytest.raises(ValueError):
-            SweepService(None)
+        with pytest.raises(ValueError, match="ResultCache"):
+            run_shard(SweepRunner(jobs=1), fast_grid())
 
     def test_progress_log_timing_and_kinds(self, tmp_path):
         specs = fast_grid(sweep=(1,))
-        cache = ResultCache(tmp_path / "cache")
-        log = tmp_path / "progress.jsonl"
-        service = SweepService(cache, jobs=1, progress_log=log)
-        service.run_shard(specs)
-        service.run_shard(specs)  # warm: cached event
-        records = [json.loads(line)
-                   for line in log.read_text().splitlines()]
+        log_path = tmp_path / "progress.jsonl"
+        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"),
+                             on_event=ProgressLog(log_path))
+        run_shard(runner, specs)
+        run_shard(runner, specs)  # warm: cached event
+        records = read_log(log_path)
         assert [r["event"] for r in records] == ["start", "done", "cached"]
         assert records[1]["elapsed"] > 0
         assert records[0]["scheme"] == "internet"
 
 
 class TestCrashResume:
-    """The acceptance bar: a sweep interrupted mid-grid resumes via the
-    manifest+cache, re-executes only the incomplete specs, and the final
+    """The acceptance bar: a sweep interrupted mid-grid resumes from the
+    shared cache, re-executes only the incomplete specs, and the final
     SweepResult JSON is byte-identical to an uninterrupted run."""
 
     def failing_run_spec(self, real, bad_keys, calls):
@@ -205,42 +156,50 @@ class TestCrashResume:
         title = "crash-resume"
 
         # Reference: uninterrupted --jobs 1 run into its own cache.
-        ref_cache = ResultCache(tmp_path / "ref-cache")
-        reference = SweepService(ref_cache, jobs=1).merge(
-            specs, title=title).to_json()
+        reference = SweepRunner(
+            jobs=1, cache=ResultCache(tmp_path / "ref-cache"),
+        ).run_points(specs, title=title).to_json()
 
         # Interrupted run: one spec crashes on every attempt.
         cache = ResultCache(tmp_path / "cache")
+        log_path = tmp_path / "progress.jsonl"
         bad = {specs[2].key()}
         real = runner_module.run_spec
         calls = []
         monkeypatch.setattr(
             runner_module, "run_spec",
             self.failing_run_spec(real, bad, calls))
-        service = SweepService(cache, jobs=1, retries=1)
-        report = service.run_shard(specs)
+        runner = SweepRunner(jobs=1, cache=cache, retries=1,
+                             on_event=ProgressLog(log_path))
+        report = run_shard(runner, specs)
         assert not report.ok
         assert report.completed == len(specs) - 1
         (failure,) = report.failures
-        assert failure["key"] == specs[2].key()
-        assert failure["attempts"] == 2
-        manifest = SweepManifest(
-            default_manifest_path(cache.directory, specs))
-        assert manifest.statuses()[specs[2].key()]["status"] == "failed"
+        assert failure.spec == specs[2]
+        assert failure.attempts == 2
+        assert "FAILED internet/legacy/k=3/seed=1 after 2 attempt(s): " \
+            "OSError('simulated mid-grid crash')" in report.summary()
 
-        # Resume: the crash is gone; only the missing spec re-runs.
+        # Resume in a new runner, as a re-invocation would: the crash is
+        # gone; only the missing spec re-runs.
         monkeypatch.setattr(
             runner_module, "run_spec",
             self.failing_run_spec(real, set(), calls))
         calls.clear()
-        resumed = service.run_shard(specs)
+        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                             retries=1, on_event=ProgressLog(log_path))
+        resumed = run_shard(runner, specs)
         assert resumed.ok
         assert calls == [specs[2].key()]  # nothing else re-executed
         assert (resumed.completed, resumed.cached) == (1, len(specs) - 1)
-        assert manifest.statuses()[specs[2].key()]["status"] == "done"
+        # The progress log is the one journal: failed, then done.
+        verdicts = [r["event"] for r in read_log(log_path)
+                    if r["key"] == specs[2].key()
+                    and r["event"] in ("done", "failed")]
+        assert verdicts == ["failed", "done"]
 
         # The merged grid is byte-identical to the uninterrupted run.
-        merged = SweepService(cache, jobs=1).merge(
+        merged = SweepRunner(jobs=1, cache=cache).run_points(
             specs, title=title).to_json()
         assert merged == reference
 
@@ -273,17 +232,38 @@ class TestSweepCli:
         assert rc == 0
         assert capsys.readouterr().out == merged  # byte-identical
 
-    def test_shard_run_writes_manifest_and_progress_log(self, tmp_path,
-                                                        capsys):
+    def test_shard_run_writes_progress_log_and_no_manifest(self, tmp_path,
+                                                           capsys):
         log = tmp_path / "progress.jsonl"
         rc = self.run_cli(self.base_args(
             tmp_path, ["--shard", "0/2", "--jobs", "1",
                        "--progress-log", str(log)]))
         assert rc == 0
-        assert (tmp_path / "cache" / "manifests").exists()
+        # Resume reads the cache alone: results are all a shard writes.
+        cache_dir = tmp_path / "cache"
+        assert not (cache_dir / "manifests").exists()
+        assert {len(p.name) for p in cache_dir.iterdir()} == {2}
         assert log.exists()
         err = capsys.readouterr().err
         assert "shard 0/2" in err
+
+    def test_ticker_and_progress_log_share_one_event_stream(self, tmp_path,
+                                                            capsys):
+        log = tmp_path / "progress.jsonl"
+        args = self.base_args(tmp_path, ["--jobs", "1",
+                                         "--progress-log", str(log)])
+        assert self.run_cli(args) == 0  # cold: both specs run
+        assert self.run_cli(args) == 0  # warm: both served from cache
+        ticks = [tick.split("\n")[0].strip()
+                 for tick in capsys.readouterr().err.split("\r")[1:]]
+        done = ["internet k=1 seed=1 done", "internet k=2 seed=1 done"]
+        cached = [f"{tick} (cached)" for tick in done]
+        # Every pass ticks each spec once; the merge pass after each
+        # shard pass is pure reassembly and is not journaled.
+        assert ticks == done + cached + cached + cached
+        events = [r["event"] for r in read_log(log)]
+        assert events == ["start", "done", "start", "done",
+                          "cached", "cached"]
 
     def test_failed_spec_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         from repro.eval import runner as runner_module
@@ -300,19 +280,6 @@ class TestSweepCli:
     def test_rejects_bad_shard_selector(self, tmp_path):
         with pytest.raises(SystemExit):
             self.run_cli(self.base_args(tmp_path, ["--shard", "2/2"]))
-
-
-class TestGridKey:
-    def test_order_independent(self):
-        specs = fast_grid()
-        assert (service_module.grid_key(specs)
-                == service_module.grid_key(list(reversed(specs))))
-
-    def test_distinct_grids_differ(self):
-        specs = fast_grid()
-        other = [dataclasses.replace(s, seed=s.seed + 1) for s in specs]
-        assert (service_module.grid_key(specs)
-                != service_module.grid_key(other))
 
 
 def test_spec_shard_stability_across_hash_seeds():
