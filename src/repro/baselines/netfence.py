@@ -189,6 +189,14 @@ class MarkingFifo(DropTailQueue):
             self.mark_hook(pkt)
         return True
 
+    def admit_idle(self, pkt: Packet, now: float) -> Optional[Packet]:
+        head = super().admit_idle(pkt, now)
+        # An accepted packet alone in the FIFO is the whole backlog.
+        if (head is not None and self.mark_hook is not None
+                and head.size >= self.mark_threshold_bytes):
+            self.mark_hook(head)
+        return head
+
 
 class NetFenceRouterProcessor(RouterProcessor):
     """One NetFence router core.

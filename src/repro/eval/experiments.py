@@ -30,7 +30,7 @@ from ..core.params import (
     SERVER_GRANT_BYTES,
     SERVER_GRANT_SECONDS,
 )
-from ..schemes import scheme_names
+from ..schemes import GRANT_NEEDS, as_grant, is_grant, scheme_names
 
 #: Evaluated schemes, derived from the :mod:`repro.schemes` registry.
 SCHEMES = scheme_names()
@@ -109,7 +109,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # JSON turns tuples into lists; normalize so equality survives.
-        self.server_grant = tuple(self.server_grant)
+        self.server_grant = as_grant(self.server_grant)
+        if not is_grant(self.server_grant):
+            raise ValueError(
+                f"config.server_grant={self.server_grant!r} out of range, "
+                f"need {GRANT_NEEDS}"
+            )
 
     def to_dict(self) -> Dict:
         return asdict(self)

@@ -18,9 +18,11 @@ away anyway: absolute ``PERF`` values mean nothing, only deltas do.)
 The wrappers count from return values, which keeps the definitions
 exactly what the in-line increments used to be: once per scheduler
 level, and once for a subclass that reaches a wrapped method through
-``super()``.  The rare counts (``events_fired`` per ``run()``,
-``heap_compactions``) and the crypto/validation-cache ones are added by
-their owners directly.
+``super()``.  A link's idle cut-through (``admit_idle``) counts as the
+``enqueue`` + ``dequeue`` pair it replaces, so the counts do not depend
+on which path a packet took.  The rare counts (``events_fired`` per
+``run()``, ``heap_compactions``) and the crypto/validation-cache ones are
+added by their owners directly.
 
 A bound method keeps whichever function it was looked up as: one bound
 before a probe opens is not counted inside it, and one bound inside keeps
@@ -107,6 +109,22 @@ def _count_dequeue(method: Callable) -> Callable:
     return counted
 
 
+def _count_admit(method: Callable) -> Callable:
+    """An ``admit_idle`` override as the pair it replaces: a packet is one
+    of each, a ``None`` that left a backlog (a parked head) one
+    ``enqueues``.  The default calls the wrapped pair and needs no rule."""
+    @functools.wraps(method)
+    def counted(self, pkt, now):
+        head = method(self, pkt, now)
+        if head is not None:
+            PERF.enqueues += 1
+            PERF.dequeues += 1
+        elif self.backlog_pkts:
+            PERF.enqueues += 1
+        return head
+    return counted
+
+
 def _count_drained(method: Callable) -> Callable:
     """``dequeues``: ``_drained`` returns every packet a drain removed."""
     @functools.wraps(method)
@@ -151,6 +169,9 @@ PROBED: Tuple[Tuple[type, str, Callable], ...] = (
     (DropTailQueue, "dequeue", _count_dequeue),
     (DRRFairQueue, "dequeue", _count_dequeue),
     (PriorityScheduler, "dequeue", _count_dequeue),
+    (DropTailQueue, "admit_idle", _count_admit),
+    (DRRFairQueue, "admit_idle", _count_admit),
+    (PriorityScheduler, "admit_idle", _count_admit),
     (Qdisc, "_drained", _count_drained),
     (Simulator, "at", _count_event),
     (Simulator, "after", _count_event),

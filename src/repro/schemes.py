@@ -24,6 +24,7 @@ experiment harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
@@ -39,6 +40,23 @@ from .core.params import (
 from .sim.topology import SchemeFactory
 
 DEFAULT_SERVER_GRANT = (SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS)
+
+
+#: What :func:`is_grant` accepts, as an error message says it.
+GRANT_NEEDS = "[bytes, seconds], two positive numbers"
+
+
+def as_grant(value: Any) -> Any:
+    """``value`` with a JSON list folded back to a tuple."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def is_grant(value: Any) -> bool:
+    """Whether ``value`` is a ``(bytes, seconds)`` grant a destination can
+    issue: two positive finite numbers (booleans are not numbers here)."""
+    return isinstance(value, tuple) and len(value) == 2 and all(
+        type(v) in (int, float) and 0 < v < math.inf for v in value
+    )
 
 
 def _grant_policy(server_grant) -> Callable[[], ServerPolicy]:
@@ -126,7 +144,8 @@ class TvaKnobs(SchemeKnobs):
     regular_qdisc: str = "drr"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "server_grant", tuple(self.server_grant))
+        object.__setattr__(self, "server_grant", as_grant(self.server_grant))
+        self._require("server_grant", is_grant(self.server_grant), GRANT_NEEDS)
         self._require("request_fraction", 0 < self.request_fraction < 1,
                       "0 < request_fraction < 1")
         self._require("regular_qdisc", self.regular_qdisc in ("drr", "sfq"),
@@ -153,7 +172,8 @@ class SiffKnobs(SchemeKnobs):
     mark_bits: int = MARK_BITS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "server_grant", tuple(self.server_grant))
+        object.__setattr__(self, "server_grant", as_grant(self.server_grant))
+        self._require("server_grant", is_grant(self.server_grant), GRANT_NEEDS)
 
     def build(self, *, seed: int = 42,
               destination_policy: Optional[Callable] = None) -> SiffScheme:

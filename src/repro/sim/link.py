@@ -8,10 +8,13 @@ the paper's transfer-time results) carry over.
 
 Each channel keeps one float, ``busy_until``: the time the packet now on
 the wire finishes serializing.  ``send`` enqueues and, if the wire is
-free, pumps; ``_pump`` dequeues one packet, counts it transmitted, sets
-``busy_until = now + size * 8 / bandwidth`` and schedules its delivery at
-``busy_until + delay``.  A *wake-up* at the boundary is scheduled only
-when there is something to serve then — at pump time if a backlog
+free, pumps: ``_pump`` dequeues one packet and ``_start``, the one
+transmit site, counts it transmitted, sets ``busy_until = now + size * 8
+/ bandwidth`` and schedules its delivery at ``busy_until + delay``.  On
+an *idle* channel (empty qdisc, free wire, no wake-up pending) ``send``
+starts what ``qdisc.admit_idle`` returns instead — the same decisions
+without the queue round trip.  A *wake-up* at the boundary is scheduled
+only when there is something to serve then — at start time if a backlog
 remains, otherwise by the first ``send`` that finds the wire busy — so a
 packet crossing an idle link costs one event (its delivery), not two.
 
@@ -152,14 +155,18 @@ class Link:
         return self._send_on(self._chan, pkt)
 
     def _send_on(self, channel: _Channel, pkt: Packet) -> bool:
-        if not channel.qdisc.enqueue(pkt):
+        qdisc = channel.qdisc
+        now = self.sim.now
+        if not (qdisc.backlog_pkts or channel.wake_pending
+                or now < channel.busy_until):
+            # Idle: enqueue + dequeue in one call; ``None`` and no backlog is a refusal.
+            head = qdisc.admit_idle(pkt, now)
+            self._start(channel, head, now)
+            return head is not None or qdisc.backlog_pkts > 0
+        if not qdisc.enqueue(pkt):
             return False
         if not channel.wake_pending:
-            # _serve, with its free-wire branch inline: the per-packet case.
-            if self.sim.now >= channel.busy_until:
-                self._pump(channel)
-            else:
-                self._serve(channel)
+            self._serve(channel)
         return True
 
     def _serve(self, channel: _Channel) -> None:
@@ -209,8 +216,12 @@ class Link:
     def _pump(self, channel: _Channel) -> None:
         """Put the next queued packet on a free wire."""
         now = self.sim.now
+        self._start(channel, channel.qdisc.dequeue(now), now)
+
+    def _start(self, channel: _Channel, pkt: Optional[Packet], now: float) -> None:
+        """Put ``pkt``, just released by the qdisc, on the free wire; for
+        ``None``, poll a rate-limited backlog if one remains."""
         qdisc = channel.qdisc
-        pkt = qdisc.dequeue(now)
         if pkt is None:
             if not qdisc.backlog_pkts:
                 # Truly idle — nothing to poll for (every discipline's

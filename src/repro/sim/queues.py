@@ -14,6 +14,10 @@ All disciplines share the :class:`Qdisc` interface: ``enqueue`` returns
 ``False`` when the packet is dropped, ``dequeue(now)`` returns the next
 packet or ``None``, and ``next_ready(now)`` tells a link when a currently
 undequeuable backlog will become ready (used by rate-limited classes).
+``admit_idle(pkt, now)``, called by a link only on an empty discipline,
+returns and leaves behind exactly what ``enqueue(pkt)`` then
+``dequeue(now)`` would; the default is that pair, and the FIFO, DRR and
+the scheduler override it with what the empty state makes exact.
 
 Accounting contract — every decision is counted once, by the discipline
 that made it, on plain ``int`` attributes:
@@ -34,9 +38,11 @@ parent.
 
 The op counts (``enqueues``/``dequeues``, once per level) are not taken
 here: while open, a :class:`repro.perf.opcounts.OpCountProbe` wraps
-``enqueue``, ``dequeue`` and :meth:`Qdisc._drained` of the classes below
-and counts from their return values (``True``/a packet counts, ``False``/
-``None`` does not), so an unprobed run pays nothing for them.
+``enqueue``, ``dequeue``, the ``admit_idle`` overrides and
+:meth:`Qdisc._drained` of the classes below and counts from their return
+values (``True``/a packet counts, ``False``/``None`` does not; an
+``admit_idle`` packet is one of each), so an unprobed run pays nothing
+for them.
 """
 
 from __future__ import annotations
@@ -59,6 +65,12 @@ class Qdisc:
 
     #: Reason labels this discipline can drop for.
     DROP_REASONS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A redefined enqueue/dequeue must not be skipped by an inherited shortcut.
+        if "admit_idle" not in vars(cls) and {"enqueue", "dequeue"} & vars(cls).keys():
+            cls.admit_idle = Qdisc.admit_idle
 
     def __init__(self) -> None:
         self.backlog_bytes = 0
@@ -87,6 +99,12 @@ class Qdisc:
 
     def dequeue(self, now: float) -> Optional[Packet]:
         raise NotImplementedError
+
+    def admit_idle(self, pkt: Packet, now: float) -> Optional[Packet]:
+        """``enqueue(pkt)`` then ``dequeue(now)`` on an empty discipline.  An
+        override must return the same packet and leave the same state
+        (tallies, drop reasons and hooks, cursors, tokens, parked heads)."""
+        return self.dequeue(now) if self.enqueue(pkt) else None
 
     def next_ready(self, now: float) -> Optional[float]:
         """Earliest absolute time a backlogged packet could dequeue, or
@@ -159,6 +177,13 @@ class DropTailQueue(Qdisc):
         self.backlog_bytes += size
         self.backlog_pkts += 1
         return True
+
+    def admit_idle(self, pkt: Packet, now: float) -> Optional[Packet]:
+        # Empty, so only the byte limit can refuse (limit_pkts is >= 1).
+        if self.limit_bytes is not None and pkt.size > self.limit_bytes:
+            self._drop(pkt, "tail")
+            return None
+        return pkt
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._queue:
@@ -254,6 +279,17 @@ class DRRFairQueue(Qdisc):
         self.backlog_bytes += size
         self.backlog_pkts += 1
         return True
+
+    def admit_idle(self, pkt: Packet, now: float) -> Optional[Packet]:
+        # A new key's checks; serving and retiring its flow at once would
+        # leave the cursor at 0, where an empty round's already is.
+        if len(self._flows) >= self.max_queues:
+            self._drop(pkt, "no_slot")
+            return None
+        if pkt.size > self.limit_bytes_per_queue:
+            self._drop(pkt, "overflow")
+            return None
+        return pkt
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self.backlog_pkts:
@@ -459,6 +495,26 @@ class PriorityScheduler(Qdisc):
         self.backlog_bytes += pkt.size
         self.backlog_pkts += 1
         return True
+
+    def admit_idle(self, pkt: Packet, now: float) -> Optional[Packet]:
+        # All classes are empty, so the dequeue after enqueue serves this one.
+        idx = self.classify(pkt)
+        if idx is None:
+            self._drop(pkt, "unclassified")
+            return None
+        qdisc, bucket = self._classes[idx]
+        head = qdisc.admit_idle(pkt, now)
+        if head is None:
+            if not qdisc.backlog_pkts:
+                self._drop(pkt, "child")
+                return None
+        elif bucket is None or bucket.try_consume(head.size, now):
+            return head
+        else:
+            self._deferred[idx] = head
+        self.backlog_bytes += pkt.size
+        self.backlog_pkts += 1
+        return None
 
     def dequeue(self, now: float) -> Optional[Packet]:
         # Parked heads stay in this scheduler's backlog accounting, so an

@@ -123,6 +123,18 @@ class TestBadInput:
                      id="scenario-negative-duration"),
         pytest.param(["sweep", "--sweep", "1,-4"],
                      "n_attackers must be >= 0", id="sweep-negative-sweep"),
+        pytest.param(["scenario", "--scheme-opt", "server_grant=[32000]",
+                      "--attackers", "2", "--duration", "1"],
+                     "server_grant", id="scenario-grant-one-number"),
+        pytest.param(["scenario", "--scheme-opt", "server_grant=[0,10]",
+                      "--attackers", "2", "--duration", "1"],
+                     "server_grant", id="scenario-grant-zero-bytes"),
+        pytest.param(["scenario", "--scheme-opt", "server_grant=[-5,10]",
+                      "--attackers", "2", "--duration", "1"],
+                     "server_grant", id="scenario-grant-negative-bytes"),
+        pytest.param(["scenario", "--scheme", "siff",
+                      "--scheme-opt", "server_grant=[32000,0]"],
+                     "server_grant", id="scenario-siff-grant-zero-seconds"),
     ])
     def test_one_error_line_exit_2(self, capsys, tmp_path, argv, complaint):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2

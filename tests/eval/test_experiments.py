@@ -142,6 +142,14 @@ class TestConfigRoundTrip:
         assert ExperimentConfig(server_grant=[1000, 5]) == \
             ExperimentConfig(server_grant=(1000, 5))
 
+    @pytest.mark.parametrize("grant", [
+        [32000], [0, 10], [-5, 10], [32000, 0], [32000, 10, 1], 5,
+        [True, 10], [32000, float("inf")],
+    ])
+    def test_config_rejects_a_bad_grant(self, grant):
+        with pytest.raises(ValueError, match="config.server_grant"):
+            ExperimentConfig(server_grant=grant)
+
 
 class TestFig11ConfigIsolation:
     def test_run_fig11_does_not_mutate_callers_config(self):

@@ -96,7 +96,7 @@ class _Stub:
 class _Run:
     """One scenario driven to completion, with everything the link did
     recorded from outside it: arrivals, transmission starts (every
-    successful ``dequeue``), deliveries, and the packet accounting at a
+    successful ``dequeue`` or ``admit_idle``), deliveries, and the packet accounting at a
     mid-run cut and at the end."""
 
     def __init__(self, kind, arrivals, fault, cut):
@@ -118,6 +118,16 @@ class _Run:
             return pkt
 
         qdisc.dequeue = dequeue
+        real_admit_idle = qdisc.admit_idle
+
+        def admit_idle(pkt, now):
+            # The idle link's cut-through starts a packet without dequeue.
+            head = real_admit_idle(pkt, now)
+            if head is not None:
+                self.starts.append((now, head.uid))
+            return head
+
+        qdisc.admit_idle = admit_idle
 
         def send(flow, size, uid):
             self.arrival[uid] = (sim.now, flow, size)

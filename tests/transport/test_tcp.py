@@ -6,6 +6,7 @@ from repro.sim import (
     DropTailQueue,
     Host,
     Link,
+    Qdisc,
     Simulator,
     build_static_routes,
 )
@@ -25,6 +26,15 @@ def two_hosts(bandwidth_bps=10e6, delay=0.03, limit_pkts=50):
     server.add_link(ba)
     build_static_routes([client, server])
     return sim, client, server
+
+
+def patch_enqueue(link, enqueue):
+    """Replace ``link``'s queue ``enqueue``.  An idle link hands packets to
+    ``admit_idle`` instead, so route that through the default, which is
+    ``enqueue`` + ``dequeue`` and so reaches the replacement."""
+    qdisc = link.qdisc
+    qdisc.enqueue = enqueue
+    qdisc.admit_idle = lambda pkt, now: Qdisc.admit_idle(qdisc, pkt, now)
 
 
 class Outcome:
@@ -124,7 +134,7 @@ class TestSynBehaviour:
                 dropped.append(pkt)
                 return False
             return orig(pkt)
-        client.links_out[0].qdisc.enqueue = drop_first
+        patch_enqueue(client.links_out[0], drop_first)
         _, outcome = transfer(sim, client, server)
         sim.run(until=5.0)
         assert outcome.completed_at is not None
@@ -141,7 +151,7 @@ class TestLossRecovery:
             if counter["i"] in lose_indices:
                 return False
             return orig(pkt)
-        link.qdisc.enqueue = enqueue
+        patch_enqueue(link, enqueue)
 
     def test_fast_retransmit_recovers_quickly(self):
         sim, client, server = two_hosts()
@@ -170,7 +180,7 @@ class TestLossRecovery:
             if counter["i"] >= 1:
                 return False
             return orig(pkt)
-        client.links_out[0].qdisc.enqueue = enqueue
+        patch_enqueue(client.links_out[0], enqueue)
         _, outcome = transfer(sim, client, server)
         sim.run(until=300.0)
         assert outcome.failed_at is not None
