@@ -177,6 +177,8 @@ class MarkingFifo(DropTailQueue):
     uplinks) never marks.
     """
 
+    __slots__ = ("mark_threshold_bytes", "mark_hook")
+
     def __init__(self, limit_bytes: int, mark_threshold_bytes: int) -> None:
         super().__init__(limit_bytes=limit_bytes, limit_pkts=None)
         self.mark_threshold_bytes = mark_threshold_bytes

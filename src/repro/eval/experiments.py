@@ -22,6 +22,7 @@ per user); the *shape* of every curve is preserved.  Pass a larger
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -74,7 +75,10 @@ REMOVED_KEYS = {
 
 
 def reject_removed_keys(data: Dict, what: str) -> None:
-    """Raise ``ValueError`` naming the first removed field ``data`` carries."""
+    """Raise ``ValueError`` naming ``what`` unless ``data`` is a mapping,
+    or naming the first removed field it carries."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"stored {what} must be a mapping, got {type(data).__name__}")
     stale = sorted(REMOVED_KEYS.keys() & data.keys())
     if stale:
         key = stale[0]

@@ -52,6 +52,7 @@ from ..transport import (
     RepeatingTransferClient,
     TcpListener,
 )
+from ..transport.agents import JitterStream
 from ..transport.tcp import TcpStats
 from .cache import ResultCache
 from .experiments import (
@@ -193,10 +194,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (e.g. a JSON file)."""
+        """Rebuild a spec from :meth:`to_dict` output (e.g. a JSON file);
+        a missing ``config`` is the default one."""
         reject_removed_keys(data, "spec")
         data = dict(data)
-        data["config"] = ExperimentConfig.from_dict(data["config"])
+        data["config"] = ExperimentConfig.from_dict(data.get("config", {}))
         data["faults"] = FaultSchedule.from_dict(data.get("faults"))
         return cls(**data)
 
@@ -337,7 +339,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
                 starts=starts,
                 jitter=0.3,
                 rngs=[
-                    random.Random(config.seed * 1000 + idx + j)
+                    JitterStream(config.seed * 1000 + idx + j)
                     for j in range(unit.count)
                 ],
             )
@@ -353,7 +355,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
                 mode=mode,
                 start_at=start + rng.uniform(0, 0.01),
                 jitter=0.3,
-                rng=random.Random(config.seed * 1000 + idx),
+                rng=JitterStream(config.seed * 1000 + idx),
             )
             idx += 1
     injector = None

@@ -61,7 +61,12 @@ class Qdisc:
     ``backlog_pkts``, ``backlog_bytes``, ``drops``, ``drop_bytes`` and the
     per-reason ``drop_reasons`` are plain ints anyone may read; the
     observability layer reads them through :meth:`metric_items`.
+    Disciplines are slotted and build containers on first use: a flood
+    holds a scheduler per member channel, most only ever ``admit_idle``.
     """
+
+    __slots__ = ("backlog_bytes", "backlog_pkts", "drops", "drop_bytes",
+                 "_drop_reasons", "label", "drop_hook")
 
     #: Reason labels this discipline can drop for.
     DROP_REASONS: tuple = ()
@@ -77,13 +82,20 @@ class Qdisc:
         self.backlog_pkts = 0
         self.drops = 0
         self.drop_bytes = 0
-        self.drop_reasons: Dict[str, int] = dict.fromkeys(self.DROP_REASONS, 0)
+        self._drop_reasons: Optional[Dict[str, int]] = None
         #: Label used by the observability layer to name this discipline
         #: inside a scheduler hierarchy (e.g. "request", "regular").
         self.label: str = ""
         #: Optional callback invoked with each dropped packet; pushback's
         #: aggregate detection feeds on this.
         self.drop_hook: Optional[Callable[[Packet], None]] = None
+
+    @property
+    def drop_reasons(self) -> Dict[str, int]:
+        """Drops per reason label; every label reads 0 before the first drop."""
+        if self._drop_reasons is None:
+            return dict.fromkeys(self.DROP_REASONS, 0)
+        return self._drop_reasons
 
     def metric_items(self) -> Iterator[MetricItem]:
         """This discipline's tallies as ``(suffix, read)`` pairs."""
@@ -129,7 +141,10 @@ class Qdisc:
         ``return self._drop(...)``."""
         self.drops += 1
         self.drop_bytes += pkt.size
-        self.drop_reasons[reason] += 1
+        reasons = self._drop_reasons
+        if reasons is None:
+            reasons = self._drop_reasons = dict.fromkeys(self.DROP_REASONS, 0)
+        reasons[reason] += 1
         if self.drop_hook is not None:
             self.drop_hook(pkt)
         return False
@@ -149,6 +164,8 @@ class DropTailQueue(Qdisc):
     legacy-Internet baseline so large flood packets and small TCP control
     packets face the same loss rate) or in bytes, or both."""
 
+    __slots__ = ("limit_bytes", "limit_pkts", "_queue")
+
     DROP_REASONS = ("tail",)
 
     def __init__(
@@ -165,7 +182,8 @@ class DropTailQueue(Qdisc):
             raise ValueError("queue packet limit must be positive")
         self.limit_bytes = limit_bytes
         self.limit_pkts = limit_pkts
-        self._queue: Deque[Packet] = deque()
+        #: Built by the first enqueue; ``None`` reads as an empty FIFO.
+        self._queue: Optional[Deque[Packet]] = None
 
     def enqueue(self, pkt: Packet) -> bool:
         size = pkt.size
@@ -173,7 +191,10 @@ class DropTailQueue(Qdisc):
             return self._drop(pkt, "tail")
         if self.limit_pkts is not None and self.backlog_pkts + 1 > self.limit_pkts:
             return self._drop(pkt, "tail")
-        self._queue.append(pkt)
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque()
+        queue.append(pkt)
         self.backlog_bytes += size
         self.backlog_pkts += 1
         return True
@@ -194,8 +215,8 @@ class DropTailQueue(Qdisc):
         return pkt
 
     def drain(self) -> List[Packet]:
-        drained = list(self._queue)
-        self._queue.clear()
+        drained = list(self._queue or ())
+        self._queue = None
         return self._drained(drained)
 
 
@@ -227,6 +248,9 @@ class DRRFairQueue(Qdisc):
     Fairness is byte-based: each active queue receives ``quantum`` bytes of
     deficit per round, the standard DRR algorithm of Shreedhar & Varghese.
     """
+
+    __slots__ = ("key_fn", "limit_bytes_per_queue", "max_queues", "quantum",
+                 "_flows", "_round", "_round_idx")
 
     DROP_REASONS = ("overflow", "no_slot")
 
@@ -349,6 +373,8 @@ class StochasticFairQueue(DRRFairQueue):
     ``tests/sim/test_sfq.py`` for the collision attack.
     """
 
+    __slots__ = ("_flow_key_fn", "n_buckets", "salt")
+
     def __init__(
         self,
         key_fn: Callable[[Packet], Hashable],
@@ -385,6 +411,8 @@ class TokenBucket:
     Tokens are stored as bytes.  ``burst_bytes`` caps accumulation so an
     idle request class cannot save up an unbounded burst allowance.
     """
+
+    __slots__ = ("rate_Bps", "burst_bytes", "_tokens", "_last")
 
     def __init__(self, rate_bps: float, burst_bytes: int = 3000) -> None:
         if rate_bps <= 0:
@@ -462,6 +490,8 @@ class PriorityScheduler(Qdisc):
     bucket covers the head packet (this is how TVA confines requests to
     5% of the link without ever letting them starve, Figure 2).
     """
+
+    __slots__ = ("classify", "_classes", "_deferred")
 
     DROP_REASONS = ("child", "unclassified")
 

@@ -30,6 +30,7 @@ policy's suspect set relies on.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -222,6 +223,10 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologySpec":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"topology must be a mapping, got {type(data).__name__}")
+        if "name" not in data:
+            raise ValueError("topology needs a 'name'")
         return cls(
             name=data["name"],
             nodes=tuple(NodeSpec(**n) for n in data.get("nodes", ())),

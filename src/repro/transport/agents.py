@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import List, Optional
+from array import array
+from typing import List, Optional, Union
 
 from ..core.header import RequestHeader
 from ..sim.engine import Simulator
@@ -111,6 +112,50 @@ class PacketSink:
         self.bytes += pkt.size
 
 
+class JitterStream:
+    """``random.Random(seed)``'s ``uniform`` draws, held as stored draws.
+
+    ``uniform(a, b)`` returns exactly what ``random.Random(seed).uniform(a,
+    b)`` would, draw for draw.  A flood member draws once per packet, and
+    a short-lived one makes far fewer draws than its generator's 2.5 KB
+    of Mersenne-Twister state is worth: when the stored draws run out, a
+    generator is seeded, replayed past the draws already made, and asked
+    for as many again as have been made (at least 32) before it is
+    dropped.  Once a refill would store 312 draws — as many bytes as the
+    generator's 624-word state — the stream keeps the generator instead.
+    """
+
+    __slots__ = ("_seed", "_made", "_draws", "_rng")
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._made = 0
+        #: Upcoming ``random()`` values, the next one last (``pop`` takes it).
+        self._draws: Optional[array] = None
+        self._rng: Optional[random.Random] = None
+
+    def uniform(self, a: float, b: float) -> float:
+        # random.Random.uniform's own formula, over a live or stored random().
+        if self._rng is not None:
+            return a + (b - a) * self._rng.random()
+        if not self._draws:
+            self._refill()
+            return self.uniform(a, b)
+        self._made += 1
+        return a + (b - a) * self._draws.pop()
+
+    def _refill(self) -> None:
+        rng = random.Random(self._seed)
+        for _ in range(self._made):
+            rng.random()
+        count = max(32, self._made)
+        if count >= 312:
+            self._rng = rng
+            self._draws = None
+            return
+        self._draws = array("d", [rng.random() for _ in range(count)][::-1])
+
+
 class CbrFlood:
     """A constant-bit-rate flood source.
 
@@ -145,7 +190,7 @@ class CbrFlood:
         start_at: float = 0.0,
         stop_at: Optional[float] = None,
         jitter: float = 0.0,
-        rng: Optional[random.Random] = None,
+        rng: Optional[Union[random.Random, JitterStream]] = None,
     ) -> None:
         if mode not in ("legacy", "request", "shim"):
             raise ValueError(f"unknown flood mode {mode!r}")
@@ -235,7 +280,7 @@ class AggregateSender:
         starts: Optional[List[float]] = None,
         stop_at: Optional[float] = None,
         jitter: float = 0.0,
-        rngs: Optional[List[random.Random]] = None,
+        rngs: Optional[List[Union[random.Random, JitterStream]]] = None,
     ) -> None:
         if mode not in ("legacy", "request", "shim"):
             raise ValueError(f"unknown flood mode {mode!r}")
@@ -255,7 +300,7 @@ class AggregateSender:
         if rngs is not None and len(rngs) != self.count:
             raise ValueError(f"got {len(rngs)} rngs for {self.count} members")
         self.rngs = rngs if rngs is not None else [
-            random.Random(host.address + i) for i in range(self.count)
+            JitterStream(host.address + i) for i in range(self.count)
         ]
         self.packets_sent = 0
         self.probes_sent = 0

@@ -124,6 +124,24 @@ class TestScenarioSpec:
                                              f"scheme_options.*\"{knob}\""):
             ScenarioSpec.from_dict(stored)
 
+    def test_from_dict_defaults_a_missing_config(self):
+        spec = ScenarioSpec.from_dict(
+            {"scheme": "tva", "attack": "legacy", "n_attackers": 5})
+        assert spec == ScenarioSpec("tva", "legacy", 5)
+
+    @pytest.mark.parametrize("field,data", [
+        ("spec", []),
+        ("config", {"scheme": "tva", "attack": "legacy", "n_attackers": 5,
+                    "config": [1]}),
+        ("topology", {"scheme": "tva", "attack": "legacy", "n_attackers": 5,
+                      "topology": "tree"}),
+        ("topology", {"scheme": "tva", "attack": "legacy", "n_attackers": 5,
+                      "topology": {"nodes": []}}),
+    ], ids=["spec-list", "config-list", "topology-str", "topology-no-name"])
+    def test_from_dict_names_the_malformed_field(self, field, data):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(data)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'tvaa'.*tva"):
             ScenarioSpec("tvaa", "legacy", 1)

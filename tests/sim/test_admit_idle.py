@@ -144,6 +144,28 @@ def _run_history(qdisc, history):
     return now
 
 
+#: Containers a discipline builds on first use, and what each reads as
+#: before that: a FIFO not yet built is an empty one, a drop tally not yet
+#: built is all zeros.
+UNBUILT = {
+    "_queue": lambda obj: deque(),
+    "_drop_reasons": lambda obj: obj.drop_reasons,
+}
+
+
+def fields(obj):
+    """Every attribute of ``obj``: the slots along its MRO (unbuilt
+    containers as their empty form) and any instance ``__dict__``."""
+    values = dict(getattr(obj, "__dict__", {}))
+    for cls in type(obj).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            value = getattr(obj, name)
+            if value is None and name in UNBUILT:
+                value = UNBUILT[name](obj)
+            values[name] = value
+    return values
+
+
 def state(obj):
     """Comparable form of a discipline's whole state: packets by uid,
     containers element-wise, objects by their fields, functions by name."""
@@ -154,10 +176,8 @@ def state(obj):
     if isinstance(obj, dict):
         # repro: allow-unordered-iter — builds a dict; == ignores order
         return {key: state(value) for key, value in obj.items()}
-    if isinstance(obj, _Flow):
-        return state({name: getattr(obj, name) for name in _Flow.__slots__})
-    if isinstance(obj, (Qdisc, TokenBucket, Recorder)):
-        return (type(obj).__name__, state(vars(obj)))
+    if isinstance(obj, (Qdisc, TokenBucket, Recorder, _Flow)):
+        return (type(obj).__name__, state(fields(obj)))
     if callable(obj):
         return ("fn", getattr(obj, "__qualname__", type(obj).__name__))
     return obj
@@ -177,6 +197,20 @@ def test_admit_idle_is_enqueue_then_dequeue(family, history, arrival, wait):
     want = pair.dequeue(now) if pair.enqueue(_packet(1, *arrival)) else None
     assert state(got) == state(want)
     assert state(shortcut) == state(pair)
+
+
+@pytest.mark.parametrize(
+    "family", sorted(set(FAMILIES) - {"drr_no_slots"}))  # that one holds nothing
+def test_state_sees_what_is_queued(family):
+    """Guards the comparison above: ``state`` must read down to the queued
+    packets, or every pair would compare equal."""
+    empty = FAMILIES[family]()
+    one, other = copy.deepcopy(empty), copy.deepcopy(empty)
+    assert one.enqueue(_packet(1, "legacy", 40, 2))
+    assert other.enqueue(_packet(2, "legacy", 40, 2))
+    assert state(one) != state(empty)
+    # Same tallies; only the held packet differs.
+    assert state(one) != state(other)
 
 
 @pytest.mark.parametrize("family", ["tva", "priority", "nested_priority"])

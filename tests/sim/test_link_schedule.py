@@ -109,25 +109,28 @@ class _Run:
         self.deliveries = sink.got
         self.down = None   # (down_at, up_at)
 
-        real_dequeue = qdisc.dequeue
+        starts = self.starts
 
-        def dequeue(now):
-            pkt = real_dequeue(now)
-            if pkt is not None:
-                self.starts.append((now, pkt.uid))
-            return pkt
+        class Recorded(type(qdisc)):
+            """The qdisc's own class, recording each transmission start."""
 
-        qdisc.dequeue = dequeue
-        real_admit_idle = qdisc.admit_idle
+            __slots__ = ()
 
-        def admit_idle(pkt, now):
-            # The idle link's cut-through starts a packet without dequeue.
-            head = real_admit_idle(pkt, now)
-            if head is not None:
-                self.starts.append((now, head.uid))
-            return head
+            def dequeue(self, now):
+                pkt = super().dequeue(now)
+                if pkt is not None:
+                    starts.append((now, pkt.uid))
+                return pkt
 
-        qdisc.admit_idle = admit_idle
+            def admit_idle(self, pkt, now):
+                # The idle link's cut-through starts a packet without dequeue.
+                head = super().admit_idle(pkt, now)
+                if head is not None:
+                    starts.append((now, head.uid))
+                return head
+
+        # Queues are slotted: the recording lives on a throwaway subclass.
+        qdisc.__class__ = Recorded
 
         def send(flow, size, uid):
             self.arrival[uid] = (sim.now, flow, size)

@@ -164,6 +164,14 @@ class TestRoundTrip:
         assert again == spec
         assert again.canonical() == spec.canonical()
 
+    @pytest.mark.parametrize("data,message", [
+        ({}, "topology needs a 'name'"),
+        ([], "topology must be a mapping, got list"),
+    ], ids=["no-name", "list"])
+    def test_malformed_dict_is_a_named_error(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            TopologySpec.from_dict(data)
+
     def test_specs_are_hashable_and_stable(self):
         a = tree_spec()
         b = tree_spec()

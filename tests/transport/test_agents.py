@@ -1,5 +1,7 @@
 """Tests for traffic agents."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -12,6 +14,7 @@ from repro.sim import (
 )
 from repro.core.header import RequestHeader
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
+from repro.transport.agents import JitterStream
 
 
 def two_hosts(bandwidth_bps=10e6, delay=0.03):
@@ -130,6 +133,18 @@ class TestCbrFlood:
             CbrFlood(sim, a, 2, rate_bps=0)
         with pytest.raises(ValueError):
             CbrFlood(sim, a, 2, mode="nonsense")
+
+
+class TestJitterStream:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 10**12 + 7])
+    def test_draws_equal_random_uniform(self, seed):
+        """3 000 draws cross every refill (after 32, 64, 128 and 256
+        draws) and the switch to a kept generator at 512; the jitter
+        bound varies so the stored values must be ``random()`` itself."""
+        stream, reference = JitterStream(seed), random.Random(seed)
+        for n in range(3_000):
+            j = 0.05 * (1 + n % 7)
+            assert stream.uniform(-j, j) == reference.uniform(-j, j), n
 
 
 class TestPacketSink:

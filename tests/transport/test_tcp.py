@@ -29,12 +29,22 @@ def two_hosts(bandwidth_bps=10e6, delay=0.03, limit_pkts=50):
 
 
 def patch_enqueue(link, enqueue):
-    """Replace ``link``'s queue ``enqueue``.  An idle link hands packets to
-    ``admit_idle`` instead, so route that through the default, which is
-    ``enqueue`` + ``dequeue`` and so reaches the replacement."""
+    """Replace ``link``'s queue ``enqueue`` with ``enqueue(pkt)``.
+
+    Queues are slotted, so the override lives on a throwaway subclass the
+    queue is moved to.  Redefining ``enqueue`` there also hands the
+    subclass the default ``admit_idle`` (``enqueue`` + ``dequeue``), so
+    packets reaching an idle link go through the replacement too."""
     qdisc = link.qdisc
-    qdisc.enqueue = enqueue
-    qdisc.admit_idle = lambda pkt, now: Qdisc.admit_idle(qdisc, pkt, now)
+
+    class Patched(type(qdisc)):
+        __slots__ = ()
+
+        def enqueue(self, pkt):
+            return enqueue(pkt)
+
+    qdisc.__class__ = Patched
+    assert Patched.admit_idle is Qdisc.admit_idle
 
 
 class Outcome:
