@@ -12,15 +12,15 @@ legitimate requests are blocked until the next transition".
 
 from conftest import print_flood_table  # noqa: F401  (shared import side)
 
-from repro.eval import run_fig11_imprecise
+from repro.api import FIGURES
 
-DURATION = 50.0
-ATTACK_START = 10.0
+#: ``repro fig11``'s attack start (a fixed argument of its grid).
+ATTACK_START = dict(FIGURES["fig11"].fixed)["attack_start"]
 
 
 def _run(scheme, pattern):
-    return run_fig11_imprecise(scheme, pattern, attack_start=ATTACK_START,
-                               duration=DURATION)
+    # The repro fig11 run at its defaults: 100 attackers, a 50 s window.
+    return FIGURES["fig11"].run(scheme=scheme, pattern=pattern)
 
 
 def _report(result):

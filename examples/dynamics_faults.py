@@ -8,37 +8,31 @@ demotion, and senders re-request — a bounded hiccup.  SIFF loses its
 marks the same way but recovers poorly (explorer packets compete with
 legacy floods), and the stateless Internet never notices.
 
-This example runs the comparison two ways: the one-call ``run_dynamics``
-experiment behind ``python -m repro dynamics``, then a hand-built
+This example runs the comparison two ways: the ``dynamics`` entry of
+``FIGURES`` — what ``python -m repro dynamics`` runs — then a hand-built
 fault-bearing :class:`ScenarioSpec` to show the scheduling API.
 
 Run:  python examples/dynamics_faults.py
 """
 
 from repro.api import (
+    FIGURES,
     ExperimentConfig,
     FaultSchedule,
     LinkDown,
     LinkUp,
     RouterReboot,
     ScenarioSpec,
-    run_dynamics,
     run_scenario,
 )
 
-REBOOT_AT = 8.0
-DURATION = 20.0
-
 
 def main() -> None:
-    print(f"rebooting router R1 at t={REBOOT_AT:g}s of {DURATION:g}s, "
-          "secret rotated\n")
-    result = run_dynamics(
-        schemes=("tva", "siff", "internet"),
-        reboot_at=REBOOT_AT,
-        duration=DURATION,
-        metrics=True,
-    )
+    dynamics = FIGURES["dynamics"]
+    at = dynamics.defaults
+    print(f"rebooting router {at['router']} at t={at['reboot_at']:g}s of "
+          f"{at['duration']:g}s, secret rotated\n")
+    result = dynamics.run(schemes=("tva", "siff", "internet"), metrics=True)
     print(result.table())
     print()
     print("TVA dips, re-requests, and climbs back; SIFF's marks die")

@@ -13,6 +13,10 @@ Three entry points cover the common workflows:
 * :func:`build_scheme` — instantiate any registered scheme by name,
   with knob overrides (the :data:`SCHEMES` registry).
 
+A paper artifact is one more call: ``FIGURES["fig11"].run(scheme="siff")``
+runs what ``repro fig11 --scheme siff`` runs and returns the record it
+prints (:data:`FIGURES` holds Figures 8–11 and the reboot experiment).
+
 Scripts should import from here; the deep module paths
 (``repro.eval.runner`` etc.) remain importable but are implementation
 detail.  There is one run path — a :class:`ScenarioSpec` goes through
@@ -21,13 +25,7 @@ detail.  There is one run path — a :class:`ScenarioSpec` goes through
 cache, :class:`ResultCache` over a directory.  :class:`SweepRunner` is
 also the one sweep driver: :func:`run_scenario`, :func:`sweep` and
 :func:`run_shard` (one slice of a sharded grid) all go through it, and
-its ``on_event`` stream is the one progress channel.  Duplicates are
-removed outright rather than deprecated: the keyword-argument twin of
-the spec, the second per-point result record, the per-figure runner
-functions, the pluggable cache-backend layer, the second sweep driver
-class with its resume manifest, and the second progress callback are
-gone from this surface with no shim left behind (CHANGES.md lists every
-removed name and its replacement).
+its ``on_event`` stream is the one progress channel.
 """
 
 from __future__ import annotations
@@ -77,7 +75,9 @@ from .faults import (
 
 # -- curated scenario library ----------------------------------------------
 from .scenarios import (
+    FIGURES,
     SCENARIOS as SCENARIO_LIBRARY,
+    FigureDef,
     ScenarioDef,
     format_scenario_table,
     get_scenario,
@@ -86,13 +86,7 @@ from .scenarios import (
 
 # -- scenario running ------------------------------------------------------
 from .eval.cache import ResultCache, default_cache_dir
-from .eval.dynamics import (
-    DYNAMICS_SCHEMES,
-    DynamicsResult,
-    build_dynamics_spec,
-    recovery_time,
-    run_dynamics,
-)
+from .eval.dynamics import DynamicsResult, build_dynamics_spec, recovery_time
 from .eval.experiments import ExperimentConfig
 from .eval.results import PointResult, RunResult, ShardReport, SweepResult
 from .eval.runner import (
@@ -243,6 +237,9 @@ __all__ = [
     "ProgressLog",
     "shard_specs",
     "parse_shard",
+    # the paper's simulated artifacts
+    "FIGURES",
+    "FigureDef",
     # curated scenario library
     "SCENARIO_LIBRARY",
     "ScenarioDef",
@@ -265,11 +262,9 @@ __all__ = [
     "RouterReboot",
     "parse_fault",
     # dynamics
-    "DYNAMICS_SCHEMES",
     "DynamicsResult",
     "build_dynamics_spec",
     "recovery_time",
-    "run_dynamics",
     # building blocks
     "ServerPolicy",
     "TvaScheme",

@@ -16,6 +16,13 @@ Examples::
     python -m repro sweep --shard 0/2 --cache-dir /shared/cache   # half a grid
     python -m repro sweep --merge --json          # reassemble + emit the grid
 
+The simulated artifacts — ``fig8``–``fig11`` and ``dynamics`` — are the
+entries of :data:`repro.scenarios.FIGURES`: their subcommands are
+generated in one loop, one flag per entry parameter (spelling and help
+in ``_FIGURE_FLAGS`` below, defaults from the entry), and all run through
+``_cmd_figure``.  ``report`` and ``sweep`` build their grids and sections
+from the same entries; this module only parses and dispatches.
+
 Every simulation subcommand shares the sweep-runner flags: ``--jobs N``
 fans sweep points out across processes (default: all cores), ``--seeds
 N`` replicates each point and reports mean ± 95% CI, ``--json`` emits
@@ -32,34 +39,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .eval.cache import ResultCache
-from .eval.dynamics import DYNAMICS_SCHEMES, run_dynamics
-from .eval.experiments import (
-    ATTACKS,
-    DEFAULT_SWEEP,
-    SCHEMES,
-    ExperimentConfig,
-    Fig11Result,
-)
+from .eval.experiments import ATTACKS, SCHEMES, ExperimentConfig
 from .eval.procbench import (
     PACKET_KINDS,
     forwarding_rate_curve,
     format_table1,
     measure_processing_costs,
 )
-from .eval.results import summarize_metrics
+from .eval.results import SweepResult, metrics_lines, summarize_metrics
 from .eval.runner import (
+    FIG11_PATTERNS,
     FIG11_SCHEMES,
     ScenarioSpec,
     SweepEvent,
     SweepRunner,
-    build_fig11_spec,
-    build_flood_specs,
 )
 from .eval.service import ProgressLog, parse_shard, run_shard
 from .faults import FaultSchedule
+from .scenarios import (
+    FIGURES,
+    FLOOD_FIGURES,
+    FigureDef,
+    format_scenario_table,
+    get_scenario,
+)
 
 
 def _parse_schemes(value: str) -> List[str]:
@@ -93,24 +99,19 @@ def _parse_sweep(value: str) -> List[int]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if parsed < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return parsed
+def _int_at_least(minimum: int):
+    def parse(value: str) -> int:
+        try:
+            parsed = int(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if parsed < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return parsed
+    return parse
 
 
-def _nonnegative_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if parsed < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return parsed
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 class _BadInput(Exception):
@@ -162,111 +163,28 @@ def _make_runner(args, log: Optional[ProgressLog] = None) -> SweepRunner:
                        on_event=on_event)
 
 
-def _flood_specs(args, attack: str) -> List[ScenarioSpec]:
-    """The scheme × attacker-count grid the shared grid flags describe."""
-    config = ExperimentConfig(duration=args.duration, seed=args.seed)
-    return _checked(build_flood_specs, attack, args.schemes, args.sweep,
-                    config, metrics=args.metrics,
-                    metrics_interval=args.metrics_interval)
+def _params(figure: FigureDef, args) -> Dict:
+    """``figure``'s parameters at the values its flags carry."""
+    return {name: getattr(args, name) for name in figure.defaults}
 
 
-def _metrics_lines(metrics) -> List[str]:
-    """Human summary of one run's observability export."""
-    finals = metrics["finals"]
-    summary = summarize_metrics(metrics)
-    lines = [f"  bottleneck util[{cls:7s}] peak : {peak:.3f}"
-             for cls, peak in summary["util_peak"]]
-    drops = finals.get("link.bottleneck.qdisc.drops")
-    if drops is not None:
-        lines.append(f"  bottleneck qdisc drops      : {drops}")
-    if summary["flowstate_peak"] is not None:
-        lines.append(f"  demotions (all routers)     : "
-                     f"{summary['demotions'] or 0}")
-        lines.append(f"  peak flow-state occupancy   : "
-                     f"{summary['flowstate_peak']:.0f}")
-    retrans = finals.get("transport.data_retransmits")
-    aborts = finals.get("transport.aborts")
-    if retrans is not None:
-        lines.append(f"  tcp retransmits / aborts    : {retrans} / {aborts}")
-    applied = finals.get("faults.applied")
-    if applied:
-        lines.append(f"  faults applied              : {applied} "
-                     f"(reboots {finals.get('faults.reboots', 0)}, "
-                     f"link downs {finals.get('faults.link_downs', 0)}, "
-                     f"route changes {finals.get('faults.route_changes', 0)})")
-        lines.append(f"  packets lost to faults      : "
-                     f"{finals.get('faults.drained_packets', 0)} drained + "
-                     f"{finals.get('link.bottleneck.fault_drops', 0)} at "
-                     f"the down bottleneck")
-        rereq = finals.get("hosts.requests_sent", 0)
-        explorers = finals.get("hosts.explorers_sent", 0)
-        lines.append(f"  re-requests / explorers     : {rereq} / {explorers}")
-    return lines
+def _grid(figure: FigureDef, args, params: Dict) -> List[ScenarioSpec]:
+    return _checked(figure.specs, args.metrics, args.metrics_interval,
+                    **params)
 
 
-def _cmd_flood(args) -> int:
-    """Figures 8, 9 and 10: ``args.attack``/``args.title`` pick which."""
-    specs = _flood_specs(args, args.attack)
-    result = _make_runner(args).run_points(specs, seeds=args.seeds,
-                                           title=args.title)
+def _cmd_figure(args) -> int:
+    """Every :data:`~repro.scenarios.FIGURES` subcommand: run the entry's
+    grid at the flags' parameters and print its text or JSON view."""
+    figure = FIGURES[args.command]
+    params = _params(figure, args)
+    specs = _grid(figure, args, params)
+    sweep = _make_runner(args).run_points(
+        specs, seeds=getattr(args, "seeds", 1), title=figure.title)
     print("", file=sys.stderr)
-    if args.json:
-        print(result.to_json())
-    else:
-        print(result.table())
-    return 0
-
-
-def _sparkline(series, t_max: float, buckets: int = 60) -> str:
-    """A terminal rendering of the Figure 11 time series: worst transfer
-    time per time bucket."""
-    glyphs = " .:-=+*#%@"
-    worst = [0.0] * buckets
-    for start, duration in series:
-        idx = min(buckets - 1, int(start / t_max * buckets))
-        worst[idx] = max(worst[idx], duration)
-    top = max(max(worst), 1.0)
-    return "".join(
-        glyphs[min(len(glyphs) - 1, int(w / top * (len(glyphs) - 1)))]
-        for w in worst
-    )
-
-
-def _cmd_fig11(args) -> int:
-    spec = _checked(build_fig11_spec, args.scheme, args.pattern,
-                    duration=args.duration, metrics=args.metrics,
-                    metrics_interval=args.metrics_interval)
-    (run,) = _make_runner(args).run([spec])
-    result = Fig11Result.from_run(spec, run)
-    print("", file=sys.stderr)
-    if args.json:
-        payload = {
-            "scheme": result.scheme,
-            "pattern": result.pattern,
-            "attack_start": result.attack_start,
-            "max_transfer_time": result.max_transfer_time(),
-            "disruption_end": result.disruption_end(),
-            "effective_attack_seconds": result.effective_attack_seconds(),
-            "completion_gaps": result.completion_gaps(),
-            "series": result.series,
-        }
-        if result.metrics is not None:
-            payload["metrics"] = result.metrics
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"Figure 11 — {args.scheme}, {args.pattern} "
-          f"(attack starts at t=10 s)")
-    print(f"  completed transfers : {len(result.series)}")
-    print(f"  max transfer time   : {result.max_transfer_time():.2f} s")
-    print(f"  disruption ends at  : {result.disruption_end():.1f} s")
-    gaps = [(round(a, 1), round(b, 1)) for a, b in result.completion_gaps()]
-    print(f"  completion gaps     : {gaps}")
-    print(f"  transfer-time sketch (0..{args.duration:.0f} s, darker = slower):")
-    print(f"  [{_sparkline(result.series, args.duration)}]")
-    if result.metrics is not None:
-        print("  metrics:")
-        for line in _metrics_lines(result.metrics):
-            print(f"  {line}")
+    record = figure.view(params, specs, sweep)
+    print(record.to_json() if args.json
+          else figure.text(figure.title, params, record))
     return 0
 
 
@@ -295,8 +213,6 @@ def _cmd_fig12(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from .scenarios import format_scenario_table, get_scenario
-
     if args.list_scenarios:
         print(format_scenario_table())
         return 0
@@ -310,7 +226,8 @@ def _cmd_scenario(args) -> int:
                         faults=faults, scheme_options=scheme_options,
                         regular_qdisc=args.regular_qdisc)
     else:
-        duration = 15.0 if args.duration is None else args.duration
+        duration = (ExperimentConfig().duration if args.duration is None
+                    else args.duration)
         config = ExperimentConfig(duration=duration, seed=args.seed,
                                   regular_qdisc=args.regular_qdisc)
         spec = _checked(ScenarioSpec, scheme=args.scheme, attack=args.attack,
@@ -333,36 +250,8 @@ def _cmd_scenario(args) -> int:
     print(f"  transfers completed : {run.transfers_completed}")
     if run.metrics is not None:
         print("metrics:")
-        for line in _metrics_lines(run.metrics):
+        for line in metrics_lines(run.metrics):
             print(line)
-    return 0
-
-
-def _cmd_dynamics(args) -> int:
-    """Compare post-reboot recovery across schemes (Section 3.8)."""
-    result = _checked(
-        run_dynamics,
-        schemes=args.schemes,
-        reboot_at=args.reboot_at,
-        duration=args.duration,
-        n_attackers=args.attackers,
-        router=args.router,
-        rotate_secret=not args.keep_secret,
-        seed=args.seed,
-        metrics=args.metrics,
-        metrics_interval=args.metrics_interval,
-        runner=_make_runner(args),
-    )
-    print("", file=sys.stderr)
-    if args.json:
-        print(result.to_json())
-    else:
-        print("Dynamics — recovery after a router reboot")
-        print(result.table())
-        print()
-        print("recovery(s): time after the reboot until the completion rate")
-        print("is back to 90% of its pre-fault level ('never' = not within")
-        print("the run; 0.0 = no visible degradation).")
     return 0
 
 
@@ -488,7 +377,8 @@ def _cmd_sweep(args) -> int:
     grid from the cache into SweepResult JSON byte-identical to a
     single-process ``--jobs 1`` run.
     """
-    specs = _flood_specs(args, args.attack)
+    figure = FLOOD_FIGURES[args.attack]
+    specs = _grid(figure, args, _params(figure, args))
     shard, of = args.shard if args.shard else (0, 1)
     log = ProgressLog(args.progress_log) if args.progress_log else None
     report = run_shard(_make_runner(args, log), specs, shard, of, args.seeds)
@@ -502,10 +392,7 @@ def _cmd_sweep(args) -> int:
         result = _make_runner(args).run_points(specs, seeds=args.seeds,
                                                title=title)
         print("", file=sys.stderr)
-        if args.json:
-            print(result.to_json())
-        else:
-            print(result.table())
+        print(result.to_json() if args.json else result.table())
     return 0
 
 
@@ -513,56 +400,38 @@ def _cmd_report(args) -> int:
     """Run every experiment at the chosen scale and write one markdown
     report — the whole evaluation in a single command.
 
-    All flood sweeps and the four Figure 11 scenarios are batched into a
-    single runner pass, so ``--jobs N`` parallelizes across the whole
+    The sections are the flood figures' subcommand output at the
+    report's grid flags, and ``repro fig11``'s for each scheme × pattern
+    at ``--fig11-duration``; all their grids are batched into a single
+    runner pass, so ``--jobs N`` parallelizes across the whole
     evaluation and warm caches regenerate the report near-instantly.
     """
-    figures = (("legacy", "Figure 8 — legacy packet floods"),
-               ("request", "Figure 9 — request packet floods"),
-               ("colluder", "Figure 10 — authorized floods"))
-
-    specs: List[ScenarioSpec] = []
-    for attack, _ in figures:
-        specs.extend(_flood_specs(args, attack))
-    fig11_specs = [_checked(build_fig11_spec, scheme, pattern,
-                            duration=args.fig11_duration,
-                            metrics=args.metrics,
-                            metrics_interval=args.metrics_interval)
-                   for scheme in args.schemes if scheme in FIG11_SCHEMES
-                   for pattern in ("all_at_once", "staggered")]
-    sweep_result = _make_runner(args).run_points(
-        specs + fig11_specs, seeds=args.seeds,
+    fig11 = FIGURES["fig11"]
+    sections = [(FLOOD_FIGURES[attack], _params(FLOOD_FIGURES[attack], args))
+                for attack in FLOOD_FIGURES]
+    sections += [(fig11, {"scheme": scheme, "pattern": pattern,
+                          "duration": args.fig11_duration})
+                 for scheme in args.schemes if scheme in FIG11_SCHEMES
+                 for pattern in FIG11_PATTERNS]
+    grids = [_grid(figure, args, params) for figure, params in sections]
+    sweep = _make_runner(args).run_points(
+        [spec for grid in grids for spec in grid], seeds=args.seeds,
         title="TVA reproduction report")
-    runs = sweep_result.points
     print("", file=sys.stderr)
     if args.json:
-        print(sweep_result.to_json())
+        print(sweep.to_json())
         return 0
 
     lines = ["# TVA reproduction report", ""]
-    per_figure = len(args.schemes) * len(args.sweep)
-    for index, (attack, title) in enumerate(figures):
-        lines += [f"## {title}", "",
-                  "| scheme | k | completion | avg time (s) |",
-                  "|---|---|---|---|"]
-        for point in runs[index * per_figure:(index + 1) * per_figure]:
-            avg = point.time_mean
-            lines.append(
-                f"| {point.scheme} | {point.n_attackers} "
-                f"| {point.fraction_mean:.2f} "
-                f"| {'-' if avg is None else f'{avg:.2f}'} |")
-        lines.append("")
-
-    lines += ["## Figure 11 — imprecise policies", "",
-              "| scheme | pattern | max transfer (s) | completion gaps |",
-              "|---|---|---|---|"]
-    for point, spec in zip(runs[3 * per_figure:], fig11_specs):
-        result = Fig11Result.from_run(spec, point.runs[0])
-        gaps = ", ".join(f"{a:.1f}-{b:.1f}"
-                         for a, b in result.completion_gaps())
-        lines.append(f"| {result.scheme} | {result.pattern} | "
-                     f"{result.max_transfer_time():.2f} | {gaps or '-'} |")
-    lines.append("")
+    points = iter(sweep.points)
+    heading = None
+    for (figure, params), specs in zip(sections, grids):
+        part = SweepResult(figure.title, [next(points) for _ in specs])
+        if figure.title != heading:
+            heading = figure.title
+            lines += [f"## {heading}", ""]
+        record = figure.view(params, specs, part)
+        lines += ["```", figure.text(figure.title, params, record), "```", ""]
 
     if args.metrics:
         lines += ["## Metrics — deterministic observability (`repro.obs`)",
@@ -574,17 +443,17 @@ def _cmd_report(args) -> int:
                   "| figure | scheme | k | util req | util reg | util leg "
                   "| peak flow state | demotions |",
                   "|---|---|---|---|---|---|---|---|"]
-        for index, (attack, _) in enumerate(figures):
-            for point in runs[index * per_figure:(index + 1) * per_figure]:
-                if point.runs[0].metrics is None:
-                    continue
-                summary = summarize_metrics(point.runs[0].metrics)
-                peaks = " | ".join(
-                    f"{peak:.3f}" for _, peak in summary["util_peak"])
-                lines.append(
-                    f"| {attack} | {point.scheme} | {point.n_attackers} "
-                    f"| {peaks} | {summary['flowstate_peak'] or 0:.0f} "
-                    f"| {summary['demotions'] or 0} |")
+        for point in sweep.points:
+            if (point.attack not in FLOOD_FIGURES
+                    or point.runs[0].metrics is None):
+                continue
+            summary = summarize_metrics(point.runs[0].metrics)
+            peaks = " | ".join(
+                f"{peak:.3f}" for _, peak in summary["util_peak"])
+            lines.append(
+                f"| {point.attack} | {point.scheme} | {point.n_attackers} "
+                f"| {peaks} | {summary['flowstate_peak'] or 0:.0f} "
+                f"| {summary['demotions'] or 0} |")
         lines.append("")
 
     costs = measure_processing_costs(packets_per_kind=args.packets)
@@ -599,6 +468,35 @@ def _cmd_report(args) -> int:
             handle.write(text + "\n")
         print(f"wrote {args.output}")
     return 0
+
+
+#: Spelling and help of each figure parameter's flag, keyed by parameter
+#: name (``reboot_at`` is ``--reboot-at``); defaults come from the entry.
+_FIGURE_FLAGS: Dict[str, Dict] = {
+    "schemes": dict(type=_parse_schemes,
+                    help=f"comma-separated subset of {','.join(SCHEMES)}"),
+    "sweep": dict(type=_parse_sweep, help="comma-separated attacker counts"),
+    "duration": dict(type=float, help="simulated seconds per run"),
+    "seed": dict(type=int),
+    "scheme": dict(choices=FIG11_SCHEMES),
+    "pattern": dict(choices=FIG11_PATTERNS),
+    "reboot_at": dict(type=float, metavar="SEC",
+                      help="when the router reboots"),
+    "attackers": dict(type=int, help="background flood size (0 isolates "
+                                     "the dynamics response)"),
+    "router": dict(help="which router reboots (R1 is the trust-boundary "
+                        "router)"),
+    "keep_secret": dict(action="store_true",
+                        help="reboot without rotating the pre-capability "
+                             "secret (flow state is still lost)"),
+}
+
+
+def _add_figure_flags(parser: argparse.ArgumentParser, params) -> None:
+    """One flag per ``(name, default)`` figure parameter."""
+    for name, default in params:
+        parser.add_argument("--" + name.replace("_", "-"), default=default,
+                            **_FIGURE_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -636,57 +534,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling interval in simulated seconds "
                             "(default: 0.5)")
 
-    def add_grid_flags(p):
-        """The scheme × attacker-count grid of a Figure 8-10 style sweep."""
-        p.add_argument("--schemes", type=_parse_schemes,
-                       default=list(SCHEMES),
-                       help=f"comma-separated subset of {','.join(SCHEMES)}")
-        p.add_argument("--sweep", type=_parse_sweep,
-                       default=list(DEFAULT_SWEEP),
-                       help="comma-separated attacker counts")
-        p.add_argument("--duration", type=float, default=15.0,
-                       help="simulated seconds per point")
-        p.add_argument("--seed", type=int, default=1)
-
-    for name, attack, title, help_text in (
-        ("fig8", "legacy", "Figure 8 — legacy packet floods",
-         "legacy packet floods"),
-        ("fig9", "request", "Figure 9 — request packet floods",
-         "request packet floods"),
-        ("fig10", "colluder", "Figure 10 — authorized floods at a colluder",
-         "authorized floods at a colluder"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_grid_flags(p)
-        add_runner_flags(p)
-        p.set_defaults(fn=_cmd_flood, attack=attack, title=title)
-
-    p11 = sub.add_parser("fig11", help="imprecise authorization policies")
-    p11.add_argument("--scheme", choices=FIG11_SCHEMES, default="tva")
-    p11.add_argument("--pattern", choices=("all_at_once", "staggered"),
-                     default="all_at_once")
-    p11.add_argument("--duration", type=float, default=50.0)
-    add_runner_flags(p11, seeds=False)
-    p11.set_defaults(fn=_cmd_fig11)
+    for name in FIGURES:
+        figure = FIGURES[name]
+        p = sub.add_parser(name, help=figure.title.partition(" — ")[2])
+        _add_figure_flags(p, figure.params)
+        add_runner_flags(p, seeds=figure.seeds)
+        p.set_defaults(fn=_cmd_figure)
 
     pt1 = sub.add_parser("table1", help="per-packet processing cost")
-    pt1.add_argument("--packets", type=int, default=10_000,
+    pt1.add_argument("--packets", type=_positive_int, default=10_000,
                      help="packets measured per type")
     pt1.set_defaults(fn=_cmd_table1)
 
     p12 = sub.add_parser("fig12", help="forwarding rate vs offered load")
-    p12.add_argument("--packets", type=int, default=10_000)
+    p12.add_argument("--packets", type=_positive_int, default=10_000)
     p12.set_defaults(fn=_cmd_fig12)
 
     psw = sub.add_parser(
         "sweep",
         help="sharded, resumable sweep over a shared cache "
              "(repro.eval.service)")
-    psw.add_argument("--attack",
-                     choices=("legacy", "request", "colluder"),
+    psw.add_argument("--attack", choices=tuple(FLOOD_FIGURES),
                      default="legacy",
                      help="flood class for the grid (default: legacy)")
-    add_grid_flags(psw)
+    _add_figure_flags(psw, FIGURES["fig8"].params)
     # No --no-cache: the shared cache is how shards hand results over.
     add_runner_flags(psw, no_cache=False)
     psw.add_argument("--shard", type=_parse_shard_arg, default=None,
@@ -709,40 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
     psw.set_defaults(fn=_cmd_sweep)
 
     pr = sub.add_parser("report", help="run everything, write one markdown report")
-    pr.add_argument("--schemes", type=_parse_schemes, default=list(SCHEMES))
-    pr.add_argument("--sweep", type=_parse_sweep, default=[1, 10, 100])
-    pr.add_argument("--duration", type=float, default=12.0)
+    # The report's own scale: the flood grid flags at smaller defaults.
+    _add_figure_flags(pr, dict(FIGURES["fig8"].params, sweep=(1, 10, 100),
+                               duration=12.0).items())
     pr.add_argument("--fig11-duration", type=float, default=45.0,
                     help="window for the Figure 11 time series")
-    pr.add_argument("--packets", type=int, default=8000)
-    pr.add_argument("--seed", type=int, default=1)
+    pr.add_argument("--packets", type=_positive_int, default=8000)
     pr.add_argument("--output", default="RESULTS.md",
                     help="output file, or - for stdout")
     add_runner_flags(pr)
     pr.set_defaults(fn=_cmd_report)
-
-    pd = sub.add_parser("dynamics",
-                        help="recovery after a router reboot (Section 3.8)")
-    pd.add_argument("--schemes", type=_parse_schemes,
-                    default=list(DYNAMICS_SCHEMES),
-                    help=f"comma-separated subset of {','.join(SCHEMES)} "
-                         f"(default: {','.join(DYNAMICS_SCHEMES)})")
-    pd.add_argument("--reboot-at", type=float, default=8.0, metavar="SEC",
-                    help="when the router reboots (default: 8.0)")
-    pd.add_argument("--duration", type=float, default=20.0,
-                    help="simulated seconds per scheme")
-    pd.add_argument("--attackers", type=int, default=0,
-                    help="background flood size (default: 0 — isolate "
-                         "the dynamics response)")
-    pd.add_argument("--router", default="R1",
-                    help="which router reboots (default: R1, the "
-                         "trust-boundary router)")
-    pd.add_argument("--keep-secret", action="store_true",
-                    help="reboot without rotating the pre-capability "
-                         "secret (flow state is still lost)")
-    pd.add_argument("--seed", type=int, default=1)
-    add_runner_flags(pd, seeds=False)
-    pd.set_defaults(fn=_cmd_dynamics)
 
     pl = sub.add_parser(
         "lint",

@@ -9,7 +9,9 @@ by :func:`~repro.eval.runner.run_spec` into a
   time-series record.
 * :mod:`repro.eval.runner` — :class:`ScenarioSpec`, ``run_spec``, the
   per-figure spec builders, and :class:`SweepRunner`, which executes
-  spec lists cached, multi-seed, and multi-process.
+  spec lists cached, multi-seed, and multi-process.  Which builder each
+  paper artifact uses, at which defaults, is
+  :data:`repro.scenarios.FIGURES`.
 * :mod:`repro.eval.results` — :class:`RunResult` / :class:`PointResult` /
   :class:`SweepResult`, JSON-serializable with mean/stdev/95%-CI
   aggregation across seed replications, and the one summary of a
@@ -27,17 +29,11 @@ by :func:`~repro.eval.runner.run_spec` into a
   after router reboots, driven by :mod:`repro.faults`.
 
 The scenario-running surface (`ScenarioSpec`, `SweepRunner`, `run_spec`,
-caches, results, spec builders) is exported by the stable
+caches, results, spec builders, ``FIGURES``) is exported by the stable
 :mod:`repro.api` facade, not from here.
 """
 
-from .experiments import (
-    DEFAULT_SWEEP,
-    SCHEMES,
-    ExperimentConfig,
-    Fig11Result,
-    run_fig11_imprecise,
-)
+from .experiments import SCHEMES, ExperimentConfig, Fig11Result
 from .procbench import (
     PACKET_KINDS,
     ProcessingCost,
@@ -48,7 +44,6 @@ from .procbench import (
 )
 
 __all__ = [
-    "DEFAULT_SWEEP",
     "ExperimentConfig",
     "Fig11Result",
     "PACKET_KINDS",
@@ -58,5 +53,4 @@ __all__ = [
     "format_table1",
     "forwarding_rate_curve",
     "measure_processing_costs",
-    "run_fig11_imprecise",
 ]

@@ -8,28 +8,23 @@ not a standing outage.  SIFF's marks die the same way but its explorers
 compete with legacy traffic, and the legacy Internet forwards statelessly
 and does not notice the reboot at all.
 
-``repro dynamics`` quantifies that comparison: run each scheme with a
-:class:`~repro.faults.RouterReboot` mid-experiment and report the
-*recovery time* — how long after the reboot it takes the completion rate
-to climb back to 90% of its pre-fault level.
+``repro dynamics`` (the ``dynamics`` entry of
+:data:`repro.scenarios.FIGURES`) quantifies that comparison: run each
+scheme with a :class:`~repro.faults.RouterReboot` mid-experiment and
+report the *recovery time* — how long after the reboot it takes the
+completion rate to climb back to 90% of its pre-fault level.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..faults import FaultSchedule, RouterReboot
 from .experiments import ExperimentConfig
 from .results import RunResult, summarize_metrics
-from .runner import ScenarioSpec, SweepRunner
-
-#: Schemes compared by default: TVA against SIFF (capability baseline
-#: with its own soft state), the legacy Internet (stateless, so the
-#: reboot is invisible — the control), and NetFence (whose rebooted
-#: access router loses limiter state and its feedback-MAC secret).
-DYNAMICS_SCHEMES = ("tva", "siff", "internet", "netfence")
+from .runner import ScenarioSpec
 
 #: A scheme has recovered when its completion rate reaches this fraction
 #: of the pre-fault rate.
@@ -38,31 +33,25 @@ RECOVERY_FRACTION = 0.9
 
 def build_dynamics_spec(
     scheme: str,
-    reboot_at: float = 8.0,
-    duration: float = 20.0,
-    n_attackers: int = 0,
-    router: str = "R1",
-    rotate_secret: bool = True,
-    config: Optional[ExperimentConfig] = None,
-    seed: int = 1,
+    reboot_at: float,
+    duration: float,
+    n_attackers: int,
+    router: str,
+    rotate_secret: bool,
+    seed: int,
     metrics: bool = False,
     metrics_interval: float = 0.5,
 ) -> ScenarioSpec:
-    """One scheme's reboot scenario as a cacheable spec.
-
-    Defaults reboot the trust-boundary router R1 (where TVA keeps the
-    flow state that matters) mid-run with no attack traffic, isolating
-    the dynamics response from flood response.
-    """
+    """One scheme's reboot scenario as a cacheable spec: ``router``
+    reboots at ``reboot_at`` while ``n_attackers`` flood the dumbbell."""
     if reboot_at >= duration:
         raise ValueError("reboot_at must fall inside the run duration")
-    config = replace(config or ExperimentConfig(), duration=duration, seed=seed)
     return ScenarioSpec(
         scheme=scheme,
         attack="legacy",
         n_attackers=n_attackers,
         seed=seed,
-        config=config,
+        config=ExperimentConfig(duration=duration, seed=seed),
         faults=FaultSchedule(
             (RouterReboot(at=reboot_at, router=router, rotate_secret=rotate_secret),)
         ),
@@ -116,6 +105,28 @@ class DynamicsResult:
     duration: float
     rows: List[Dict] = field(default_factory=list)
 
+    @classmethod
+    def from_runs(
+        cls, reboot_at: float, duration: float, runs: Sequence[RunResult]
+    ) -> "DynamicsResult":
+        """One row per scheme's reboot run (see :func:`build_dynamics_spec`)."""
+        rows = []
+        for run in runs:
+            row: Dict = {
+                "scheme": run.scheme,
+                "recovery_time": recovery_time(run, reboot_at),
+                "fraction_completed": run.fraction_completed,
+                "transfers_completed": run.transfers_completed,
+            }
+            if run.metrics:
+                finals = run.metrics["finals"]
+                row["reboots"] = finals.get("faults.reboots")
+                row["demotions"] = summarize_metrics(run.metrics)["demotions"]
+                row["re_requests"] = finals.get("hosts.requests_sent")
+                row["explorers"] = finals.get("hosts.explorers_sent")
+            rows.append(row)
+        return cls(reboot_at=reboot_at, duration=duration, rows=rows)
+
     def table(self) -> str:
         lines = [
             f"router reboot at t={self.reboot_at:g}s (run length {self.duration:g}s)",
@@ -139,52 +150,3 @@ class DynamicsResult:
             indent=indent,
             sort_keys=True,
         )
-
-
-def run_dynamics(
-    schemes: Sequence[str] = DYNAMICS_SCHEMES,
-    reboot_at: float = 8.0,
-    duration: float = 20.0,
-    n_attackers: int = 0,
-    router: str = "R1",
-    rotate_secret: bool = True,
-    config: Optional[ExperimentConfig] = None,
-    seed: int = 1,
-    metrics: bool = False,
-    metrics_interval: float = 0.5,
-    runner: Optional[SweepRunner] = None,
-) -> DynamicsResult:
-    """Run the reboot scenario for every scheme and compare recovery."""
-    specs = [
-        build_dynamics_spec(
-            scheme,
-            reboot_at=reboot_at,
-            duration=duration,
-            n_attackers=n_attackers,
-            router=router,
-            rotate_secret=rotate_secret,
-            config=config,
-            seed=seed,
-            metrics=metrics,
-            metrics_interval=metrics_interval,
-        )
-        for scheme in schemes
-    ]
-    runner = runner or SweepRunner(jobs=1)
-    runs = runner.run(specs)
-    rows = []
-    for scheme, run in zip(schemes, runs):
-        row: Dict = {
-            "scheme": scheme,
-            "recovery_time": recovery_time(run, reboot_at),
-            "fraction_completed": run.fraction_completed,
-            "transfers_completed": run.transfers_completed,
-        }
-        if run.metrics:
-            finals = run.metrics["finals"]
-            row["reboots"] = finals.get("faults.reboots")
-            row["demotions"] = summarize_metrics(run.metrics)["demotions"]
-            row["re_requests"] = finals.get("hosts.requests_sent")
-            row["explorers"] = finals.get("hosts.explorers_sent")
-        rows.append(row)
-    return DynamicsResult(reboot_at=reboot_at, duration=duration, rows=rows)

@@ -9,9 +9,8 @@ runs a scenario.  This module holds what a spec is made of:
 :data:`ATTACK_PLANS` (what each flood class targets and how it sends) and
 :func:`merged_scheme_options` (the config's knobs under a spec's
 overrides) — plus :class:`Fig11Result`, the per-transfer time series
-around an attack that Figure 11 plots.  Figures 8–10 are plain sweeps:
-:func:`~repro.eval.runner.build_flood_specs` +
-:class:`~repro.eval.runner.SweepRunner`.
+around an attack that Figure 11 plots.  What each figure runs, and its
+defaults, is an entry of :data:`repro.scenarios.FIGURES`.
 
 Scale note: the paper runs 1000 transfers per user per point.  A pure
 Python simulator cannot afford that for every sweep point, so the
@@ -22,6 +21,7 @@ per user); the *shape* of every curve is preserved.  Pass a larger
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
@@ -54,11 +54,6 @@ ATTACK_PLANS = {
 
 #: Flood classes a spec's ``attack`` accepts.
 ATTACKS = tuple(ATTACK_PLANS)
-
-#: Attacker counts used by default for the Figure 8-10 sweeps (the paper
-#: sweeps 1..100 on a log axis).
-DEFAULT_SWEEP = (1, 2, 4, 10, 20, 40, 100)
-
 
 #: Fields that stored configs/specs of older versions may carry, with
 #: what to do about each; ``from_dict`` names them rather than let
@@ -161,8 +156,8 @@ class Fig11Result:
 
     scheme: str
     pattern: str
+    attack_start: float
     series: List[tuple] = field(default_factory=list)  # (start, duration)
-    attack_start: float = 10.0
     #: Observability export of the underlying run (``None`` unless the
     #: scenario was run with metrics enabled).
     metrics: Optional[Dict] = None
@@ -210,46 +205,15 @@ class Fig11Result:
                 gaps.append((a, b))
         return gaps
 
-
-def run_fig11_imprecise(
-    scheme_name: str,
-    pattern: str = "all_at_once",
-    n_attackers: int = 100,
-    attack_start: float = 10.0,
-    duration: float = 60.0,
-    config: Optional[ExperimentConfig] = None,
-    runner=None,
-    metrics: bool = False,
-    metrics_interval: float = 0.5,
-) -> Fig11Result:
-    """Figure 11: the destination initially grants everyone 32 KB / 10 s,
-    then never renews the attackers.  ``pattern`` is ``all_at_once`` (all
-    100 attackers flood simultaneously) or ``staggered`` (10 groups of 10
-    "that flood one after the other, as one group finishes their attack").
-
-    A group's attack *finishes* when its authorization dies, and that is
-    exactly the comparison the figure makes: under TVA the 32 KB byte
-    budget burns out after ~0.3 s of 1 Mb/s flooding, so ten staggered
-    groups are all spent within a few seconds; under SIFF (3-second secret
-    turnover, no previous-secret grace, as the paper assumes) a group's
-    marks stay lethal until the next rotation, so ten groups sustain the
-    attack for ~30 s.
-
-    The caller's ``config`` is never mutated: the ``duration`` override
-    is applied with :func:`dataclasses.replace` on a copy.
-    """
-    from .runner import SweepRunner, build_fig11_spec
-
-    spec = build_fig11_spec(
-        scheme_name,
-        pattern,
-        n_attackers=n_attackers,
-        attack_start=attack_start,
-        duration=duration,
-        config=config,
-        metrics=metrics,
-        metrics_interval=metrics_interval,
-    )
-    runner = runner or SweepRunner(jobs=1)
-    (run,) = runner.run([spec])
-    return Fig11Result.from_run(spec, run)
+    def to_json(self) -> str:
+        """The ``repro fig11 --json`` payload."""
+        payload = dict(
+            scheme=self.scheme, pattern=self.pattern,
+            attack_start=self.attack_start,
+            max_transfer_time=self.max_transfer_time(),
+            disruption_end=self.disruption_end(),
+            effective_attack_seconds=self.effective_attack_seconds(),
+            completion_gaps=self.completion_gaps(), series=self.series)
+        if self.metrics is not None:
+            payload["metrics"] = self.metrics
+        return json.dumps(payload, indent=2)

@@ -223,6 +223,8 @@ def measure_processing_costs(
     batch: int = 256,
 ) -> Dict[str, ProcessingCost]:
     """Time each packet kind and return ns/packet (Table 1's analogue)."""
+    if packets_per_kind < 1:
+        raise ValueError(f"packets_per_kind must be >= 1, got {packets_per_kind!r}")
     bench = RouterWorkbench()
     costs: Dict[str, ProcessingCost] = {}
     for kind in kinds:
@@ -251,7 +253,8 @@ def forwarding_rate_curve(
     A software router's output rate tracks the input rate until the CPU
     saturates at the kind's peak processing rate, then plateaus — the
     shape of Figure 12.  We measure the peak from the real pipeline and
-    report min(input, peak)."""
+    report min(input, peak).  ``measure_packets`` is the
+    ``packets_per_kind`` of that measurement."""
     costs = measure_processing_costs(
         kinds=(kind,), packets_per_kind=measure_packets
     )

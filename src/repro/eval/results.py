@@ -104,8 +104,9 @@ def summarize_metrics(metrics: Dict) -> Dict:
     * ``demotions`` — capability demotions summed over all routers.
 
     The last two are ``None`` when the scheme's routers keep no such
-    tally (only TVA's do).  The text summaries, the report's Metrics
-    table and the dynamics comparison all read these from here.
+    tally (only TVA's do).  The text summaries (:func:`metrics_lines`),
+    the report's Metrics table and the dynamics comparison all read
+    these from here.
     """
     finals, series = metrics["finals"], metrics["series"]
 
@@ -126,6 +127,40 @@ def summarize_metrics(metrics: Dict) -> Dict:
         "flowstate_peak": max(map(peak, occupancy)) if occupancy else None,
         "demotions": sum(demotions) if demotions else None,
     }
+
+
+def metrics_lines(metrics: Dict) -> List[str]:
+    """Human summary of one run's observability export, one line each."""
+    finals = metrics["finals"]
+    summary = summarize_metrics(metrics)
+    lines = [f"  bottleneck util[{cls:7s}] peak : {peak:.3f}"
+             for cls, peak in summary["util_peak"]]
+    drops = finals.get("link.bottleneck.qdisc.drops")
+    if drops is not None:
+        lines.append(f"  bottleneck qdisc drops      : {drops}")
+    if summary["flowstate_peak"] is not None:
+        lines.append(f"  demotions (all routers)     : "
+                     f"{summary['demotions'] or 0}")
+        lines.append(f"  peak flow-state occupancy   : "
+                     f"{summary['flowstate_peak']:.0f}")
+    retrans = finals.get("transport.data_retransmits")
+    aborts = finals.get("transport.aborts")
+    if retrans is not None:
+        lines.append(f"  tcp retransmits / aborts    : {retrans} / {aborts}")
+    applied = finals.get("faults.applied")
+    if applied:
+        lines.append(f"  faults applied              : {applied} "
+                     f"(reboots {finals.get('faults.reboots', 0)}, "
+                     f"link downs {finals.get('faults.link_downs', 0)}, "
+                     f"route changes {finals.get('faults.route_changes', 0)})")
+        lines.append(f"  packets lost to faults      : "
+                     f"{finals.get('faults.drained_packets', 0)} drained + "
+                     f"{finals.get('link.bottleneck.fault_drops', 0)} at "
+                     f"the down bottleneck")
+        rereq = finals.get("hosts.requests_sent", 0)
+        explorers = finals.get("hosts.explorers_sent", 0)
+        lines.append(f"  re-requests / explorers     : {rereq} / {explorers}")
+    return lines
 
 
 def _mean_stdev_ci(values: Sequence[float]) -> Tuple[float, float, float]:

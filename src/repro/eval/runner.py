@@ -23,8 +23,9 @@ makes that grid a first-class object:
   ``(spec, cached)`` keyword argument) and the second retry loop are
   removed, not deprecated.
 
-The ``build_*_specs`` helpers turn the per-figure parameters into spec
-lists: Figures 8–10 are ``SweepRunner.run_points(build_flood_specs(…))``.
+The ``build_*`` helpers turn explicit per-figure parameters into specs;
+the parameters' defaults, and which helper each paper artifact uses,
+live in :data:`repro.scenarios.FIGURES`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .. import __version__
 from ..faults import FaultInjector, FaultSchedule, coerce_schedule
 from ..schemes import build_scheme, knobs_for
-from ..sim import Simulator, TransferLog, dumbbell_spec, instantiate
+from ..sim import (
+    LegacyDefaults,
+    Simulator,
+    TransferLog,
+    dumbbell_spec,
+    instantiate,
+)
 from ..sim.node import AggregateHost
 from ..sim.topospec import TopologySpec
 from ..transport import (
@@ -161,6 +168,14 @@ class ScenarioSpec:
             )
         if self.aggregate and self.topology is None:
             raise ValueError("aggregate=True requires a topology spec")
+        if self.faults:
+            # The injector's own name check, on a throwaway build of the
+            # network the run will use: a fault naming a router or link
+            # it lacks is bad input, not a failed run.  Fault-free specs
+            # build nothing here.
+            net = instantiate(self.network(), Simulator(), LegacyDefaults(),
+                              aggregate=self.aggregate)
+            FaultInjector(self.faults).check(net)
         # Round through JSON so tuples and dict ordering can never make
         # two equivalent specs hash differently.
         object.__setattr__(
@@ -175,6 +190,18 @@ class ScenarioSpec:
         knobs_for(
             self.scheme,
             merged_scheme_options(self.scheme, self.config, self.scheme_options),
+        )
+
+    def network(self) -> TopologySpec:
+        """The topology this spec runs on: ``topology``, or else the
+        Figure 7 dumbbell sized by ``config`` and ``n_attackers``."""
+        if self.topology is not None:
+            return self.topology
+        return dumbbell_spec(
+            n_users=self.config.n_users,
+            n_attackers=self.n_attackers,
+            bottleneck_bps=self.config.bottleneck_bps,
+            with_colluder=True,
         )
 
     def canonical(self) -> dict:
@@ -275,15 +302,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
         seed=config.seed,
         destination_policy=_policy_factory(spec),
     )
-    topology = spec.topology
-    if topology is None:
-        topology = dumbbell_spec(
-            n_users=config.n_users,
-            n_attackers=spec.n_attackers,
-            bottleneck_bps=config.bottleneck_bps,
-            with_colluder=True,
-        )
-    net = instantiate(topology, sim, scheme, aggregate=spec.aggregate)
+    net = instantiate(spec.network(), sim, scheme, aggregate=spec.aggregate)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
     # Flood targets run an open datagram service; authorized-flood
@@ -428,30 +447,41 @@ def build_flood_specs(
 #: renew.  Pushback and the legacy Internet have nothing to expire.
 FIG11_SCHEMES = ("tva", "siff", "netfence")
 
+#: Figure 11's attack patterns: every attacker at once, or ten groups
+#: "that flood one after the other, as one group finishes their attack".
+FIG11_PATTERNS = ("all_at_once", "staggered")
+
 
 def build_fig11_spec(
-    scheme_name: str,
-    pattern: str = "all_at_once",
-    n_attackers: int = 100,
-    attack_start: float = 10.0,
-    duration: float = 60.0,
+    scheme: str,
+    pattern: str,
+    n_attackers: int,
+    attack_start: float,
+    duration: float,
     config: Optional[ExperimentConfig] = None,
     metrics: bool = False,
     metrics_interval: float = 0.5,
 ) -> ScenarioSpec:
     """The Figure 11 imprecise-policy scenario as a spec.
 
-    See :func:`repro.eval.experiments.run_fig11_imprecise` for the
-    group-lifetime reasoning encoded here.
+    The destination grants every first request (32 KB / 10 s), then
+    never renews the attackers, who flood from ``attack_start`` on —
+    all at once, or staggered in groups, each group starting as the
+    previous one's authorization dies.  That lifetime is the figure's
+    comparison: TVA's 32 KB byte budget burns out after ~0.3 s of 1 Mb/s
+    flooding, so ten groups are spent within a few seconds; SIFF's marks
+    (3-second secret turnover, no previous-secret grace, as the paper
+    assumes) stay lethal until the next rotation, so ten groups sustain
+    the attack for ~30 s.  ``config`` is copied, never mutated.
     """
     from ..core.params import DEFAULT_GRANT_BYTES
 
-    if pattern not in ("all_at_once", "staggered"):
+    if pattern not in FIG11_PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     config = replace(config or ExperimentConfig(), duration=duration)
     groups = 10 if pattern == "staggered" else 1
     options = {}
-    if scheme_name == "siff":
+    if scheme == "siff":
         group_lifetime = 3.0  # marks die at the next secret rotation
         # The paper's Figure 11 SIFF: 3 s secret turnover, no grace for
         # the previous secret.  Wide, idealized marks: the figure isolates
@@ -463,7 +493,7 @@ def build_fig11_spec(
             "accept_previous": False,
             "mark_bits": 16,
         }
-    elif scheme_name == "netfence":
+    elif scheme == "netfence":
         from ..baselines.netfence import FEEDBACK_EXPIRY
 
         # The oracle policy stops echoing to attackers immediately, so a
@@ -476,7 +506,7 @@ def build_fig11_spec(
             DEFAULT_GRANT_BYTES * 8 / config.attack_rate_bps + 0.1
         )
     return ScenarioSpec(
-        scheme=scheme_name,
+        scheme=scheme,
         attack="authorized",
         n_attackers=n_attackers,
         seed=config.seed,

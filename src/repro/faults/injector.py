@@ -22,11 +22,10 @@ from .schedule import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
-    from ..sim.link import Link
     from ..sim.topology import Dumbbell, SchemeFactory
 
 
-class FaultInjectionError(Exception):
+class FaultInjectionError(ValueError):
     """A schedule references a router/link the topology does not have."""
 
 
@@ -47,46 +46,43 @@ class FaultInjector:
         self.drained_bytes = 0
 
     # ------------------------------------------------------------------
-    def install(self, sim: "Simulator", net: "Dumbbell", scheme: "SchemeFactory") -> None:
-        """Validate the schedule against the topology and book every event.
+    def check(self, net: "Dumbbell") -> None:
+        """Raise :class:`FaultInjectionError`, naming the fault, if an
+        event names a router or link ``net`` lacks.  A
+        :class:`~repro.eval.runner.ScenarioSpec` with faults runs this at
+        construction, so a typo is rejected before any run starts."""
+        for ev in self.schedule:
+            try:
+                if isinstance(ev, (LinkDown, LinkUp)):
+                    net.links_by_name(ev.link)
+                elif isinstance(ev, RouterReboot):
+                    net.router_by_name(ev.router)
+            except KeyError as exc:
+                raise FaultInjectionError(
+                    f"fault {ev.kind} at t={ev.at:g}: {exc.args[0]}") from None
 
-        Name resolution happens up front so a typo'd router or link name
-        fails at install time, not minutes into a sweep."""
+    def install(self, sim: "Simulator", net: "Dumbbell", scheme: "SchemeFactory") -> None:
+        """:meth:`check` the schedule against the topology and book
+        every event."""
+        self.check(net)
         self._sim = sim
         self._net = net
         self._scheme = scheme
         for ev in self.schedule:
-            if isinstance(ev, (LinkDown, LinkUp)):
-                self._resolve_links(ev.link)
-            elif isinstance(ev, RouterReboot):
-                self._resolve_router(ev.router)
-        for ev in self.schedule:
             sim.call_at(ev.at, self._fire, ev)
-
-    def _resolve_links(self, name: str) -> List["Link"]:
-        try:
-            return self._net.links_by_name(name)
-        except KeyError:
-            raise FaultInjectionError(f"no link named {name!r} in topology") from None
-
-    def _resolve_router(self, name: str):
-        try:
-            return self._net.router_by_name(name)
-        except KeyError:
-            raise FaultInjectionError(f"no router named {name!r} in topology") from None
 
     # ------------------------------------------------------------------
     def _fire(self, ev: FaultEvent) -> None:
         self.applied += 1
         if isinstance(ev, LinkDown):
             self.link_downs += 1
-            for link in self._resolve_links(ev.link):
+            for link in self._net.links_by_name(ev.link):
                 drained = link.set_down()
                 self.drained_packets += len(drained)
                 self.drained_bytes += sum(pkt.size for pkt in drained)
         elif isinstance(ev, LinkUp):
             self.link_ups += 1
-            for link in self._resolve_links(ev.link):
+            for link in self._net.links_by_name(ev.link):
                 link.set_up()
         elif isinstance(ev, RouterReboot):
             self.reboots += 1

@@ -1,4 +1,9 @@
-"""Curated scenario library: named topology + workload bundles.
+"""The registries: the paper's simulated artifacts, and curated scenarios.
+
+:data:`FIGURES` holds one :class:`FigureDef` per simulated artifact:
+Figures 8–11 and the Section 3.8 reboot experiment.  It is the only place
+their defaults live; the CLI's figure subcommands, ``report`` and
+``sweep`` are generated from it.
 
 Each :class:`ScenarioDef` packages a declarative topology (see
 :mod:`repro.sim.topospec`), the attack class run on it, and the tuned
@@ -19,10 +24,17 @@ aggregated 10^4-sender flood that still runs in one process (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .eval.experiments import ExperimentConfig
-from .eval.runner import ScenarioSpec
+from .eval.dynamics import DynamicsResult, build_dynamics_spec
+from .eval.experiments import SCHEMES, ExperimentConfig, Fig11Result
+from .eval.results import metrics_lines
+from .eval.runner import (
+    ScenarioSpec,
+    SweepRunner,
+    build_fig11_spec,
+    build_flood_specs,
+)
 from .sim.topospec import (
     TopologySpec,
     as_graph_spec,
@@ -222,3 +234,149 @@ def format_scenario_table() -> str:
             f"{hosts:>{host_w}s}  {attack:{atk_w}s}  {desc}"
         )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The paper's simulated artifacts
+# ---------------------------------------------------------------------------
+
+def _sparkline(series, t_max: float, buckets: int = 60) -> str:
+    """A terminal rendering of the Figure 11 time series: worst transfer
+    time per time bucket."""
+    glyphs = " .:-=+*#%@"
+    worst = [0.0] * buckets
+    for start, duration in series:
+        idx = min(buckets - 1, int(start / t_max * buckets))
+        worst[idx] = max(worst[idx], duration)
+    top = max(max(worst), 1.0)
+    return "".join(
+        glyphs[min(len(glyphs) - 1, int(w / top * (len(glyphs) - 1)))]
+        for w in worst
+    )
+
+
+def _flood_grid(attack, schemes, sweep, duration, seed, **options):
+    config = ExperimentConfig(duration=duration, seed=seed)
+    return build_flood_specs(attack, schemes, sweep, config, **options)
+
+
+def _dynamics_grid(schemes, attackers, keep_secret, **options):
+    return [build_dynamics_spec(scheme, n_attackers=attackers,
+                                rotate_secret=not keep_secret, **options)
+            for scheme in schemes]
+
+
+def _fig11_text(title: str, params: Dict, result: Fig11Result) -> str:
+    duration = params["duration"]
+    gaps = [(round(a, 1), round(b, 1)) for a, b in result.completion_gaps()]
+    lines = [
+        f"Figure 11 — {result.scheme}, {result.pattern} "
+        f"(attack starts at t={result.attack_start:g} s)",
+        f"  completed transfers : {len(result.series)}",
+        f"  max transfer time   : {result.max_transfer_time():.2f} s",
+        f"  disruption ends at  : {result.disruption_end():.1f} s",
+        f"  completion gaps     : {gaps}",
+        f"  transfer-time sketch (0..{duration:.0f} s, darker = slower):",
+        f"  [{_sparkline(result.series, duration)}]",
+    ]
+    if result.metrics is not None:
+        lines.append("  metrics:")
+        lines += [f"  {line}" for line in metrics_lines(result.metrics)]
+    return "\n".join(lines)
+
+
+def _dynamics_text(title: str, params: Dict, result: DynamicsResult) -> str:
+    return "\n".join([
+        title, result.table(), "",
+        "recovery(s): time after the reboot until the completion rate",
+        "is back to 90% of its pre-fault level ('never' = not within",
+        "the run; 0.0 = no visible degradation).",
+    ])
+
+
+@dataclass(frozen=True)
+class FigureDef:
+    """One simulated paper artifact, ``repro <name>``, as data.
+
+    ``params`` (name, default) become its flags; ``fixed`` are ``grid``
+    arguments no flag reaches.  ``view(params, specs, sweep)`` is the
+    result record: its ``to_json()`` is the JSON rendering,
+    ``text(title, params, record)`` the text one.
+    """
+
+    name: str
+    title: str
+    params: Tuple[Tuple[str, object], ...]
+    grid: Callable[..., List[ScenarioSpec]]
+    fixed: Tuple[Tuple[str, object], ...] = ()
+    view: Callable[..., object] = lambda params, specs, sweep: sweep
+    text: Callable[..., str] = lambda title, params, sweep: sweep.table()
+    seeds: bool = False
+
+    @property
+    def defaults(self) -> Dict[str, object]:
+        return dict(self.params)
+
+    def specs(self, metrics: bool = False, metrics_interval: float = 0.5,
+              **params) -> List[ScenarioSpec]:
+        """The grid at ``params``, ``fixed`` ones included; the rest
+        keep their defaults."""
+        return self.grid(**{**dict(self.fixed), **self.defaults, **params},
+                         metrics=metrics, metrics_interval=metrics_interval)
+
+    def run(self, runner: Optional[SweepRunner] = None,
+            metrics: bool = False, **params):
+        """The record ``repro <name>`` renders, for ``params``; runs
+        in-process unless a ``runner`` is given."""
+        params = {**self.defaults, **params}
+        specs = self.specs(metrics, **params)
+        sweep = (runner or SweepRunner(jobs=1)).run_points(
+            specs, title=self.title)
+        return self.view(params, specs, sweep)
+
+
+#: Figures 8–10 share their parameters; the paper sweeps 1..100
+#: attackers on a log axis.
+_FLOOD = dict(seeds=True, grid=_flood_grid, params=(
+    ("schemes", SCHEMES), ("sweep", (1, 2, 4, 10, 20, 40, 100)),
+    ("duration", ExperimentConfig().duration), ("seed", 1)))
+
+#: The simulated artifacts, in paper order (the subcommand order).
+FIGURES: Dict[str, FigureDef] = {f.name: f for f in (
+    FigureDef("fig8", "Figure 8 — legacy packet floods",
+              fixed=(("attack", "legacy"),), **_FLOOD),
+    FigureDef("fig9", "Figure 9 — request packet floods",
+              fixed=(("attack", "request"),), **_FLOOD),
+    FigureDef("fig10", "Figure 10 — authorized floods at a colluder",
+              fixed=(("attack", "colluder"),), **_FLOOD),
+    FigureDef(
+        "fig11", "Figure 11 — imprecise authorization policies",
+        params=(("scheme", "tva"), ("pattern", "all_at_once"),
+                ("duration", 50.0)),
+        fixed=(("n_attackers", 100), ("attack_start", 10.0)),
+        grid=lambda **kw: [build_fig11_spec(**kw)],
+        view=lambda params, specs, sweep: Fig11Result.from_run(
+            specs[0], sweep.points[0].runs[0]),
+        text=_fig11_text,
+    ),
+    FigureDef(
+        "dynamics", "Dynamics — recovery after a router reboot",
+        # TVA, SIFF and NetFence keep per-router state; the stateless
+        # Internet is the control.  R1, the trust boundary, reboots with
+        # no attack traffic, isolating the dynamics response.
+        params=(("schemes", ("tva", "siff", "internet", "netfence")),
+                ("reboot_at", 8.0), ("duration", 20.0), ("attackers", 0),
+                ("router", "R1"), ("keep_secret", False), ("seed", 1)),
+        grid=_dynamics_grid,
+        view=lambda params, specs, sweep: DynamicsResult.from_runs(
+            params["reboot_at"], params["duration"],
+            [point.runs[0] for point in sweep.points]),
+        text=_dynamics_text,
+    ),
+)}
+
+#: The flood figures by attack class: ``repro sweep --attack``'s choices.
+FLOOD_FIGURES: Dict[str, FigureDef] = {
+    dict(FIGURES[name].fixed)["attack"]: FIGURES[name]
+    for name in FIGURES if FIGURES[name].grid is _flood_grid
+}

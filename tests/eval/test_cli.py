@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _parse_schemes, _parse_sweep, _sparkline, build_parser, main
+from repro.cli import _parse_schemes, _parse_sweep, build_parser, main
+from repro.scenarios import _sparkline
 
 
 class TestParsing:
@@ -20,8 +21,8 @@ class TestParsing:
 
     def test_parser_builds_all_commands(self):
         parser = build_parser()
-        for cmd in ("fig8", "fig9", "fig10", "fig11", "table1", "fig12",
-                    "scenario"):
+        for cmd in ("fig8", "fig9", "fig10", "fig11", "dynamics", "table1",
+                    "fig12", "scenario", "sweep", "report"):
             args = parser.parse_args([cmd])
             assert callable(args.fn)
 
@@ -135,6 +136,18 @@ class TestBadInput:
         pytest.param(["scenario", "--scheme", "siff",
                       "--scheme-opt", "server_grant=[32000,0]"],
                      "server_grant", id="scenario-siff-grant-zero-seconds"),
+        # A fault naming no router or link of the topology is rejected
+        # by the spec, before any simulator is built.
+        pytest.param(["scenario", "--fault", "reboot:1:R9"],
+                     "no router named 'R9'", id="scenario-fault-unknown-router"),
+        pytest.param(["scenario", "--fault", "link-down:1:2:nolink"],
+                     "no link named 'nolink'", id="scenario-fault-unknown-link"),
+        pytest.param(["dynamics", "--router", "R9"],
+                     "no router named 'R9'", id="dynamics-unknown-router"),
+        pytest.param(["scenario", "--name", "tree-flood",
+                      "--fault", "reboot:1:R1"],
+                     "fault reboot at t=1: no router named 'R1'",
+                     id="scenario-tree-has-no-R1"),
     ])
     def test_one_error_line_exit_2(self, capsys, tmp_path, argv, complaint):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
@@ -143,6 +156,14 @@ class TestBadInput:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and complaint in line
         assert list(tmp_path.iterdir()) == []  # nothing ran, nothing cached
+
+    @pytest.mark.parametrize("command", ["table1", "fig12", "report"])
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_packets_must_be_positive(self, capsys, command, packets):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--packets", packets])
+        assert exc.value.code == 2
+        assert "--packets: must be >= 1" in capsys.readouterr().err
 
     def test_failures_inside_a_run_are_not_swallowed(self, monkeypatch):
         # A ValueError raised while a spec *runs* is not bad input: the

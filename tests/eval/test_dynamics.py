@@ -2,20 +2,17 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from repro.eval.cache import ResultCache
-from repro.eval.dynamics import (
-    DynamicsResult,
-    build_dynamics_spec,
-    recovery_time,
-    run_dynamics,
-)
+from repro.eval.dynamics import DynamicsResult, recovery_time
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.results import RunResult
 from repro.eval.runner import ScenarioSpec, SweepRunner, run_spec
 from repro.faults import FaultSchedule, LinkDown, LinkUp, RouterReboot
+from repro.scenarios import FIGURES, get_scenario
 
 FAST = ExperimentConfig(duration=3.0)
 
@@ -81,6 +78,43 @@ class TestFaultBearingSpecs:
         assert serial.to_json() == parallel.to_json()
 
 
+class TestFaultTargets:
+    """A spec runs the injector's own name check against a build of the
+    network it will run on, so a bad target fails at construction."""
+
+    @pytest.mark.parametrize("link", ["bottleneck", "reverse", "R1->R2",
+                                      "R2<->R1", "attacker0->R1",
+                                      "R2->colluder"])
+    def test_dumbbell_links_resolve(self, link):
+        fault_spec(faults=FaultSchedule((LinkDown(at=1.0, link=link),)))
+
+    @pytest.mark.parametrize("fault, message", [
+        (RouterReboot(at=1.0, router="R9"),
+         "fault reboot at t=1: no router named 'R9'"),
+        (LinkDown(at=1.0, link="R1->R9"),
+         "fault link-down at t=1: no link named 'R1->R9'"),
+        # n_attackers=1: the dumbbell has attacker0 only.
+        (LinkUp(at=1.5, link="attacker1->R1"),
+         "fault link-up at t=1.5: no link named 'attacker1->R1'"),
+    ])
+    def test_unknown_target_is_a_value_error(self, fault, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fault_spec(faults=FaultSchedule((fault,)))
+
+    def test_aggregated_groups_are_one_link(self):
+        flood = get_scenario("flood-10k")
+        with pytest.raises(ValueError, match="a0.0.0->L0.0"):
+            flood.spec(faults="link-down:1:a0.0.0->L0.0")
+        flood.spec(faults="link-down:1:a0.0.->L0.0")
+
+    def test_fault_free_specs_build_no_network(self, monkeypatch):
+        def unexpected(spec):
+            raise AssertionError("network built for a fault-free spec")
+
+        monkeypatch.setattr(ScenarioSpec, "network", unexpected)
+        fault_spec(faults=FaultSchedule())
+
+
 class TestRecoveryTime:
     def run_with(self, completions):
         return RunResult("tva", "legacy", 0, 1, 1.0, 0.1,
@@ -109,15 +143,14 @@ class TestRecoveryTime:
 
 
 class TestRunDynamics:
+    """The ``dynamics`` entry of ``FIGURES``, run as a library call."""
+
+    RUN = dict(schemes=("tva", "internet"), reboot_at=4.0, duration=14.0,
+               metrics=True)
+
     @pytest.fixture(scope="class")
     def result(self):
-        return run_dynamics(
-            schemes=("tva", "internet"),
-            reboot_at=4.0,
-            duration=14.0,
-            config=ExperimentConfig(n_users=5),
-            metrics=True,
-        )
+        return FIGURES["dynamics"].run(**self.RUN)
 
     def test_reboot_is_invisible_to_the_stateless_internet(self, result):
         rows = {row["scheme"]: row for row in result.rows}
@@ -132,18 +165,12 @@ class TestRunDynamics:
         assert rows["tva"]["reboots"] == 1.0
 
     def test_rejects_reboot_after_the_run(self):
-        with pytest.raises(ValueError):
-            build_dynamics_spec("tva", reboot_at=5.0, duration=5.0)
+        with pytest.raises(ValueError, match="reboot_at"):
+            FIGURES["dynamics"].specs(reboot_at=5.0, duration=5.0)
 
     def test_json_is_deterministic(self, result):
-        clone = run_dynamics(
-            schemes=("tva", "internet"),
-            reboot_at=4.0,
-            duration=14.0,
-            config=ExperimentConfig(n_users=5),
-            metrics=True,
-            runner=SweepRunner(jobs=2),
-        )
+        clone = FIGURES["dynamics"].run(runner=SweepRunner(jobs=2),
+                                        **self.RUN)
         assert clone.to_json() == result.to_json()
 
     def test_table_renders_every_scheme(self, result):

@@ -7,6 +7,7 @@ from repro.eval import ExperimentConfig, Fig11Result
 from repro.eval import runner as runner_module
 from repro.eval.experiments import merged_scheme_options
 from repro.eval.runner import ScenarioSpec
+from repro.scenarios import FIGURES
 
 
 def scheme_for(name, config, options=None):
@@ -89,6 +90,7 @@ class TestResultTypes:
 
     def test_fig11_quiet_series(self):
         result = Fig11Result(scheme="tva", pattern="staggered",
+                             attack_start=10.0,
                              series=[(t, 0.3) for t in range(30)])
         assert result.effective_attack_seconds() == 0.0
 
@@ -102,22 +104,20 @@ class TestResultTypes:
             scheme="tva", pattern="staggered",
             series=[tuple(point) for point in run.time_series],
             attack_start=2.0, metrics=run.metrics)
-        # ...and ``repro report`` built it from the series alone, leaving
-        # the attack start at the spec builder's default.
-        spec = build_fig11_spec("siff", "all_at_once")
+        # ...and ``repro report`` built it from the series alone, with
+        # the figure's attack start.
+        (spec,) = FIGURES["fig11"].specs(scheme="siff")
         run = RunResult(scheme="siff", attack="authorized", n_attackers=100,
                         seed=1, fraction_completed=1.0, avg_transfer_time=0.3,
                         transfers_attempted=2, transfers_completed=2,
                         time_series=((9.0, 0.3), (10.5, 3.0)))
         assert Fig11Result.from_run(spec, run) == Fig11Result(
-            scheme="siff", pattern="all_at_once",
+            scheme="siff", pattern="all_at_once", attack_start=10.0,
             series=[(9.0, 0.3), (10.5, 3.0)])
 
     def test_fig11_rejects_bad_pattern(self):
-        from repro.eval import run_fig11_imprecise
-
-        with pytest.raises(ValueError):
-            run_fig11_imprecise("tva", "sideways")
+        with pytest.raises(ValueError, match="unknown pattern 'sideways'"):
+            FIGURES["fig11"].specs(pattern="sideways")
 
 
 class TestConfigRoundTrip:
@@ -153,12 +153,11 @@ class TestConfigRoundTrip:
 
 class TestFig11ConfigIsolation:
     def test_run_fig11_does_not_mutate_callers_config(self):
-        """Regression: run_fig11_imprecise used to write ``duration``
+        """Regression: the Figure 11 runner used to write ``duration``
         into the caller's config in place."""
         config = ExperimentConfig(duration=15.0, seed=2)
-        from repro.eval import run_fig11_imprecise
-
-        run_fig11_imprecise("tva", "all_at_once", n_attackers=2,
-                            attack_start=1.0, duration=5.0, config=config)
+        spec = build_fig11_spec("tva", "all_at_once", n_attackers=2,
+                                attack_start=1.0, duration=5.0, config=config)
+        assert spec.config.duration == 5.0
         assert config.duration == 15.0
         assert config == ExperimentConfig(duration=15.0, seed=2)

@@ -110,6 +110,15 @@ class TestForwardingCurve:
         assert cached > uncached
 
 
+@pytest.mark.parametrize("packets", [0, -3])
+def test_packet_count_must_be_positive(packets):
+    # Used to be a ZeroDivisionError (0) or a meaningless cost (< 0).
+    with pytest.raises(ValueError, match="packets_per_kind must be >= 1"):
+        measure_processing_costs(packets_per_kind=packets)
+    with pytest.raises(ValueError, match="packets_per_kind must be >= 1"):
+        forwarding_rate_curve("legacy", (50,), packets)
+
+
 class TestWirePath:
     """The byte-level pipeline: decode Figure 5, process, re-encode."""
 

@@ -16,8 +16,15 @@ from repro.api import (
     tree_spec,
 )
 from repro.eval.results import RunResult
+from repro.scenarios import FIGURES
 
 FAST = ExperimentConfig(duration=3.0)
+
+
+def fig11_spec(**params):
+    """The ``repro fig11`` spec at ``params``."""
+    (spec,) = FIGURES["fig11"].specs(**params)
+    return spec
 
 
 def _with(**fields):
@@ -205,7 +212,7 @@ class TestSpecBuilders:
         assert specs[0].policy == "filtering"
 
     def test_fig11_spec_staggers_groups(self):
-        spec = build_fig11_spec("siff", "staggered", duration=20.0)
+        spec = fig11_spec(scheme="siff", pattern="staggered", duration=20.0)
         assert spec.policy == "oracle"
         assert spec.attack_groups == 10
         assert spec.group_stagger == pytest.approx(3.0)
@@ -218,23 +225,25 @@ class TestSpecBuilders:
         from repro.baselines import SiffScheme
         from repro.eval.experiments import merged_scheme_options
 
-        spec = build_fig11_spec("siff")
+        spec = fig11_spec(scheme="siff")
         scheme = build_scheme("siff", merged_scheme_options(
             "siff", spec.config, spec.scheme_options))
         assert isinstance(scheme, SiffScheme)
         assert scheme.secret_period == 3.0
         assert not scheme.accept_previous
         assert scheme.mark_bits == 16
-        assert build_fig11_spec("tva").scheme_options == {}
-        assert build_fig11_spec("netfence").scheme_options == {}
+        assert fig11_spec(scheme="tva").scheme_options == {}
+        assert fig11_spec(scheme="netfence").scheme_options == {}
 
     def test_fig11_spec_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
-            build_fig11_spec("tva", "sideways")
+            fig11_spec(pattern="sideways")
 
     def test_fig11_spec_copies_the_config(self):
         config = ExperimentConfig(duration=99.0)
-        build_fig11_spec("tva", "all_at_once", duration=5.0, config=config)
+        spec = build_fig11_spec("tva", "all_at_once", n_attackers=100,
+                                attack_start=10.0, duration=5.0, config=config)
+        assert spec.config.duration == 5.0
         assert config.duration == 99.0
 
 

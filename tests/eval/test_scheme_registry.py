@@ -231,7 +231,7 @@ CHANGED_FIELD = {
     "group_stagger": 0.5,
     "metrics": True,
     "metrics_interval": 0.25,
-    "faults": ("reboot:1.0:R1",),
+    "faults": ("reboot:1.0:root",),  # the tree has no R1
     "topology": dumbbell_spec(),
     "aggregate": False,
     "scheme_options": {"request_fraction": 0.1},

@@ -1,18 +1,19 @@
 """Smoke tests of the public figure API at tiny scale.
 
 A Figure 8/9/10 curve is ``build_flood_specs`` + ``SweepRunner``; Figure
-11 has its own time-series record.  The benchmarks exercise these at
-experiment scale; here we pin the API shape (types, fields, row counts)
-with seconds-long runs.
+11 has its own time-series record, the view of its ``FIGURES`` entry.
+The benchmarks exercise these at experiment scale; here we pin the API
+shape (types, fields, row counts) with seconds-long runs.
 """
 
 from repro.api import (
+    FIGURES,
     ExperimentConfig,
     RunResult,
     SweepRunner,
     build_flood_specs,
 )
-from repro.eval import run_fig11_imprecise
+from repro.eval import Fig11Result
 
 TINY = ExperimentConfig(duration=4.0)
 
@@ -42,8 +43,9 @@ class TestFigureRunners:
         assert 0.0 <= results[0].fraction_completed <= 1.0
 
     def test_fig11_runner_result(self):
-        result = run_fig11_imprecise("tva", "all_at_once", n_attackers=5,
-                                     attack_start=2.0, duration=8.0)
+        result = FIGURES["fig11"].run(n_attackers=5, attack_start=2.0,
+                                      duration=8.0)
+        assert isinstance(result, Fig11Result)
         assert result.scheme == "tva"
         assert result.attack_start == 2.0
         assert result.series  # transfers completed
