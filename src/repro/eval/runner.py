@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -153,10 +154,21 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {POLICIES}"
             )
-        for name, value in (("n_attackers", self.n_attackers),
-                            ("config.n_users", self.config.n_users),
-                            ("config.duration", self.config.duration)):
-            if value < 0:
+        # Every float must be finite (a NaN or infinite time never lets a
+        # run end); counts and the duration must also not be negative.
+        config = self.config
+        for name, value, nonneg in (
+                ("n_attackers", self.n_attackers, True),
+                ("config.n_users", config.n_users, True),
+                ("config.duration", config.duration, True),
+                ("config.bottleneck_bps", config.bottleneck_bps, False),
+                ("config.attack_rate_bps", config.attack_rate_bps, False),
+                ("attack_start", self.attack_start, False),
+                ("group_stagger", self.group_stagger, False),
+                ("metrics_interval", self.metrics_interval, False)):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if nonneg and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")

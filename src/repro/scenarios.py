@@ -16,8 +16,9 @@ any other spec — and stay bit-identical across worker counts and
 
 The library spans the regimes a single dumbbell cannot show: congestion
 at several tree levels at once, attack ingress spread over an AS graph,
-asymmetric forward/return routing, partial (mixed) deployment, and an
-aggregated 10^4-sender flood that still runs in one process (see
+asymmetric forward/return routing, partial (mixed) deployment, and a
+10^4-sender flood whose senders share one node, one access trunk and one
+routing range entry per router for each group (see
 :class:`~repro.transport.AggregateSender`).
 """
 

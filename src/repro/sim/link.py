@@ -287,8 +287,8 @@ class AggregateLink(Link):
     own queue discipline (built on first use from ``qdisc_factory``) and
     its own serial transmitter at ``bandwidth_bps``, so queueing
     dynamics are exactly those of ``count`` separate links — the
-    savings are the per-``Link``/per-``Node`` objects and the routing
-    entries, not the model.
+    savings are the per-``Link``/per-``Node`` objects and one routing
+    range entry per router instead of ``count``, not the model.
 
     ``by="src"`` selects the channel from the packet's source address
     (the uplink trunk), ``by="dst"`` from the destination (the

@@ -72,7 +72,10 @@ class Node:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        #: destination address -> outgoing Link
+        #: destination address -> outgoing Link.  Kept by routers and by
+        #: hosts with other than one outgoing link; a single-uplink host's
+        #: table stays empty and it sends over its uplink (the default
+        #: gateway) — see :func:`~repro.sim.routing.build_static_routes`.
         self.routing: Dict[int, Link] = {}
         #: (lo, hi, Link) route entries covering the address block
         #: ``lo <= addr < hi`` — one entry per reachable
@@ -160,6 +163,14 @@ class Host(Node):
 
     def unbind(self, proto: str, port: int) -> None:
         self._handlers.pop((proto, port), None)
+
+    def route_for(self, dst: int) -> Optional[Link]:
+        """The link :meth:`send` and :meth:`send_raw` use toward ``dst``:
+        the table entry, else the uplink."""
+        link = self.routing.get(dst)
+        if link is None and self.links_out:
+            link = self.links_out[0]
+        return link
 
     # -- data path --------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
@@ -263,8 +274,10 @@ class AggregateHost(Host):
     its own access-link channel (see
     :class:`~repro.sim.link.AggregateLink`), so capability handshakes,
     path-identifier tags, and per-sender queueing are identical to the
-    expanded topology — only the per-host ``Host``/``Link`` objects and
-    routing entries are shared.  Members never bind transports:
+    expanded topology — only the per-host ``Host``/``Link`` objects are
+    shared, and each router holds one range entry for the block instead
+    of ``count`` host entries (member hosts, single-uplink, hold none
+    either way).  Members never bind transports:
     aggregation is for flood senders, whose incoming traffic is control
     packets (consumed by the shim) or unexpected.
     """

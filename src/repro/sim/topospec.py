@@ -30,8 +30,9 @@ policy's suspect set relies on.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 #: Host roles a NodeSpec may carry (mirrors SchemeFactory.make_host_shim).
@@ -39,6 +40,55 @@ HOST_ROLES = ("user", "attacker", "destination", "colluder")
 
 #: Link kinds understood by SchemeFactory.make_qdisc.
 LINK_KINDS = ("bottleneck", "core", "access_up", "access_down")
+
+
+#: Annotation -> the types a field so annotated must hold.
+_FIELD_TYPES = {
+    "str": (str,),
+    "bool": (bool,),
+    "Optional[str]": (str, type(None)),
+    "Optional[bool]": (bool, type(None)),
+}
+
+
+def _check_field_types(spec: object, where: str) -> None:
+    """Every ``str``/``bool`` field of ``spec`` holds that type, so a spec
+    read from JSON stays hashable and compares as it prints."""
+    for f in fields(spec):
+        allowed = _FIELD_TYPES.get(f.type)
+        value = getattr(spec, f.name)
+        if allowed is not None and not isinstance(value, allowed):
+            raise ValueError(f"{where}: {f.name} must be {f.type}, got {value!r}")
+
+
+def _is_number(value: object) -> bool:
+    """A finite ``int`` or ``float`` (a ``bool`` is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _entries(data: Mapping, key: str, cls: type, topology: object) -> tuple:
+    """``data[key]`` (default empty) as a tuple of ``cls`` built from a
+    list of mappings; any malformed part is a ``ValueError``."""
+    raw = data.get(key, ())
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(
+            f"topology {topology!r}: {key} must be a list of mappings, "
+            f"got {type(raw).__name__}"
+        )
+    built = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, Mapping):
+            raise ValueError(
+                f"topology {topology!r}: {key}[{i}] must be a mapping, "
+                f"got {type(entry).__name__}"
+            )
+        try:
+            built.append(cls(**entry))
+        except TypeError as exc:  # a missing, unknown or non-string key
+            raise ValueError(f"topology {topology!r}: {key}[{i}]: {exc}") from None
+    return tuple(built)
 
 
 @dataclass(frozen=True)
@@ -62,8 +112,13 @@ class NodeSpec:
     indexed: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        _check_field_types(self, f"node {self.name!r}")
         if self.kind not in ("router", "host"):
             raise ValueError(f"node {self.name!r}: unknown kind {self.kind!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(
+                f"node {self.name!r}: count must be an int, got {self.count!r}"
+            )
         if self.count < 0:
             raise ValueError(f"node {self.name!r}: count must be >= 0")
         if self.kind == "router" and self.count != 1:
@@ -105,10 +160,17 @@ class LinkSpec:
     bottleneck: bool = False
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError(f"link {self.src}->{self.dst}: bandwidth must be positive")
-        if self.delay < 0:
-            raise ValueError(f"link {self.src}->{self.dst}: delay must be non-negative")
+        _check_field_types(self, f"link {self.src!r}->{self.dst!r}")
+        if not _is_number(self.bandwidth_bps) or self.bandwidth_bps <= 0:
+            raise ValueError(
+                f"link {self.src}->{self.dst}: bandwidth_bps must be finite "
+                f"and positive, got {self.bandwidth_bps!r}"
+            )
+        if not _is_number(self.delay) or self.delay < 0:
+            raise ValueError(
+                f"link {self.src}->{self.dst}: delay must be finite and "
+                f"non-negative, got {self.delay!r}"
+            )
         if self.kind not in LINK_KINDS:
             raise ValueError(f"link {self.src}->{self.dst}: unknown kind {self.kind!r}")
         if self.kind_back is not None and self.kind_back not in LINK_KINDS:
@@ -227,10 +289,13 @@ class TopologySpec:
             raise ValueError(f"topology must be a mapping, got {type(data).__name__}")
         if "name" not in data:
             raise ValueError("topology needs a 'name'")
+        name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"topology name must be a string, got {name!r}")
         return cls(
-            name=data["name"],
-            nodes=tuple(NodeSpec(**n) for n in data.get("nodes", ())),
-            links=tuple(LinkSpec(**l) for l in data.get("links", ())),
+            name=name,
+            nodes=_entries(data, "nodes", NodeSpec, name),
+            links=_entries(data, "links", LinkSpec, name),
         )
 
     def canonical(self) -> dict:

@@ -24,6 +24,9 @@ def _pair(topology, **kwargs):
 
 
 CONFIG = ExperimentConfig(duration=3.0, n_users=3)
+#: 100 kb/s per sender keeps 200 senders from swamping every scheme, so
+#: some cases complete transfers (tva legacy 42, siff legacy 5).
+TREE_CONFIG = ExperimentConfig(duration=3.0, attack_rate_bps=1e5)
 
 
 class TestAggregateEquivalence:
@@ -65,6 +68,20 @@ class TestAggregateEquivalence:
         agg, exp = _pair(
             topology, scheme="tva", attack="legacy", n_attackers=6,
             config=CONFIG,
+        )
+        assert agg == exp
+
+    @pytest.mark.parametrize("attack", ["legacy", "colluder"])
+    @pytest.mark.parametrize(
+        "scheme", ["tva", "siff", "pushback", "internet", "netfence"])
+    def test_hundred_sender_tree_identical(self, scheme, attack):
+        """Two leaves of 100 senders each: the expanded side is 200
+        single-uplink hosts, cheap to route since they keep no table."""
+        topology = tree_spec(branches=2, leaves_per_branch=1, users_per_leaf=2,
+                             attackers_per_leaf=100, with_colluder=True)
+        agg, exp = _pair(
+            topology, scheme=scheme, attack=attack, n_attackers=200,
+            config=TREE_CONFIG,
         )
         assert agg == exp
 

@@ -124,6 +124,16 @@ class TestBadInput:
                      id="scenario-negative-duration"),
         pytest.param(["sweep", "--sweep", "1,-4"],
                      "n_attackers must be >= 0", id="sweep-negative-sweep"),
+        # A non-finite time would never let a closed-loop run end.
+        pytest.param(["scenario", "--scheme", "tva", "--attackers", "2",
+                      "--duration", "inf"],
+                     "config.duration must be finite", id="scenario-inf-duration"),
+        pytest.param(["scenario", "--scheme", "tva", "--attackers", "2",
+                      "--duration", "nan"],
+                     "config.duration must be finite", id="scenario-nan-duration"),
+        pytest.param(["fig8", "--sweep", "1", "--schemes", "tva",
+                      "--duration", "nan"],
+                     "config.duration must be finite", id="fig8-nan-duration"),
         pytest.param(["scenario", "--scheme-opt", "server_grant=[32000]",
                       "--attackers", "2", "--duration", "1"],
                      "server_grant", id="scenario-grant-one-number"),

@@ -19,6 +19,7 @@ from repro.eval.results import RunResult
 from repro.scenarios import FIGURES
 
 FAST = ExperimentConfig(duration=3.0)
+INF, NAN = float("inf"), float("nan")
 
 
 def fig11_spec(**params):
@@ -164,6 +165,25 @@ class TestScenarioSpec:
         spec = {"scheme": "internet", "attack": "legacy", "n_attackers": 1,
                 **kwargs}
         with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            ScenarioSpec(**spec)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("config.duration", {"config": ExperimentConfig(duration=INF)}),
+        ("config.bottleneck_bps",
+         {"config": ExperimentConfig(bottleneck_bps=NAN)}),
+        ("config.attack_rate_bps",
+         {"config": ExperimentConfig(attack_rate_bps=NAN)}),
+        ("attack_start", {"attack_start": -INF}),
+        ("group_stagger", {"group_stagger": NAN}),
+        ("metrics_interval", {"metrics_interval": INF}),
+    ], ids=["duration", "bottleneck_bps", "attack_rate_bps", "attack_start",
+            "group_stagger", "metrics_interval"])
+    def test_rejects_non_finite_floats(self, field, kwargs):
+        # A NaN or infinite time never lets a closed-loop run end, and a
+        # NaN rate puts NaN times into the event heap.
+        spec = {"scheme": "internet", "attack": "legacy", "n_attackers": 1,
+                **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ScenarioSpec(**spec)
 
     def test_zero_duration_and_counts_stay_legal(self):

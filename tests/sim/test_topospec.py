@@ -172,6 +172,30 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             TopologySpec.from_dict(data)
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda d: d["links"][0].update(bandwidth_bps=float("nan")),
+         r"link R1->R2: bandwidth_bps must be finite and positive, got nan"),
+        (lambda d: d["links"][0].update(bandwidth_bps="fast"),
+         r"link R1->R2: bandwidth_bps must be finite and positive, got 'fast'"),
+        (lambda d: d["links"][1].update(delay=float("inf")),
+         r"link user->R1: delay must be finite and non-negative, got inf"),
+        (lambda d: d["nodes"][2].update(count="x"),
+         r"node 'user': count must be an int, got 'x'"),
+        (lambda d: d["nodes"][2].update(count=True),
+         r"node 'user': count must be an int, got True"),
+        (lambda d: d.update(nodes=5),
+         r"topology 'dumbbell': nodes must be a list of mappings, got int"),
+        (lambda d: d["links"].__setitem__(1, "user->R1"),
+         r"topology 'dumbbell': links\[1\] must be a mapping, got str"),
+    ], ids=["nan-bandwidth", "str-bandwidth", "inf-delay", "str-count",
+            "bool-count", "int-nodes", "str-link"])
+    def test_malformed_value_is_a_named_error(self, damage, message):
+        # Each used to build (NaN) or raise TypeError.
+        data = dumbbell_spec(n_users=2, n_attackers=2).to_dict()
+        damage(data)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TopologySpec.from_dict(data)
+
     def test_specs_are_hashable_and_stable(self):
         a = tree_spec()
         b = tree_spec()
