@@ -10,8 +10,6 @@ disruption under the staggered one — within each 3 s window "all
 legitimate requests are blocked until the next transition".
 """
 
-from conftest import print_flood_table  # noqa: F401  (shared import side)
-
 from repro.api import FIGURES
 
 #: ``repro fig11``'s attack start (a fixed argument of its grid).

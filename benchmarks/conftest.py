@@ -18,10 +18,6 @@ DURATION = 40.0 if FULL else 12.0
 #: Attacker counts for the Figure 8-10 sweeps.
 SWEEP = (1, 2, 4, 10, 20, 40, 100) if FULL else (1, 10, 40, 100)
 
-#: Horizon for the completion fraction (see TransferLog.attempted_by).
-def horizon():
-    return DURATION - 2.0
-
 
 @pytest.fixture
 def bench_once(benchmark):

@@ -52,15 +52,8 @@ from .lint import Finding, LintEngine, LintError
 from .lint import RULES as LINT_RULES
 from .lint import lint_paths
 
-# -- benchmarking (deterministic op counts) --------------------------------
-from .perf import (
-    PERF,
-    BenchReport,
-    OpCountProbe,
-    OpCounts,
-    PerfCounters,
-    run_bench,
-)
+# -- op counts (deterministic per-packet work) -----------------------------
+from .perf import PERF, OpCountProbe, OpCounts, PerfCounters
 
 # -- fault injection -------------------------------------------------------
 from .faults import (
@@ -246,13 +239,11 @@ __all__ = [
     "scenario_names",
     "get_scenario",
     "format_scenario_table",
-    # benchmarking
+    # op counts
     "PERF",
     "PerfCounters",
     "OpCounts",
     "OpCountProbe",
-    "BenchReport",
-    "run_bench",
     # faults
     "FaultInjector",
     "FaultSchedule",

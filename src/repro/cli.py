@@ -316,50 +316,6 @@ def _cmd_lint(args) -> int:
     return 1 if any(f.active for f in findings) else 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the repro.perf workloads and check the op-count guard.
-
-    The exit status gates on the deterministic op-count guard
-    (``benchmarks/opcount_guard.json``).  Time is measured by
-    ``python3 benchmarks/e2e/run.py``, not here.
-    """
-    from pathlib import Path
-
-    from .perf.harness import (
-        check_opcount_guard,
-        load_guard,
-        run_bench,
-        write_guard,
-    )
-
-    report = run_bench()
-    print(report.table())
-
-    guard_path = Path(args.guard)
-    if args.update_guard:
-        write_guard(report, guard_path)
-        print(f"updated op-count guard {guard_path}")
-        return 0
-    if not guard_path.exists():
-        print(f"(no op-count guard at {guard_path}; "
-              "create one with --update-guard)")
-        return 0
-    try:
-        problems = check_opcount_guard(report, load_guard(guard_path))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if problems:
-        print(f"\nop-count guard FAILED ({guard_path}):", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        print("if the change is intentional, regenerate with: "
-              "repro bench --update-guard", file=sys.stderr)
-        return 1
-    print(f"op-count guard OK ({guard_path})")
-    return 0
-
-
 def _parse_shard_arg(value: str):
     try:
         return parse_shard(value)
@@ -618,18 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also list suppressed/baselined findings in text "
                          "output")
     pl.set_defaults(fn=_cmd_lint)
-
-    pb = sub.add_parser(
-        "bench",
-        help="per-packet op-count workloads and their guard (repro.perf)")
-    pb.add_argument("--guard", default="benchmarks/opcount_guard.json",
-                    metavar="PATH",
-                    help="deterministic op-count guard to check "
-                         "(default: benchmarks/opcount_guard.json)")
-    pb.add_argument("--update-guard", action="store_true",
-                    help="rewrite the guard from this run instead of "
-                         "checking it")
-    pb.set_defaults(fn=_cmd_bench)
 
     ps = sub.add_parser("scenario",
                         help="one flood scenario: custom dumbbell or a "

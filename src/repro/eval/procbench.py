@@ -66,6 +66,8 @@ class RouterWorkbench:
     """A standalone TVA router plus packet factories for every kind."""
 
     def __init__(self, pool_size: int = 512, seed: int = 7) -> None:
+        if pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {pool_size!r}")
         self.secrets = SecretManager(seed=f"bench-{seed}".encode())
         self.state = FlowStateTable(capacity=max(4 * pool_size, 1024))
         self.core = TvaRouterCore(
@@ -225,6 +227,8 @@ def measure_processing_costs(
     """Time each packet kind and return ns/packet (Table 1's analogue)."""
     if packets_per_kind < 1:
         raise ValueError(f"packets_per_kind must be >= 1, got {packets_per_kind!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch!r}")
     bench = RouterWorkbench()
     costs: Dict[str, ProcessingCost] = {}
     for kind in kinds:

@@ -1,20 +1,20 @@
-"""Deterministic op-count profiling and the op-count guard.
+"""Deterministic op counts of the per-packet work.
 
 Two layers:
 
 * :mod:`repro.perf.counters` — the :data:`~repro.perf.counters.PERF`
   singleton the counts accumulate in (dependency-free; safe for
   ``repro.core`` / ``repro.sim`` to import).
-* :mod:`repro.perf.opcounts` / :mod:`repro.perf.harness` — the delta
-  probe (which also takes the per-packet counts, by wrapping the counted
-  methods while it is open), benchmark workloads, and the op-count guard
-  behind ``repro bench``.
+* :mod:`repro.perf.opcounts` — the delta probe, which also takes the
+  per-packet counts by wrapping the counted methods while it is open.
 
-Time is measured by ``benchmarks/e2e`` (the repo benchmark), not here.
+The counts are pinned by the tests: per golden run in
+``tests/golden/opcounts.json``, per Table 1 packet kind in
+``tests/eval/test_procbench.py``.  Time is measured by
+``benchmarks/e2e`` (the repo benchmark), not here.
 
-The harness imports :mod:`repro.eval`, which imports :mod:`repro.core`,
-which imports *this package* — so everything beyond the counters is
-loaded lazily via module ``__getattr__`` to keep the import graph
+The probe imports :mod:`repro.sim`, which imports *this package* — so
+it is loaded lazily via module ``__getattr__`` to keep the import graph
 acyclic.
 """
 
@@ -25,10 +25,6 @@ from .counters import FIELDS, PERF, PerfCounters
 _LAZY = {
     "OpCounts": "opcounts",
     "OpCountProbe": "opcounts",
-    "BenchReport": "harness",
-    "run_bench": "harness",
-    "check_opcount_guard": "harness",
-    "WORKLOADS": "harness",
 }
 
 __all__ = ["FIELDS", "PERF", "PerfCounters", *_LAZY]

@@ -4,8 +4,9 @@ The paper's performance claims (Table 1, Figure 12) are statements about
 *how much work* a router does per packet — hashes computed, events
 fired, queue operations.  Wall-clock time is hostage to the host; these
 counts are not: they are exact, seed-stable functions of the scenario,
-which makes them usable as regression guards (``repro bench`` gates on
-them; time is the repo benchmark's business).
+which makes them usable as regression pins (the golden-run suite pins
+them per run, ``tests/golden/opcounts.json``; time is the repo
+benchmark's business).
 
 The counters live in this dependency-free module so the modules that
 add to them directly (:mod:`repro.core.crypto`, :mod:`repro.core.router`,
@@ -30,7 +31,8 @@ from __future__ import annotations
 from typing import Dict
 
 #: The counter fields, in export order.  Adding a field changes
-#: ``benchmarks/opcount_guard.json``; regenerate it (``--update-guard``).
+#: ``tests/golden/opcounts.json``; regenerate it with
+#: ``REPRO_REGEN_GOLDENS=1`` (see ``tests/eval/test_golden_runs.py``).
 FIELDS = (
     "hashes",
     "secret_derivations",

@@ -63,10 +63,6 @@ class OpCounts:
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in FIELDS}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "OpCounts":
-        return cls(**{name: int(data.get(name, 0)) for name in FIELDS})
-
     def __sub__(self, other: "OpCounts") -> "OpCounts":
         return OpCounts(
             **{n: getattr(self, n) - getattr(other, n) for n in FIELDS}
@@ -81,8 +77,8 @@ def snapshot() -> OpCounts:
 # -- counting rules: each wraps one method to add to one ``PERF`` field -----
 # A wrapper repeats the wrapped signature and names its field literally.
 # ``*args, **kwargs`` and ``setattr(PERF, field, ...)`` would let one rule
-# serve every row, but ``repro bench`` and the benchmark's count pass run
-# whole simulations under a probe, and on a per-hop method that generic
+# serve every row, but the golden-run pins and the benchmark's count pass
+# run whole simulations under a probe, and on a per-hop method that generic
 # form costs several times the call it counts (a probed tva fig8 point ran
 # at 1.43x a plain one with generic wrappers, 1.25x with these).
 def _count_enqueue(method: Callable) -> Callable:

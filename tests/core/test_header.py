@@ -145,6 +145,20 @@ class TestMalformed:
             unpack_header(data)
 
 
+#: None, a demotion notice, a grant of 0–5 capabilities, or both.
+return_infos = st.one_of(
+    st.none(),
+    st.builds(
+        lambda demotion, n_kb, t, ncaps: ReturnInfo(
+            demotion=demotion, n_bytes=n_kb * N_UNIT_BYTES, t_seconds=t,
+            capabilities=caps(ncaps),
+        ),
+        st.booleans(), st.integers(0, 1023), st.integers(0, 63),
+        st.integers(0, 5),
+    ),
+)
+
+
 @given(
     nonce=st.integers(0, 2**48 - 1),
     n_kb=st.integers(0, 1023),
@@ -152,9 +166,11 @@ class TestMalformed:
     ncaps=st.integers(0, 5),
     renewal=st.booleans(),
     demoted=st.booleans(),
+    info=return_infos,
 )
 @settings(max_examples=100, deadline=None)
-def test_regular_header_roundtrip_property(nonce, n_kb, t, ncaps, renewal, demoted):
+def test_regular_header_roundtrip_property(nonce, n_kb, t, ncaps, renewal,
+                                          demoted, info):
     hdr = RegularHeader(
         flow_nonce=nonce,
         n_bytes=n_kb * N_UNIT_BYTES,
@@ -162,12 +178,19 @@ def test_regular_header_roundtrip_property(nonce, n_kb, t, ncaps, renewal, demot
         capabilities=caps(ncaps),
         renewal=renewal,
         demoted=demoted,
+        return_info=info,
     )
-    out = unpack_header(hdr.pack())
+    raw = hdr.pack()
+    assert hdr.wire_size() == len(raw)
+    out = unpack_header(raw)
     assert out.flow_nonce == nonce
     assert out.capabilities == hdr.capabilities
     assert out.renewal == renewal
     assert out.demoted == demoted
+    assert (out.return_info is None) == (info is None)
+    if info is not None:
+        assert out.return_info.demotion == info.demotion
+        assert out.return_info.capabilities == info.capabilities
 
 
 @given(
@@ -182,7 +205,9 @@ def test_request_header_roundtrip_property(npids, npre, with_return):
         precapabilities=precaps(npre),
         return_info=ReturnInfo(demotion=True) if with_return else None,
     )
-    out = unpack_header(hdr.pack())
+    raw = hdr.pack()
+    assert hdr.wire_size() == len(raw)
+    out = unpack_header(raw)
     assert out.path_ids == hdr.path_ids
     assert out.precapabilities == hdr.precapabilities
     assert (out.return_info is not None) == with_return

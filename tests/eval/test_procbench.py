@@ -9,6 +9,51 @@ from repro.eval import (
     format_table1,
     measure_processing_costs,
 )
+from repro.perf import OpCountProbe, OpCounts
+
+#: Exact op counts per packet of each kind; every counter not named is
+#: zero.  Table 1's cost order is set by the hashes: 0 legacy, 1 request,
+#: 0 regular with a cached entry, 2 without (validate), 1 renewal with a
+#: cached entry (fresh pre-capability), 3 without (validate + mint).
+PER_PACKET = {
+    "legacy": {},
+    "request": {"hashes": 1, "secret_cache_hits": 1},
+    "regular_cached": {},
+    "regular_uncached": {"hashes": 2, "secret_cache_hits": 1,
+                         "valcache_misses": 1},
+    "renewal_cached": {"hashes": 1, "secret_cache_hits": 1},
+    "renewal_uncached": {"hashes": 3, "secret_cache_hits": 2,
+                         "valcache_misses": 1},
+}
+
+
+def _counts_per_batch(run, kind, batch=64):
+    """The op counts of one ``batch`` of ``kind`` after a one-packet warm
+    batch (a request's path-identifier tag is memoized per process)."""
+    bench = RouterWorkbench(pool_size=16)
+    run(bench, kind, 1)
+    with OpCountProbe() as probe:
+        run(bench, kind, batch)
+    per_packet = PER_PACKET[kind]
+    expected = OpCounts(**{field: per_packet[field] * batch
+                           for field in sorted(per_packet)})
+    return probe.counts, expected
+
+
+class TestPerPacketCounts:
+    """Table 1's structure as exact counts, free of wall-clock noise."""
+
+    @pytest.mark.parametrize("kind", PACKET_KINDS)
+    def test_batch_counts(self, kind):
+        got, expected = _counts_per_batch(RouterWorkbench.run_batch, kind)
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", ["request", "regular_cached",
+                                      "regular_uncached"])
+    def test_wire_batch_counts(self, kind):
+        """Decoding and re-encoding Figure 5 adds no counted work."""
+        got, expected = _counts_per_batch(RouterWorkbench.run_wire_batch, kind)
+        assert got == expected
 
 
 class TestWorkbench:
@@ -117,6 +162,16 @@ def test_packet_count_must_be_positive(packets):
         measure_processing_costs(packets_per_kind=packets)
     with pytest.raises(ValueError, match="packets_per_kind must be >= 1"):
         forwarding_rate_curve("legacy", (50,), packets)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_batch_and_pool_must_be_positive(size):
+    # A batch < 1 used to loop forever; a pool of 0 was a
+    # ZeroDivisionError on the first uncached packet.
+    with pytest.raises(ValueError, match="batch must be >= 1"):
+        measure_processing_costs(packets_per_kind=10, batch=size)
+    with pytest.raises(ValueError, match="pool_size must be >= 1"):
+        RouterWorkbench(pool_size=size)
 
 
 class TestWirePath:

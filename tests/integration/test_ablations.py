@@ -10,17 +10,24 @@ attack, showing the mechanism is load-bearing:
   the Section 7 spoofed-source attack;
 * fine-grained (N, T) capabilities vs effectively-unbounded grants under
   the Figure 11 imprecise-policy attack.
+
+Each runs 12 simulated seconds, the scale the figure benchmarks use; the
+grant-size one runs 20.
 """
 
 import random
-
-from conftest import DURATION, horizon
 
 from repro.api import ExperimentConfig, ScenarioSpec, run_spec
 from repro.core import OraclePolicy, ServerPolicy, TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
 from repro.sim import Simulator, TransferLog, build_dumbbell
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
+
+#: Simulated seconds of measurement per run.
+DURATION = 12.0
+
+#: Completion-fraction horizon (see TransferLog.attempted_by).
+HORIZON = DURATION - 2.0
 
 
 def _tva_run(n_attackers, attack, scheme_kwargs, duration=None,
@@ -51,27 +58,18 @@ def _tva_run(n_attackers, attack, scheme_kwargs, duration=None,
                  mode=mode, start_at=rng.uniform(0, 0.01), jitter=0.3,
                  rng=random.Random(seed * 100 + i))
     sim.run(until=duration)
-    return scheme, net, log
+    return log
 
 
-def test_ablation_request_fraction(bench_once, benchmark):
+def test_ablation_request_fraction():
     """1% vs 5% request channel: both keep request floods harmless; the
     bigger channel admits more requests but also burns more bandwidth."""
-    def run():
-        out = {}
-        for fraction in (0.01, 0.05):
-            config = ExperimentConfig(duration=DURATION,
-                                      request_fraction=fraction)
-            run = run_spec(ScenarioSpec("tva", "request", 40, config=config))
-            out[fraction] = (run.fraction_completed, run.avg_transfer_time)
-        return out
-
-    out = bench_once(run)
-    print()
-    print("Ablation: request channel fraction under a 40-attacker request flood")
-    for fraction, (frac, avg) in sorted(out.items()):
-        print(f"  {fraction:.0%} channel: completion {frac:.2f}, avg {avg:.2f}s")
-    assert all(frac == 1.0 for frac, _ in out.values())
+    completed = [
+        run_spec(ScenarioSpec("tva", "request", 40, config=ExperimentConfig(
+            duration=DURATION, request_fraction=fraction))).fraction_completed
+        for fraction in (0.01, 0.05)
+    ]
+    assert completed == [1.0, 1.0]
 
 
 class _NoRenewalPolicy(ServerPolicy):
@@ -85,7 +83,7 @@ class _NoRenewalPolicy(ServerPolicy):
         return super().authorize(src, now, renewal)
 
 
-def test_ablation_request_fair_queuing(bench_once, benchmark):
+def test_ablation_request_fair_queuing():
     """Without per-path-identifier fair queuing, a request flood crowds
     legitimate requests out of the (rate-limited) FIFO request queue.
     Users here must re-request every couple of transfers (small grants,
@@ -93,34 +91,29 @@ def test_ablation_request_fair_queuing(bench_once, benchmark):
     def run(fair):
         # Dead-caps inference off: with tiny no-renewal grants, budget-edge
         # demotions would otherwise trip it and muddy the comparison.
-        _, _, log = _tva_run(
+        log = _tva_run(
             40, "request",
             {"request_fair_queue": fair, "infer_dead_caps": False},
             destination_policy=lambda: _NoRenewalPolicy(
                 default_grant=(24 * 1024, 10)),
         )
-        return log.fraction_completed(horizon()), log.average_completion_time()
+        return log.fraction_completed(HORIZON)
 
-    with_fq = bench_once(run, True)
+    with_fq = run(True)
     without_fq = run(False)
-    print()
-    print("Ablation: request fair queuing under a 40-attacker request flood")
-    print(f"  per-path-id DRR : completion {with_fq[0]:.2f}, avg {with_fq[1]:.2f}s")
-    print(f"  single FIFO     : completion {without_fq[0]:.2f}, "
-          f"avg {'-' if without_fq[1] is None else f'{without_fq[1]:.2f}'}s")
     # Even fair-queued, re-requesting users pay real delay (the 1% channel
     # is round-robined over ~40 attacker queues), but they complete far
     # more often than through a FIFO the flood owns.  (Average times are
     # survivor-biased here: the FIFO's slowest transfers never complete.)
-    assert with_fq[0] > without_fq[0] + 0.1
+    assert with_fq > without_fq + 0.1, (with_fq, without_fq)
 
 
-def test_ablation_queue_key_under_spoofing(bench_once, benchmark):
+def test_ablation_queue_key_under_spoofing():
     """Section 7's attack on per-source queuing: attackers spoof a victim
     sender's address toward a colluder, so per-source fair queuing lumps
     the victim with the flood.  Per-destination queuing (the default)
     isolates by where traffic is *going* and is unaffected."""
-    def run(key):
+    def run(key, seed=1):
         sim = Simulator()
         scheme = TvaScheme(request_fraction=0.01, regular_queue_key=key,
                            destination_policy=lambda: ServerPolicy(
@@ -129,7 +122,7 @@ def test_ablation_queue_key_under_spoofing(bench_once, benchmark):
         log = TransferLog()
         TcpListener(sim, net.destination, 80)
         PacketSink(net.colluder, "cbr")
-        rng = random.Random(1)
+        rng = random.Random(seed)
         victim = net.users[0]
         for user in net.users:
             RepeatingTransferClient(sim, user, net.destination.address, 80,
@@ -174,7 +167,7 @@ def test_ablation_queue_key_under_spoofing(bench_once, benchmark):
             flood = CbrFlood(sim, attacker, net.colluder.address,
                              rate_bps=1e6, pkt_size=1000, mode="shim",
                              start_at=0.3 + rng.uniform(0, 0.01), jitter=0.3,
-                             rng=random.Random(100 + i))
+                             rng=random.Random(seed * 100 + i))
             original = flood._packet
 
             def spoofed(size, shim=None, _orig=original, _victim=victim):
@@ -188,21 +181,18 @@ def test_ablation_queue_key_under_spoofing(bench_once, benchmark):
         done = [r for r in victim_records if r.completed]
         frac = len(done) / max(1, len(
             [r for r in victim_records
-             if r.end is not None or r.aborted or r.start <= horizon()]))
+             if r.end is not None or r.aborted or r.start <= HORIZON]))
         return frac
 
-    per_destination = bench_once(run, "destination")
+    per_destination = run("destination")
     per_source = run("source")
-    print()
-    print("Ablation: fair-queuing key under the spoofed-source attack")
-    print(f"  per-destination (default): victim completion {per_destination:.2f}")
-    print(f"  per-source               : victim completion {per_source:.2f}")
     # "This attack has little effect ... if per-destination queueing is
     # used, which is TVA's default."
-    assert per_destination > per_source or per_destination == 1.0
+    assert per_destination > per_source or per_destination == 1.0, (
+        per_destination, per_source)
 
 
-def test_ablation_fine_grained_vs_unbounded_grants(bench_once, benchmark):
+def test_ablation_fine_grained_vs_unbounded_grants():
     """Figure 11's mechanism isolated: with the paper's 32 KB grants an
     authorized flood self-limits in seconds; grant ~1 MB (the field max)
     instead and the same attack starves users for most of the run."""
@@ -210,17 +200,13 @@ def test_ablation_fine_grained_vs_unbounded_grants(bench_once, benchmark):
 
     def run(grant_bytes):
         policy = lambda: OraclePolicy(suspects, default_grant=(grant_bytes, 10))
-        _, _, log = _tva_run(40, "authorized", {}, duration=20.0,
-                             destination_policy=policy)
+        log = _tva_run(40, "authorized", {}, duration=20.0,
+                       destination_policy=policy)
         return log.completed, log.average_completion_time()
 
-    fine = bench_once(run, 32 * 1024)
+    fine = run(32 * 1024)
     coarse = run(1023 * 1024)
-    print()
-    print("Ablation: grant size under the imprecise-policy attack (40 attackers)")
-    print(f"  32 KB grants   : {fine[0]} transfers completed, avg {fine[1]:.2f}s")
-    print(f"  1023 KB grants : {coarse[0]} transfers completed, avg {coarse[1]:.2f}s")
     # Fine-grained budgets choke the attack in ~2 s; near-unbounded grants
     # let it squat on the shared destination queue for most of the run.
-    assert fine[0] > coarse[0] * 1.5
-    assert fine[1] < coarse[1]
+    assert fine[0] > coarse[0] * 1.5, (fine, coarse)
+    assert fine[1] < coarse[1], (fine, coarse)

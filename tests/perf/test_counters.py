@@ -31,10 +31,6 @@ class TestOpCounts:
         assert delta.enqueues == 6
         assert delta.dequeues == 0
 
-    def test_dict_round_trip(self):
-        counts = OpCounts(hashes=1, events_fired=2, valcache_hits=3)
-        assert OpCounts.from_dict(counts.to_dict()) == counts
-
 
 class TestOpCountProbe:
     def test_probe_measures_delta_not_absolute(self):

@@ -283,6 +283,30 @@ class TestHeapCompaction:
         sim.run()
         assert seen == keep
 
+    def test_churn_op_counts_are_exact(self):
+        """Timer re-arm churn plus fire-and-forget deliveries: how many
+        events fire, are scheduled and force a compaction is an exact
+        function of the schedule."""
+        from repro.perf import OpCountProbe
+
+        sim = Simulator()
+
+        def tick():
+            pass
+
+        with OpCountProbe() as probe:
+            pending = None
+            for i in range(20_000):
+                if pending is not None and i % 4:
+                    sim.cancel(pending)  # most re-armed timers never fire
+                pending = sim.at(1.0 + i * 1e-3, tick)
+                if i % 10 == 0:
+                    sim.call_after(i * 1e-3, tick)
+            sim.run()
+        counts = probe.counts
+        assert (counts.events_fired, counts.events_scheduled,
+                counts.heap_compactions) == (7_000, 22_000, 10)
+
     def test_small_heaps_never_compact(self):
         from repro.perf import PERF
 
