@@ -22,7 +22,7 @@ different destinations."  Concretely:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.crypto import SecretManager, keyed_hash56
 from ..core.policy import AlwaysGrant, ClientPolicy, DestinationPolicy, ServerPolicy
@@ -260,6 +260,19 @@ def _siff_class(pkt: Packet) -> int:
     return 0 if isinstance(pkt.shim, SiffData) else 1
 
 
+def _fifo_class(label: str) -> Callable[[], Tuple[Qdisc, None]]:
+    def build() -> Tuple[Qdisc, None]:
+        queue = DropTailQueue(limit_bytes=None, limit_pkts=50)
+        queue.label = label
+        return queue, None
+    return build
+
+
+#: Builders of the data and low classes, shared by every SIFF scheduler:
+#: neither depends on the link.
+_SIFF_CLASSES = (_fifo_class("data"), _fifo_class("low"))
+
+
 class SiffScheme(LegacyDefaults):
     """Factory wiring SIFF into a topology."""
 
@@ -282,13 +295,8 @@ class SiffScheme(LegacyDefaults):
         self.shims: Dict[str, SiffHostShim] = {}
 
     def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> Qdisc:
-        data_queue = DropTailQueue(limit_bytes=None, limit_pkts=50)
-        low_queue = DropTailQueue(limit_bytes=None, limit_pkts=50)
-        data_queue.label = "data"
-        low_queue.label = "low"
-        return PriorityScheduler(
-            _siff_class, [(data_queue, None), (low_queue, None)]
-        )
+        # Each class is built by its first packet (see _SIFF_CLASSES).
+        return PriorityScheduler(_siff_class, _SIFF_CLASSES)
 
     def make_router_processor(self, router_name: str, trust_boundary: bool):
         proc = SiffRouterProcessor(

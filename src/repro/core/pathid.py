@@ -43,8 +43,9 @@ def clear_tag_cache() -> None:
     """Empty the process-wide tag memo.
 
     Tags recompute to identical values, so this never changes behavior;
-    the benchmark harness calls it so each workload's op counts are
-    cold-start numbers, independent of what ran earlier in the process.
+    ``tests/eval/test_golden_runs.py::probed_run`` calls it so each
+    golden spec's op counts are cold-start numbers, independent of what
+    ran earlier in the process.
     """
     _TAG_CACHE.clear()
 

@@ -71,6 +71,12 @@ def _source_key(pkt: Packet):
     return pkt.src
 
 
+def _legacy_class() -> Tuple[Qdisc, None]:
+    queue = DropTailQueue(limit_bytes=None, limit_pkts=50)
+    queue.label = "legacy"
+    return queue, None
+
+
 class TvaScheme(LegacyDefaults):
     """Factory producing TVA queue disciplines, routers, and host shims."""
 
@@ -115,50 +121,64 @@ class TvaScheme(LegacyDefaults):
         self.rng = random.Random(seed)
         self.router_cores: Dict[str, TvaRouterCore] = {}
         self.shims: Dict[str, TvaHostShim] = {}
+        #: make_qdisc's class builders per (link kind, bandwidth).
+        self._class_builders: Dict[Tuple[str, float], tuple] = {}
 
     # ------------------------------------------------------------------
     def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> Qdisc:
+        builders = self._class_builders.get((link_kind, bandwidth_bps))
+        if builders is None:
+            builders = self._class_builders[link_kind, bandwidth_bps] = (
+                self._figure2_builders(link_kind, bandwidth_bps))
+        # Each class is built by its first packet: a legacy flooder's
+        # channel never pays for the request and regular classes.
+        return PriorityScheduler(figure2_class, builders)
+
+    def _figure2_builders(
+        self, link_kind: str, bandwidth_bps: float
+    ) -> Tuple[Callable[[], Tuple[Qdisc, Optional[TokenBucket]]], ...]:
+        """Builders of the three classes, in figure2_class order: 0
+        request, 1 regular, 2 legacy.  Every scheduler on such a link
+        shares them; they read the scheme's settings once, here."""
         legacy_limit = self.queue_limit(link_kind, bandwidth_bps)
-        request_bucket = TokenBucket(
-            rate_bps=bandwidth_bps * self.request_fraction,
-            burst_bytes=max(3000, int(bandwidth_bps * self.request_fraction / 8 * 0.1)),
-        )
-        request_queue = DRRFairQueue(
-            key_fn=_request_key if self.request_fair_queue else _single_queue_key,
-            limit_bytes_per_queue=4000 if self.request_fair_queue else 16_000,
-            max_queues=4096,
-            quantum=500,
-        )
+        request_rate = bandwidth_bps * self.request_fraction
+        request_burst = max(3000, int(request_rate / 8 * 0.1))
+        request_fair = self.request_fair_queue
         regular_key = (
             _destination_key if self.regular_queue_key == "destination" else _source_key
         )
-        if self.regular_qdisc == "sfq":
-            regular_queue: Qdisc = StochasticFairQueue(
-                key_fn=regular_key,
-                n_buckets=self.sfq_buckets,
-                limit_bytes_per_queue=max(16_000, legacy_limit // 2),
-                quantum=1500,
-            )
-        else:
-            regular_queue = DRRFairQueue(
-                key_fn=regular_key,
-                limit_bytes_per_queue=max(16_000, legacy_limit // 2),
+        regular_limit = max(16_000, legacy_limit // 2)
+        sfq_buckets = self.sfq_buckets if self.regular_qdisc == "sfq" else None
+
+        def request() -> Tuple[Qdisc, TokenBucket]:
+            queue = DRRFairQueue(
+                key_fn=_request_key if request_fair else _single_queue_key,
+                limit_bytes_per_queue=4000 if request_fair else 16_000,
                 max_queues=4096,
-                quantum=1500,
+                quantum=500,
             )
-        legacy_queue = DropTailQueue(limit_bytes=None, limit_pkts=50)
-        request_queue.label = "request"
-        regular_queue.label = "regular"
-        legacy_queue.label = "legacy"
-        # In figure2_class order: 0 request, 1 regular, 2 legacy.
-        return PriorityScheduler(
-            figure2_class,
-            [
-                (request_queue, request_bucket),
-                (regular_queue, None),
-                (legacy_queue, None),
-            ],
-        )
+            queue.label = "request"
+            return queue, TokenBucket(rate_bps=request_rate, burst_bytes=request_burst)
+
+        def regular() -> Tuple[Qdisc, None]:
+            if sfq_buckets is not None:
+                queue: Qdisc = StochasticFairQueue(
+                    key_fn=regular_key,
+                    n_buckets=sfq_buckets,
+                    limit_bytes_per_queue=regular_limit,
+                    quantum=1500,
+                )
+            else:
+                queue = DRRFairQueue(
+                    key_fn=regular_key,
+                    limit_bytes_per_queue=regular_limit,
+                    max_queues=4096,
+                    quantum=1500,
+                )
+            queue.label = "regular"
+            return queue, None
+
+        return (request, regular, _legacy_class)
 
     # ------------------------------------------------------------------
     def make_router_processor(

@@ -35,8 +35,6 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -708,17 +706,23 @@ class SweepRunner:
         ``outcome()`` returns the result or raises.  In-process, a spec
         runs when its outcome is called, before the next one starts; on
         a pool, all are submitted up front and yielded as they finish."""
-        pool = None if in_process else ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)))
-        with pool or nullcontext():
-            futures = {}
+        def started() -> Iterator[int]:
             for i in pending:
                 attempts[i] += 1
                 self._emit("start", specs[i], attempts[i])
-                if pool is None:
-                    yield i, partial(run_spec, specs[i])
-                else:
-                    futures[pool.submit(run_spec, specs[i])] = i
+                yield i
+
+        if in_process:
+            for i in started():
+                yield i, partial(run_spec, specs[i])
+            return
+        # Imported here: a process that never builds a pool never loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(pending))) as pool:
+            futures = {pool.submit(run_spec, specs[i]): i for i in started()}
             for future in as_completed(futures):
                 yield futures[future], future.result
 

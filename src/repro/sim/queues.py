@@ -49,7 +49,10 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
+)
 
 from ..obs.metrics import MetricItem, tally_items
 from .packet import Packet
@@ -62,7 +65,8 @@ class Qdisc:
     per-reason ``drop_reasons`` are plain ints anyone may read; the
     observability layer reads them through :meth:`metric_items`.
     Disciplines are slotted and build containers on first use: a flood
-    holds a scheduler per member channel, most only ever ``admit_idle``.
+    holds a scheduler per member channel, most only ever ``admit_idle``
+    (and a scheduler builds a class only when a packet joins it).
     """
 
     __slots__ = ("backlog_bytes", "backlog_pkts", "drops", "drop_bytes",
@@ -478,11 +482,40 @@ class TokenBucket:
         return now + deficit / self.rate_Bps
 
 
+class _Unbuilt:
+    """Stands in a scheduler's class list for a class no packet has
+    joined yet.  It never holds packets or tallies and reads as empty to
+    every ``backlog_pkts`` test; copying or pickling it yields itself, so
+    a deep-copied scheduler still knows which of its classes are unbuilt."""
+
+    __slots__ = ()
+
+    backlog_pkts = 0
+
+    def __reduce__(self) -> str:
+        return "_UNBUILT"
+
+
+_UNBUILT = _Unbuilt()
+#: What an unbuilt class's entry reads as; shared by every scheduler.
+_UNBUILT_CLASS = (_UNBUILT, None)
+
+#: A scheduler class: its discipline and, for a metered class, its bucket.
+ClassPair = Tuple[Qdisc, Optional[TokenBucket]]
+
+
 class PriorityScheduler(Qdisc):
     """Strict-priority composition of child disciplines.
 
-    ``classes`` is the ordered list of ``(qdisc, bucket)`` pairs, highest
-    priority first (``bucket`` is ``None`` for an unmetered class).
+    ``classes`` lists the classes highest priority first, each either as
+    a built ``(qdisc, bucket)`` pair (``bucket`` is ``None`` for an
+    unmetered class) or as a builder returning one.  A builder runs when
+    the first packet is classified into its class, or when
+    :attr:`classes` or :attr:`children` is read; until then the class
+    costs nothing.  A builder must return a fresh, untouched pair (empty
+    queue, full bucket), so a class built late starts exactly as one
+    built at construction; one builder may serve many schedulers.
+
     ``classify(pkt)`` is called exactly once per arriving packet and
     returns the index of the class it joins, or ``None`` to refuse it as
     ``"unclassified"``.  Dequeue serves the highest-priority class with a
@@ -491,33 +524,60 @@ class PriorityScheduler(Qdisc):
     5% of the link without ever letting them starve, Figure 2).
     """
 
-    __slots__ = ("classify", "_classes", "_deferred")
+    __slots__ = ("classify", "_builders", "_classes", "_deferred")
 
     DROP_REASONS = ("child", "unclassified")
 
     def __init__(
         self,
         classify: Callable[[Packet], Optional[int]],
-        classes: List[Tuple[Qdisc, Optional[TokenBucket]]],
+        classes: Sequence[Union[ClassPair, Callable[[], ClassPair]]],
     ) -> None:
         super().__init__()
         self.classify = classify
-        self._classes = list(classes)
+        # tuple() of a tuple is that tuple: builders shared by the caller
+        # stay shared.
+        self._builders = tuple(classes)
+        self._classes: List[ClassPair] = [
+            _UNBUILT_CLASS if callable(entry) else entry
+            for entry in self._builders
+        ]
         # A rate-limited class may have dequeued a head packet it cannot yet
         # afford; it is parked here (index-aligned with _classes) until its
         # tokens accrue.  Parking the real packet lets next_ready() report
         # the exact wait, which is what keeps links from busy-polling.
         self._deferred: List[Optional[Packet]] = [None] * len(self._classes)
 
+    def _build(self, idx: int) -> ClassPair:
+        pair = self._classes[idx] = self._builders[idx]()
+        return pair
+
+    @property
+    def classes(self) -> List[ClassPair]:
+        """Every class as its ``(qdisc, bucket)`` pair, highest priority
+        first; reading this builds any class not built yet."""
+        for idx, (qdisc, _) in enumerate(self._classes):
+            if qdisc is _UNBUILT:
+                self._build(idx)
+        return list(self._classes)
+
     @property
     def children(self) -> List[Qdisc]:
-        return [qdisc for qdisc, _ in self._classes]
+        return [qdisc for qdisc, _ in self.classes]
+
+    @property
+    def built(self) -> List[bool]:
+        """Per class, whether it has been built; reading this builds none."""
+        return [qdisc is not _UNBUILT for qdisc, _ in self._classes]
 
     def enqueue(self, pkt: Packet) -> bool:
         idx = self.classify(pkt)
         if idx is None:
             return self._drop(pkt, "unclassified")
-        if not self._classes[idx][0].enqueue(pkt):
+        qdisc = self._classes[idx][0]
+        if qdisc is _UNBUILT:
+            qdisc = self._build(idx)[0]
+        if not qdisc.enqueue(pkt):
             # The child counted the drop under its own reason (and fired
             # its own drop_hook); the parent records it too so scheduler
             # totals equal the sum over children.
@@ -533,6 +593,8 @@ class PriorityScheduler(Qdisc):
             self._drop(pkt, "unclassified")
             return None
         qdisc, bucket = self._classes[idx]
+        if qdisc is _UNBUILT:
+            qdisc, bucket = self._build(idx)
         head = qdisc.admit_idle(pkt, now)
         if head is None:
             if not qdisc.backlog_pkts:
@@ -571,14 +633,16 @@ class PriorityScheduler(Qdisc):
 
     def drain(self) -> List[Packet]:
         # Parked heads left the child on dequeue but are still in this
-        # scheduler's backlog accounting, so they drain here too.
+        # scheduler's backlog accounting, so they drain here too.  An
+        # empty class, built or not, has nothing to give.
         drained: List[Packet] = []
         for idx, (qdisc, _) in enumerate(self._classes):
             deferred = self._deferred[idx]
             if deferred is not None:
                 self._deferred[idx] = None
                 drained.append(deferred)
-            drained.extend(qdisc.drain())
+            if qdisc.backlog_pkts:
+                drained.extend(qdisc.drain())
         return self._drained(drained)
 
     def next_ready(self, now: float) -> Optional[float]:

@@ -64,8 +64,8 @@ class TestQdiscAssembly:
     def test_request_bucket_rate_scales_with_fraction(self):
         small = TvaScheme(request_fraction=0.01).make_qdisc("bottleneck", 10e6)
         big = TvaScheme(request_fraction=0.05).make_qdisc("bottleneck", 10e6)
-        _, small_bucket = small._classes[0]
-        _, big_bucket = big._classes[0]
+        _, small_bucket = small.classes[0]
+        _, big_bucket = big.classes[0]
         assert big_bucket.rate_Bps == pytest.approx(small_bucket.rate_Bps * 5)
 
 

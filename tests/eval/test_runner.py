@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -512,6 +515,17 @@ class TestSweepRunner:
         runner.run(specs)
         assert [k for k in seen if k in ("done", "cached")] == [
             "done", "cached"]
+
+    def test_import_loads_no_process_pool(self):
+        # Only a runner that builds a pool imports it: a serial run (and
+        # every process that merely imports the API) skips multiprocessing.
+        probe = ("import sys, repro.api; print(sorted({'multiprocessing', "
+                 "'concurrent.futures.process'} & set(sys.modules)))")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src})
+        assert proc.stdout.strip() == "[]"
 
     def test_takes_jobs_cache_retries_on_event_only(self):
         import inspect

@@ -4,8 +4,8 @@ An ``AggregateLink`` builds a scheduler per member channel, and the
 runner gives every member its own jitter source; with 10⁴ members these
 two dominate ``flood_10k``'s footprint.  A member that only ever sends
 through an idle channel (``admit_idle``) and draws a few jitter values
-must not pay for FIFOs, drop tallies, instance dicts or a live
-Mersenne-Twister it never uses.
+must not pay for classes, FIFOs, drop tallies, instance dicts or a
+live Mersenne-Twister it never uses.
 """
 
 import gc
@@ -21,10 +21,9 @@ from repro.transport.agents import JitterStream
 MEMBERS = 2_000
 DRAWS = 20
 #: Bytes per member (one TVA channel + one jitter stream).  Midway between
-#: slotted, first-use containers with stored draws (~1.7 KB) and
-#: dict-backed disciplines with eager containers and a live generator per
-#: member (~5.9 KB).
-BUDGET = 3_800
+#: scheduler classes built on first use (905 B: only the legacy FIFO) and
+#: all three classes built with the scheduler (1 713 B).
+BUDGET = 1_300
 
 
 def _subclasses(cls):
@@ -44,6 +43,8 @@ def test_member_footprint_within_budget():
         streams = [JitterStream(1_000 + i) for i in range(MEMBERS)]
         for channel in channels:
             assert channel.admit_idle(pkt, 0.0) is pkt
+            # A legacy packet builds the legacy class only.
+            assert channel.built == [False, False, True]
         for stream in streams:
             for _ in range(DRAWS):
                 stream.uniform(-0.3, 0.3)

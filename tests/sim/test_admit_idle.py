@@ -9,6 +9,10 @@ first runs a random history that ends empty (so counters, the bucket and
 the cursor are wherever that history left them), is deep-copied, and then
 takes one packet through ``admit_idle`` on one copy and through the pair
 on the other.  Both copies must agree at every level.
+
+The same comparison pins the other shortcut a flood channel takes: TVA's
+and SIFF's schedulers build each class when its first packet arrives,
+and must behave exactly as twins whose classes were all built at once.
 """
 
 import copy
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.netfence import MarkingFifo
+from repro.baselines.siff import SiffData, SiffExplorer, SiffScheme
 from repro.core import TvaScheme
 from repro.core.header import RegularHeader, RequestHeader, figure2_class
 from repro.sim import (
@@ -238,3 +243,76 @@ def test_redefining_enqueue_restores_the_default():
     assert Lossy.admit_idle is Qdisc.admit_idle
     assert StochasticFairQueue.admit_idle is DRRFairQueue.admit_idle
     assert Lossy().admit_idle(_packet(1, "legacy", 40, 2), 0.0) is None
+
+
+#: The schedulers whose classes are built by their first packet.
+FIRST_USE = {
+    "tva": lambda: TvaScheme(request_fraction=0.05).make_qdisc("bottleneck", 1e6),
+    "siff": lambda: SiffScheme().make_qdisc("bottleneck", 1e6),
+}
+
+
+def _siff_packet(uid, kind, size, dst):
+    pkt = Packet(src=1, dst=dst, size=size, uid=uid)
+    if kind == "request":
+        pkt.shim = SiffExplorer()
+    elif kind == "regular":
+        pkt.shim = SiffData()
+    return pkt
+
+
+arrivals = st.tuples(st.just("arrive"), st.sampled_from(("request", "regular", "legacy")),
+                     st.sampled_from((40, 1_000, 1_508)), st.integers(2, 5))
+first_use_steps = st.tuples(
+    st.sampled_from((0.0, 0.004, 0.05, 0.3)),
+    st.one_of(arrivals, st.just(("dequeue",)), st.just(("drain",))),
+)
+
+
+def _as_built(sched):
+    """``state`` of ``sched`` with every class built: an unbuilt class
+    reads as the fresh one its first packet would build."""
+    forced = copy.deepcopy(sched)
+    forced.children
+    return state(forced)
+
+
+@pytest.mark.parametrize("scheme", sorted(FIRST_USE))
+@settings(max_examples=150, deadline=None)
+@given(start=st.sampled_from((0.0, 0.01, 5.0)),
+       history=st.lists(first_use_steps, max_size=30),
+       copy_at=st.integers(0, 8))
+def test_class_built_on_first_use_matches_one_built_at_start(
+        scheme, start, history, copy_at):
+    """A scheduler building classes on first use, and a deep copy of it
+    taken part-way (unbuilt classes and all), against a twin whose
+    classes were all built at t = 0: same packets out, same state, same
+    ``next_ready`` and ``drain`` — a late request bucket starts full.
+    ``start`` puts the first arrival at once or long after t = 0."""
+    make = _siff_packet if scheme == "siff" else _packet
+    eager = FIRST_USE[scheme]()
+    eager.children
+    lazy = FIRST_USE[scheme]()
+    assert not any(lazy.built)
+    twins = [eager, lazy]
+    now = start
+    for step, (wait, op) in enumerate(history):
+        if step == copy_at:
+            twins.append(copy.deepcopy(lazy))
+            assert twins[-1].built == lazy.built
+        now += wait
+        if op[0] == "arrive":
+            # As a link does: an empty scheduler takes admit_idle.
+            got = [sched.admit_idle(make(step, *op[1:]), now)
+                   if not sched.backlog_pkts else sched.enqueue(make(step, *op[1:]))
+                   for sched in twins]
+        elif op[0] == "dequeue":
+            got = [sched.dequeue(now) for sched in twins]
+        else:
+            got = [sched.drain() for sched in twins]
+        assert all(state(g) == state(got[0]) for g in got)
+        assert len({sched.next_ready(now) for sched in twins}) == 1
+        want = state(eager)
+        assert all(_as_built(sched) == want for sched in twins[1:])
+    drained = [state(sched.drain()) for sched in twins]
+    assert all(d == drained[0] for d in drained)
