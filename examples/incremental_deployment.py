@@ -22,7 +22,8 @@ from repro.api import (
     TcpListener,
     TransferLog,
     TvaScheme,
-    build_chain,
+    chain_spec,
+    instantiate,
 )
 
 
@@ -32,8 +33,8 @@ def main() -> None:
         request_fraction=0.05,
         destination_policy=lambda: ServerPolicy(default_grant=(256 * 1024, 10)),
     )
-    net = build_chain(sim, scheme, n_routers=5, n_hosts_per_end=3,
-                      link_bps=10e6)
+    net = instantiate(chain_spec(n_routers=5, n_hosts_per_end=3, link_bps=10e6),
+                      sim, scheme)
 
     # Deployment: keep capability processing only at the edges (R0, R4);
     # the core routers R1-R3 become legacy forwarders.

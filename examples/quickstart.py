@@ -17,7 +17,8 @@ from repro.api import (
     TcpListener,
     TransferLog,
     TvaScheme,
-    build_chain,
+    chain_spec,
+    instantiate,
 )
 
 
@@ -27,7 +28,7 @@ def main() -> None:
         request_fraction=0.05,  # the paper's default request channel
         destination_policy=lambda: ServerPolicy(default_grant=(64 * 1024, 10)),
     )
-    net = build_chain(sim, scheme, n_routers=2, link_bps=10e6)
+    net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
     client, server = net.users[0], net.destination
 
     print("Topology:  client -- R1 -- R2 -- server   (10 Mb/s links)")

@@ -23,7 +23,8 @@ from repro.api import (
     TcpListener,
     TransferLog,
     TvaScheme,
-    build_dumbbell,
+    dumbbell_spec,
+    instantiate,
 )
 
 DURATION = 20.0
@@ -46,7 +47,7 @@ def main() -> None:
 
     sim = Simulator()
     scheme = TvaScheme(request_fraction=0.01, destination_policy=make_policy)
-    net = build_dumbbell(sim, scheme, n_users=5, n_attackers=1)
+    net = instantiate(dumbbell_spec(n_users=5, n_attackers=1), sim, scheme)
     server = net.destination
     attacker = net.attackers[0]
 

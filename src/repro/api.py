@@ -96,18 +96,12 @@ from .eval.runner import (
 from .eval.service import ProgressLog, parse_shard, run_shard, shard_specs
 
 # -- building blocks for custom topologies (what examples/ use) ------------
-from .baselines import (
-    LegacyScheme,
-    NetFenceScheme,
-    PushbackScheme,
-    SiffScheme,
-)
+from .baselines import NetFenceScheme, PushbackScheme, SiffScheme
 from .core import ServerPolicy, TvaScheme
 from .sim import (
     AggregateHost,
     AggregateLink,
     DropTailQueue,
-    Dumbbell,
     Host,
     LegacyDefaults,
     Link,
@@ -121,17 +115,17 @@ from .sim import (
     TransferLog,
     as_graph_spec,
     asymmetric_spec,
-    build_chain,
-    build_dumbbell,
-    build_parallel,
     build_static_routes,
-    build_two_tier,
+    chain_spec,
     dumbbell_spec,
     fat_tree_spec,
     instantiate,
+    parallel_spec,
     partial_deployment_spec,
     tree_spec,
+    two_tier_spec,
 )
+from .sim.topology import build_chain  # for benchmarks/e2e/micro.py only
 from .transport import (
     AggregateSender,
     CbrFlood,
@@ -261,13 +255,11 @@ __all__ = [
     "TvaScheme",
     "SiffScheme",
     "PushbackScheme",
-    "LegacyScheme",
     "NetFenceScheme",
     "SchemeFactory",
     "LegacyDefaults",
     "Simulator",
     "TransferLog",
-    "Dumbbell",
     "Network",
     "Host",
     "Link",
@@ -280,16 +272,16 @@ __all__ = [
     "LinkSpec",
     "instantiate",
     "dumbbell_spec",
+    "chain_spec",
+    "parallel_spec",
+    "two_tier_spec",
     "tree_spec",
     "fat_tree_spec",
     "as_graph_spec",
     "asymmetric_spec",
     "partial_deployment_spec",
-    "build_chain",
-    "build_dumbbell",
-    "build_parallel",
     "build_static_routes",
-    "build_two_tier",
+    "build_chain",
     # traffic agents
     "TcpListener",
     "RepeatingTransferClient",

@@ -1,7 +1,6 @@
-"""The paper's comparison schemes: SIFF, pushback, NetFence, and the
-legacy Internet."""
+"""The paper's comparison schemes: SIFF, pushback and NetFence.  The
+legacy Internet is :class:`~repro.sim.topology.LegacyDefaults` itself."""
 
-from .legacy import LegacyScheme
 from .netfence import (
     FEEDBACK_EXPIRY,
     NETFENCE_SECRET_PERIOD,
@@ -25,7 +24,6 @@ from .siff import (
 
 __all__ = [
     "FEEDBACK_EXPIRY",
-    "LegacyScheme",
     "NETFENCE_SECRET_PERIOD",
     "NF_CTL_PROTO",
     "NetFenceFeedback",

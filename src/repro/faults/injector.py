@@ -22,7 +22,7 @@ from .schedule import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
-    from ..sim.topology import Dumbbell, SchemeFactory
+    from ..sim.topology import Network, SchemeFactory
 
 
 class FaultInjectionError(ValueError):
@@ -35,7 +35,7 @@ class FaultInjector:
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
         self._sim: "Simulator" = None  # set by install()
-        self._net: "Dumbbell" = None
+        self._net: "Network" = None
         self._scheme: "SchemeFactory" = None
         self.applied = 0
         self.link_downs = 0
@@ -46,7 +46,7 @@ class FaultInjector:
         self.drained_bytes = 0
 
     # ------------------------------------------------------------------
-    def check(self, net: "Dumbbell") -> None:
+    def check(self, net: "Network") -> None:
         """Raise :class:`FaultInjectionError`, naming the fault, if an
         event names a router or link ``net`` lacks.  A
         :class:`~repro.eval.runner.ScenarioSpec` with faults runs this at
@@ -61,7 +61,7 @@ class FaultInjector:
                 raise FaultInjectionError(
                     f"fault {ev.kind} at t={ev.at:g}: {exc.args[0]}") from None
 
-    def install(self, sim: "Simulator", net: "Dumbbell", scheme: "SchemeFactory") -> None:
+    def install(self, sim: "Simulator", net: "Network", scheme: "SchemeFactory") -> None:
         """:meth:`check` the schedule against the topology and book
         every event."""
         self.check(net)

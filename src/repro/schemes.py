@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-from .baselines import LegacyScheme, NetFenceScheme, PushbackScheme, SiffScheme
+from .baselines import NetFenceScheme, PushbackScheme, SiffScheme
 from .baselines.netfence import FEEDBACK_EXPIRY, NETFENCE_SECRET_PERIOD
 from .baselines.siff import MARK_BITS, SIFF_SECRET_PERIOD
 from .core import ServerPolicy, TvaScheme
@@ -37,7 +37,7 @@ from .core.params import (
     SERVER_GRANT_BYTES,
     SERVER_GRANT_SECONDS,
 )
-from .sim.topology import SchemeFactory
+from .sim.topology import LegacyDefaults, SchemeFactory
 
 DEFAULT_SERVER_GRANT = (SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS)
 
@@ -210,8 +210,8 @@ class InternetKnobs(SchemeKnobs):
     """The legacy Internet has no knobs."""
 
     def build(self, *, seed: int = 42,
-              destination_policy: Optional[Callable] = None) -> LegacyScheme:
-        return LegacyScheme()
+              destination_policy: Optional[Callable] = None) -> LegacyDefaults:
+        return LegacyDefaults()
 
 
 @register_scheme("netfence")

@@ -4,7 +4,7 @@ Public surface::
 
     from repro.sim import Simulator, Packet, Link, Host, Router
     from repro.sim import DropTailQueue, DRRFairQueue, TokenBucket, PriorityScheduler
-    from repro.sim import build_dumbbell, SchemeFactory, TransferLog
+    from repro.sim import instantiate, dumbbell_spec, SchemeFactory, TransferLog
 """
 
 from .engine import Event, SimulationError, Simulator
@@ -20,14 +20,9 @@ from .queues import (
 )
 from .routing import RoutingError, build_static_routes
 from .topology import (
-    Dumbbell,
     LegacyDefaults,
     Network,
     SchemeFactory,
-    build_chain,
-    build_dumbbell,
-    build_parallel,
-    build_two_tier,
     instantiate,
 )
 from .topospec import (
@@ -36,10 +31,13 @@ from .topospec import (
     TopologySpec,
     as_graph_spec,
     asymmetric_spec,
+    chain_spec,
     dumbbell_spec,
     fat_tree_spec,
+    parallel_spec,
     partial_deployment_spec,
     tree_spec,
+    two_tier_spec,
 )
 from .trace import TransferLog, TransferRecord
 
@@ -49,7 +47,6 @@ __all__ = [
     "CAPABILITY_HEADER",
     "DRRFairQueue",
     "DropTailQueue",
-    "Dumbbell",
     "Event",
     "Host",
     "HostShim",
@@ -75,14 +72,13 @@ __all__ = [
     "TransferRecord",
     "as_graph_spec",
     "asymmetric_spec",
-    "build_chain",
-    "build_two_tier",
-    "build_dumbbell",
-    "build_parallel",
     "build_static_routes",
+    "chain_spec",
     "dumbbell_spec",
     "fat_tree_spec",
     "instantiate",
+    "parallel_spec",
     "partial_deployment_spec",
     "tree_spec",
+    "two_tier_spec",
 ]

@@ -71,8 +71,9 @@ def build_static_routes(nodes: List[Node], strict: bool = True) -> None:
     Equal-cost ties break deterministically: each node's incoming links
     are explored in sorted ``(src.name, dst.name, name)`` order, so the
     chosen route is a pure function of the graph — independent of node
-    construction order and of ``PYTHONHASHSEED``.  (On ``build_parallel``
-    this preserves the documented RA-over-RB preference.)
+    construction order and of ``PYTHONHASHSEED``.  (On
+    :func:`~repro.sim.topospec.parallel_spec` this gives the documented
+    RA-over-RB preference.)
 
     An :class:`~repro.sim.node.AggregateHost` installs one
     ``routing_ranges`` block entry per node instead of ``count``

@@ -3,23 +3,16 @@
 :func:`instantiate` turns a declarative
 :class:`~repro.sim.topospec.TopologySpec` into a wired
 :class:`Network` — nodes, links, shims, static routes — for any scheme
-implementing :class:`SchemeFactory`.  With ``aggregate=True``, attacker
+implementing :class:`SchemeFactory`.  It is the one way to build a
+network: the Figure 7 dumbbell is ``instantiate(dumbbell_spec(...), sim,
+scheme)``, and every other shape comes from its own ``*_spec`` generator
+in :mod:`repro.sim.topospec`.  With ``aggregate=True``, attacker
 host groups collapse into :class:`~repro.sim.node.AggregateHost` nodes
 (one node + one channelized access trunk per group), which is how
 10^4–10^5-sender scenarios fit in one process.
 
-:func:`build_dumbbell` constructs the simulation topology of Figure 7: ten
-legitimate users and a variable number of attackers on the left, a 10 Mb/s
-10 ms bottleneck in the middle, and the destination (plus an optional
-colluder) on the right.  Access links add 10 ms each way, giving the
-paper's 60 ms RTT.  It is a thin wrapper over
-``instantiate(dumbbell_spec(...))`` and is construction-order equivalent
-to the historical hand-rolled builder (the golden-run suite pins this);
-:func:`build_chain`, :func:`build_parallel` and :func:`build_two_tier`
-wrap their specs the same way.
-
-Builders are scheme-parametric.  A *scheme* object supplies the queue
-discipline for each link, the router processor, and the host shim; the four
+Construction is scheme-parametric.  A *scheme* object supplies the queue
+discipline for each link, the router processor, and the host shim; the
 schemes the paper compares (TVA, SIFF, pushback, legacy Internet) each
 implement this factory protocol.  See :class:`SchemeFactory`.
 """
@@ -34,13 +27,7 @@ from .link import AggregateLink, Link
 from .node import AggregateHost, Host, HostShim, Node, Router, RouterProcessor
 from .queues import DropTailQueue, Qdisc
 from .routing import build_static_routes
-from .topospec import (
-    TopologySpec,
-    chain_spec,
-    dumbbell_spec,
-    parallel_spec,
-    two_tier_spec,
-)
+from .topospec import TopologySpec, chain_spec
 
 
 class SchemeFactory(Protocol):
@@ -93,7 +80,7 @@ class SchemeFactory(Protocol):
         """``role`` is ``user``, ``attacker``, ``destination`` or ``colluder``."""
         ...
 
-    def wire(self, net: "Dumbbell") -> None:
+    def wire(self, net: "Network") -> None:
         """Post-construction hook (e.g. pushback registers the links whose
         drops it monitors)."""
         ...
@@ -120,10 +107,13 @@ class LegacyDefaults:
     """Concrete :class:`SchemeFactory` base with legacy-Internet defaults:
     FIFO queues, no router processing, no host shim, no state to reboot.
 
-    Schemes extend this and override only the hooks they care about.
+    It is also the ``internet`` scheme itself: plain IP forwarding with
+    ns-2-style 50-packet DropTail queues.  "With the Internet, legitimate
+    traffic and attack traffic are treated alike" (Section 5.1).  Schemes
+    extend this and override only the hooks they care about.
     """
 
-    name = "legacy"
+    name = "internet"
 
     #: ns-2-style DropTail packet limit used by the legacy Internet.
     queue_limit_pkts = 50
@@ -144,7 +134,7 @@ class LegacyDefaults:
     def make_host_shim(self, role: str) -> Optional[HostShim]:
         return None
 
-    def wire(self, net: "Dumbbell") -> None:
+    def wire(self, net: "Network") -> None:
         pass
 
     def reboot_router(self, router_name: str, now: float, rotate_secret: bool = True) -> bool:
@@ -162,9 +152,7 @@ class Network:
     ``attacker_units`` lists attack senders at node granularity: plain
     per-sender :class:`Host` objects and/or :class:`AggregateHost`
     groups, in construction order (``attackers`` keeps only the expanded
-    hosts, for backward compatibility).  ``spec`` is the
-    :class:`~repro.sim.topospec.TopologySpec` this network was built
-    from, when it came through :func:`instantiate`.
+    hosts, for backward compatibility).
     """
 
     sim: Simulator
@@ -172,13 +160,10 @@ class Network:
     attackers: List[Host] = field(default_factory=list)
     destination: Optional[Host] = None
     colluder: Optional[Host] = None
-    left: Optional[Router] = None
-    right: Optional[Router] = None
     bottleneck: Optional[Link] = None
     reverse_bottleneck: Optional[Link] = None
     nodes: List[Node] = field(default_factory=list)
     links: List[Link] = field(default_factory=list)
-    spec: Optional[TopologySpec] = None
     attacker_units: List[Node] = field(default_factory=list)
     aggregates: List[AggregateHost] = field(default_factory=list)
 
@@ -217,11 +202,6 @@ class Network:
         if not found:
             raise KeyError(f"no link named {name!r}")
         return found
-
-
-#: Backward-compatible alias: the Figure 7 network type grew into the
-#: general Network; existing imports keep working.
-Dumbbell = Network
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +254,7 @@ def instantiate(
     Construction order is deterministic and matters: routers and host
     groups are created in node-declaration order (host shims draw from
     the scheme's RNG, so shim creation order is part of the simulation's
-    seed contract), then links in link-declaration order.  For the
-    dumbbell spec this reproduces the historical ``build_dumbbell``
-    construction exactly.
+    seed contract), then links in link-declaration order.
 
     With ``aggregate=True``, attacker groups with more than one member
     become a single :class:`~repro.sim.node.AggregateHost` whose access
@@ -284,7 +262,7 @@ def instantiate(
     member shims are still created (in the same scheme-RNG order), so
     capability behaviour is identical to the expanded build.
     """
-    net = Network(sim=sim, spec=spec)
+    net = Network(sim=sim)
     by_name: Dict[str, Node] = {}
     members: Dict[str, List[Host]] = {}
     bases = spec.base_addresses()
@@ -298,9 +276,6 @@ def instantiate(
             router = Router(sim, ns.name, processor)
             by_name[ns.name] = router
             net.nodes.append(router)
-            if net.left is None:
-                net.left = router
-            net.right = router
             continue
         if ns.count == 0:
             members[ns.name] = []
@@ -367,72 +342,6 @@ def instantiate(
     return net
 
 
-def build_dumbbell(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_users: int = 10,
-    n_attackers: int = 10,
-    bottleneck_bps: float = 10e6,
-    bottleneck_delay: float = 0.010,
-    access_bps: float = 100e6,
-    access_delay: float = 0.010,
-    with_colluder: bool = True,
-) -> Network:
-    """Build the Figure 7 dumbbell for ``scheme``.
-
-    Left router is the trust boundary where path identifiers are stamped
-    (one ingress interface per host, so each sender gets a distinct tag,
-    matching the paper's "AS edge" behaviour).
-    """
-    return instantiate(
-        dumbbell_spec(
-            n_users=n_users,
-            n_attackers=n_attackers,
-            bottleneck_bps=bottleneck_bps,
-            bottleneck_delay=bottleneck_delay,
-            access_bps=access_bps,
-            access_delay=access_delay,
-            with_colluder=with_colluder,
-        ),
-        sim,
-        scheme,
-    )
-
-
-def build_two_tier(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_sites: int = 4,
-    hosts_per_site: int = 4,
-    bottleneck_bps: float = 10e6,
-    edge_bps: float = 100e6,
-    access_bps: float = 100e6,
-    delay: float = 0.005,
-) -> Dumbbell:
-    """A two-level sender tree exercising path-identifier semantics.
-
-    Hosts sit behind *site* routers (stub networks below the trust
-    boundary); sites connect to one edge router — the trust boundary —
-    which aggregates into the core and the bottleneck.  The edge tags
-    requests per site uplink, so every host of a site carries the same
-    path identifier: "senders that share the same path identifier share
-    fate, localizing the impact of an attack" (Section 3.2).  The core
-    routers do not re-tag.
-
-    ``net.users`` lists hosts site by site (``hosts_per_site`` hosts per
-    site); the destination sits behind the far core router.
-    """
-    net = instantiate(
-        two_tier_spec(n_sites=n_sites, hosts_per_site=hosts_per_site,
-                      bottleneck_bps=bottleneck_bps, edge_bps=edge_bps,
-                      access_bps=access_bps, delay=delay),
-        sim,
-        scheme,
-    )
-    # The handles name the bottleneck's ends, not the first/last router.
-    net.left, net.right = net.router_by_name("C1"), net.router_by_name("C2")
-    return net
-
 
 def build_chain(
     sim: Simulator,
@@ -441,41 +350,17 @@ def build_chain(
     n_hosts_per_end: int = 1,
     link_bps: float = 10e6,
     delay: float = 0.005,
-) -> Dumbbell:
-    """A linear chain of routers with hosts at each end.
+) -> Network:
+    """``instantiate(chain_spec(...), sim, scheme)`` under its old name.
 
-    Used by tests and by the incremental-deployment example (Section 8):
-    processors can be attached to only a subset of the routers.
+    Its only caller is ``benchmarks/e2e/micro.py``, which imports it from
+    :mod:`repro.api` at module load; everything else builds through
+    :func:`instantiate`.  The benchmark change of ROADMAP item 6(a) moves
+    ``micro.py`` to ``instantiate(chain_spec(...))`` and deletes this.
     """
     return instantiate(
         chain_spec(n_routers=n_routers, n_hosts_per_end=n_hosts_per_end,
                    link_bps=link_bps, delay=delay),
-        sim,
-        scheme,
-    )
-
-
-def build_parallel(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_hosts: int = 2,
-    link_bps: float = 10e6,
-    access_bps: float = 100e6,
-    delay: float = 0.005,
-) -> Dumbbell:
-    """Two equal-cost paths between the edges: R1 -> {RA | RB} -> R2.
-
-    The topology for route-change experiments (Section 3.8): BFS breaks
-    the tie deterministically in favour of RA, so taking ``R1<->RA`` down
-    and rebuilding routes moves every flow onto RB — whose routers hold
-    different secrets and no cached flow state, exactly the mid-flow path
-    shift that demotes packets and forces re-requests.
-
-    ``net.bottleneck`` is the initially used ``R1->RA`` link.
-    """
-    return instantiate(
-        parallel_spec(n_hosts=n_hosts, link_bps=link_bps,
-                      access_bps=access_bps, delay=delay),
         sim,
         scheme,
     )

@@ -12,8 +12,11 @@ spec into a live network (nodes, links, shims, routes) is
 
 Generators cover the shapes the evaluation needs:
 
-* :func:`dumbbell_spec` — the paper's Figure 7 dumbbell, equivalent to
-  :func:`~repro.sim.topology.build_dumbbell` (golden-run compatible);
+* :func:`dumbbell_spec` — the paper's Figure 7 dumbbell (ten users and
+  the attackers behind one 10 Mb/s, 10 ms bottleneck; 60 ms RTT);
+* :func:`chain_spec`, :func:`parallel_spec`, :func:`two_tier_spec` —
+  the small shapes of the unit tests and examples: a router chain,
+  two equal-cost paths for route changes, sites behind a tagging edge;
 * :func:`tree_spec` — a multi-bottleneck aggregation tree (leaf sites
   feeding branch routers feeding a root, capacity narrowing upward);
 * :func:`fat_tree_spec` — a k-ary fat-tree datacenter fabric;
@@ -318,9 +321,11 @@ def dumbbell_spec(
 ) -> TopologySpec:
     """The Figure 7 dumbbell as a spec.
 
-    Instantiating this spec is node-for-node, link-for-link, and
-    address-for-address identical to the historical ``build_dumbbell``
-    (the golden-run suite pins that equivalence).
+    ``R1`` is the trust boundary that stamps path identifiers, one
+    ingress interface per host, so each sender gets a distinct tag (the
+    paper's "AS edge").  Access links add 10 ms each way, giving the
+    paper's 60 ms RTT.  Node, link and address order are pinned by the
+    golden-run suite.
     """
     nodes: List[NodeSpec] = [
         NodeSpec("R1", kind="router", trust_boundary=True),
@@ -387,7 +392,12 @@ def parallel_spec(
     delay: float = 0.005,
 ) -> TopologySpec:
     """Two equal-cost paths between the edges: ``R1 -> {RA | RB} -> R2``,
-    ``R1`` the trust boundary, ``R1->RA`` flagged as the bottleneck."""
+    ``R1`` the trust boundary, ``R1->RA`` flagged as the bottleneck.
+
+    The topology for route-change experiments (Section 3.8): routing
+    breaks the tie in favour of RA, so taking ``R1<->RA`` down and
+    rebuilding routes moves every flow onto RB, whose routers hold
+    different secrets and no cached flow state."""
     nodes = [NodeSpec("R1", kind="router", trust_boundary=True),
              NodeSpec("RA", kind="router"), NodeSpec("RB", kind="router"),
              NodeSpec("R2", kind="router")]
@@ -410,7 +420,12 @@ def two_tier_spec(
     """Hosts ``h{s}.{h}`` behind plain site switches ``S{s}``, sites behind
     the tagging ``EDGE``, then ``EDGE - C1 = C2 - destination`` with
     ``C1->C2`` the bottleneck.  Only the site uplinks enter the trust
-    domain: host links sit below the boundary and are never tagged."""
+    domain: host links sit below the boundary and are never tagged.
+
+    Every host of a site therefore carries the same path identifier:
+    "senders that share the same path identifier share fate, localizing
+    the impact of an attack" (Section 3.2).  Users are listed site by
+    site."""
     nodes = [NodeSpec("EDGE", kind="router", trust_boundary=True),
              NodeSpec("C1", kind="router"),
              NodeSpec("C2", kind="router", trust_boundary=True)]

@@ -3,14 +3,14 @@
 import random
 
 from repro.baselines import PushbackScheme
-from repro.sim import Simulator, TransferLog, build_dumbbell
+from repro.sim import Simulator, TransferLog, dumbbell_spec, instantiate
 from repro.transport import CbrFlood, RepeatingTransferClient, TcpListener
 
 
 def run_pushback(n_attackers, duration=8.0, seed=3):
     sim = Simulator()
     scheme = PushbackScheme()
-    net = build_dumbbell(sim, scheme, n_users=10, n_attackers=n_attackers)
+    net = instantiate(dumbbell_spec(n_users=10, n_attackers=n_attackers), sim, scheme)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
     rng = random.Random(seed)
@@ -57,7 +57,7 @@ class TestPushbackDynamics:
         # filters go in; when the flood ends they age out.
         sim = Simulator()
         scheme = PushbackScheme(review_interval=1.0)
-        net = build_dumbbell(sim, scheme, n_users=10, n_attackers=8)
+        net = instantiate(dumbbell_spec(n_users=10, n_attackers=8), sim, scheme)
         TcpListener(sim, net.destination, 80)
         rng = random.Random(1)
         for user in net.users:
@@ -81,6 +81,6 @@ class TestPushbackDynamics:
     def test_reviews_run_periodically(self):
         sim = Simulator()
         scheme = PushbackScheme(review_interval=0.5)
-        build_dumbbell(sim, scheme, n_users=1, n_attackers=0)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=0), sim, scheme)
         sim.run(until=5.0)
         assert scheme.processors["R1"].reviews >= 9

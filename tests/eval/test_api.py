@@ -32,6 +32,17 @@ class TestFacade:
         dangling = [n for n in module.__all__ if not hasattr(module, n)]
         assert not dangling, f"{module_name}.__all__ lists unbound {dangling}"
 
+    def test_exports_every_topology_generator(self):
+        # Every shape is instantiate(X_spec(...)), so every generator
+        # has to be importable from the facade.
+        from repro.sim import topospec
+
+        generators = {n for n in dir(topospec)
+                      if n.endswith("_spec") and not n.startswith("_")
+                      and callable(getattr(topospec, n))}
+        assert len(generators) == 9
+        assert generators <= set(api.__all__)
+
     def test_importable_without_deprecation_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -34,8 +34,8 @@ from repro.schemes import SCHEMES, build_scheme, knobs_for, scheme_names
 from repro.sim import (
     SchemeFactory,
     Simulator,
-    build_dumbbell,
     dumbbell_spec,
+    instantiate,
     tree_spec,
 )
 
@@ -146,7 +146,7 @@ class TestKnobContracts:
 
     def test_reboot_router_protocol_on_live_dumbbell(self, name):
         scheme = build_scheme(name, seed=5)
-        build_dumbbell(Simulator(), scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), Simulator(), scheme)
         hit = scheme.reboot_router("R1", now=1.0)
         miss = scheme.reboot_router("no-such-router", now=1.0)
         assert isinstance(hit, bool)
@@ -154,7 +154,7 @@ class TestKnobContracts:
 
     def test_metric_items_names_unique_and_callable(self, name):
         scheme = build_scheme(name, seed=5)
-        build_dumbbell(Simulator(), scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), Simulator(), scheme)
         items = list(scheme.metric_items())
         names = [n for n, _ in items]
         assert len(names) == len(set(names)), f"duplicate metric names: {names}"

@@ -11,7 +11,7 @@ from repro.faults import (
     RouteChange,
     RouterReboot,
 )
-from repro.sim import Simulator, build_chain, build_parallel
+from repro.sim import Simulator, chain_spec, instantiate, parallel_spec
 from repro.sim.packet import Packet
 from repro.sim.topology import LegacyDefaults
 from repro.transport import PacketSink
@@ -20,7 +20,7 @@ from repro.transport import PacketSink
 def make_legacy_chain(link_bps=1e6):
     sim = Simulator()
     scheme = LegacyDefaults()  # legacy Internet defaults
-    net = build_chain(sim, scheme, n_routers=2, link_bps=link_bps)
+    net = instantiate(chain_spec(n_routers=2, link_bps=link_bps), sim, scheme)
     return sim, scheme, net
 
 
@@ -102,7 +102,7 @@ class TestRouteChange:
     def test_reroutes_around_down_link(self):
         sim = Simulator()
         scheme = LegacyDefaults()
-        net = build_parallel(sim, scheme)
+        net = instantiate(parallel_spec(), sim, scheme)
         r1 = net.router_by_name("R1")
         dst = net.destination.address
         via_ra = net.links_by_name("R1->RA")[0]
@@ -120,7 +120,7 @@ class TestRouteChange:
     def test_partition_clears_routes_instead_of_raising(self):
         sim = Simulator()
         scheme = LegacyDefaults()
-        net = build_parallel(sim, scheme)
+        net = instantiate(parallel_spec(), sim, scheme)
         r1 = net.router_by_name("R1")
         dst = net.destination.address
         injector = FaultInjector(FaultSchedule((

@@ -20,7 +20,7 @@ import random
 from repro.api import ExperimentConfig, ScenarioSpec, run_spec
 from repro.core import OraclePolicy, ServerPolicy, TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
-from repro.sim import Simulator, TransferLog, build_dumbbell
+from repro.sim import Simulator, TransferLog, dumbbell_spec, instantiate
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
 
 #: Simulated seconds of measurement per run.
@@ -40,7 +40,7 @@ def _tva_run(n_attackers, attack, scheme_kwargs, duration=None,
     )
     scheme = TvaScheme(request_fraction=0.01, destination_policy=policy,
                        seed=seed, **scheme_kwargs)
-    net = build_dumbbell(sim, scheme, n_users=10, n_attackers=n_attackers)
+    net = instantiate(dumbbell_spec(n_users=10, n_attackers=n_attackers), sim, scheme)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
     PacketSink(net.destination, "cbr")
@@ -118,7 +118,7 @@ def test_ablation_queue_key_under_spoofing():
         scheme = TvaScheme(request_fraction=0.01, regular_queue_key=key,
                            destination_policy=lambda: ServerPolicy(
                                default_grant=(SERVER_GRANT_BYTES, 10)))
-        net = build_dumbbell(sim, scheme, n_users=10, n_attackers=20)
+        net = instantiate(dumbbell_spec(n_users=10, n_attackers=20), sim, scheme)
         log = TransferLog()
         TcpListener(sim, net.destination, 80)
         PacketSink(net.colluder, "cbr")

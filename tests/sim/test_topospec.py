@@ -131,7 +131,7 @@ class TestInstantiation:
         net = instantiate(spec, sim, LegacyDefaults(), aggregate=True)
         (agg,) = net.aggregates
         # one range entry covers all 50 addresses at the far router
-        right = net.right
+        right = net.router_by_name("R2")
         for addr in (agg.address, agg.address + 49):
             assert right.route_for(addr) is not None
         assert all(addr not in right.routing
