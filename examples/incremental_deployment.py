@@ -17,10 +17,10 @@ import random
 from repro.api import (
     CbrFlood,
     RepeatingTransferClient,
-    ServerPolicy,
     Simulator,
     TcpListener,
     TransferLog,
+    TvaKnobs,
     TvaScheme,
     chain_spec,
     instantiate,
@@ -29,10 +29,8 @@ from repro.api import (
 
 def main() -> None:
     sim = Simulator()
-    scheme = TvaScheme(
-        request_fraction=0.05,
-        destination_policy=lambda: ServerPolicy(default_grant=(256 * 1024, 10)),
-    )
+    scheme = TvaScheme(TvaKnobs(request_fraction=0.05,
+                                server_grant=(256 * 1024, 10)))
     net = instantiate(chain_spec(n_routers=5, n_hosts_per_end=3, link_bps=10e6),
                       sim, scheme)
 

@@ -19,6 +19,7 @@ from repro.api import (
     Simulator,
     TcpListener,
     TransferLog,
+    TvaKnobs,
     TvaScheme,
     instantiate,
     two_tier_spec,
@@ -42,7 +43,7 @@ class SmallGrantNoRenewal(ServerPolicy):
 
 def main() -> None:
     sim = Simulator()
-    scheme = TvaScheme(request_fraction=0.01,
+    scheme = TvaScheme(TvaKnobs(request_fraction=0.01),
                        destination_policy=SmallGrantNoRenewal)
     net = instantiate(two_tier_spec(n_sites=3, hosts_per_site=3), sim, scheme)
     TcpListener(sim, net.destination, 80)

@@ -12,10 +12,10 @@ Run:  python examples/quickstart.py
 
 from repro.api import (
     RepeatingTransferClient,
-    ServerPolicy,
     Simulator,
     TcpListener,
     TransferLog,
+    TvaKnobs,
     TvaScheme,
     chain_spec,
     instantiate,
@@ -24,10 +24,10 @@ from repro.api import (
 
 def main() -> None:
     sim = Simulator()
-    scheme = TvaScheme(
+    scheme = TvaScheme(TvaKnobs(
         request_fraction=0.05,  # the paper's default request channel
-        destination_policy=lambda: ServerPolicy(default_grant=(64 * 1024, 10)),
-    )
+        server_grant=(64 * 1024, 10),  # what the server grants each client
+    ))
     net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
     client, server = net.users[0], net.destination
 

@@ -22,6 +22,7 @@ from repro.api import (
     Simulator,
     TcpListener,
     TransferLog,
+    TvaKnobs,
     TvaScheme,
     dumbbell_spec,
     instantiate,
@@ -46,7 +47,8 @@ def main() -> None:
         return policy
 
     sim = Simulator()
-    scheme = TvaScheme(request_fraction=0.01, destination_policy=make_policy)
+    scheme = TvaScheme(TvaKnobs(request_fraction=0.01),
+                       destination_policy=make_policy)
     net = instantiate(dumbbell_spec(n_users=5, n_attackers=1), sim, scheme)
     server = net.destination
     attacker = net.attackers[0]

@@ -33,19 +33,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 # -- scheme registry -------------------------------------------------------
-from .schemes import (
-    SCHEMES,
-    InternetKnobs,
-    NetFenceKnobs,
-    PushbackKnobs,
-    SchemeKnobs,
-    SiffKnobs,
-    TvaKnobs,
-    build_scheme,
-    knobs_for,
-    register_scheme,
-    scheme_names,
-)
+from .schemes import SCHEMES, build_scheme, knobs_for, scheme_names
 
 # -- static analysis (determinism & simulation safety) ---------------------
 from .lint import Finding, LintEngine, LintError
@@ -96,13 +84,21 @@ from .eval.runner import (
 from .eval.service import ProgressLog, parse_shard, run_shard, shard_specs
 
 # -- building blocks for custom topologies (what examples/ use) ------------
-from .baselines import NetFenceScheme, PushbackScheme, SiffScheme
-from .core import ServerPolicy, TvaScheme
+from .baselines import (
+    NetFenceKnobs,
+    NetFenceScheme,
+    PushbackKnobs,
+    PushbackScheme,
+    SiffKnobs,
+    SiffScheme,
+)
+from .core import ServerPolicy, TvaKnobs, TvaScheme
 from .sim import (
     AggregateHost,
     AggregateLink,
     DropTailQueue,
     Host,
+    InternetKnobs,
     LegacyDefaults,
     Link,
     LinkSpec,
@@ -110,6 +106,7 @@ from .sim import (
     NodeSpec,
     Router,
     SchemeFactory,
+    SchemeKnobs,
     Simulator,
     TopologySpec,
     TransferLog,
@@ -188,7 +185,6 @@ __all__ = [
     # registry
     "SCHEMES",
     "scheme_names",
-    "register_scheme",
     "knobs_for",
     "SchemeKnobs",
     "TvaKnobs",

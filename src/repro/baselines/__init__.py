@@ -8,15 +8,17 @@ from .netfence import (
     NetFenceFeedback,
     NetFenceHeader,
     NetFenceHostShim,
+    NetFenceKnobs,
     NetFenceRouterProcessor,
     NetFenceScheme,
 )
-from .pushback import PushbackProcessor, PushbackScheme
+from .pushback import PushbackKnobs, PushbackProcessor, PushbackScheme
 from .siff import (
     SIFF_SECRET_PERIOD,
     SiffData,
     SiffExplorer,
     SiffHostShim,
+    SiffKnobs,
     SiffReturn,
     SiffRouterProcessor,
     SiffScheme,
@@ -29,14 +31,17 @@ __all__ = [
     "NetFenceFeedback",
     "NetFenceHeader",
     "NetFenceHostShim",
+    "NetFenceKnobs",
     "NetFenceRouterProcessor",
     "NetFenceScheme",
+    "PushbackKnobs",
     "PushbackProcessor",
     "PushbackScheme",
     "SIFF_SECRET_PERIOD",
     "SiffData",
     "SiffExplorer",
     "SiffHostShim",
+    "SiffKnobs",
     "SiffReturn",
     "SiffRouterProcessor",
     "SiffScheme",

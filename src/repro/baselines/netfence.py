@@ -54,7 +54,7 @@ from ..sim.link import Link
 from ..sim.node import HostShim, Router, RouterProcessor
 from ..sim.packet import Packet
 from ..sim.queues import DropTailQueue, TokenBucket
-from ..sim.topology import LegacyDefaults, Network
+from ..sim.topology import LegacyDefaults, Network, SchemeKnobs
 
 #: Flat shim overhead charged once per packet for the feedback header
 #: (mark + timestamp + MAC), same budget as TVA's capability shim.
@@ -71,6 +71,53 @@ NETFENCE_SECRET_PERIOD = 128.0
 #: Echoed feedback whose stamp is older than this no longer counts as
 #: fresh; the robustness rule then treats the sender as congested.
 FEEDBACK_EXPIRY = 2.0
+
+
+@dataclass(frozen=True)
+class NetFenceKnobs(SchemeKnobs):
+    """NetFence knobs (closed-loop congestion policing baseline).
+
+    The access routers' AIMD limiter starts at ``init_rate_bps``, adds
+    ``alpha_bps`` per ``control_interval`` of fresh ``mono`` feedback
+    (capped at ``max_rate_bps``), multiplies by ``1 - beta`` on ``cong``
+    feedback or on no fresh feedback at all (floored at
+    ``min_rate_bps``), and is released after ``release_intervals`` quiet
+    intervals."""
+
+    secret_period: float = NETFENCE_SECRET_PERIOD
+    control_interval: float = 1.0
+    init_rate_bps: float = 2e6
+    min_rate_bps: float = 20e3
+    max_rate_bps: float = 10e6
+    alpha_bps: float = 200e3
+    beta: float = 0.5
+    feedback_expiry: float = FEEDBACK_EXPIRY
+    #: Seconds a new sender runs before missing feedback counts as congestion.
+    grace: float = 1.0
+    release_intervals: int = 4
+    #: Fraction of a queue's byte limit from which it marks ``cong``.
+    mark_threshold_fraction: float = 0.25
+
+    def __post_init__(self) -> None:
+        self._require("secret_period", self.secret_period > 0, "secret_period > 0")
+        self._require("control_interval", self.control_interval > 0,
+                      "control_interval > 0")
+        self._require("min_rate_bps", self.min_rate_bps > 0, "min_rate_bps > 0")
+        self._require("init_rate_bps", self.min_rate_bps <= self.init_rate_bps,
+                      f"init_rate_bps >= min_rate_bps ({self.min_rate_bps!r})")
+        self._require("max_rate_bps", self.init_rate_bps <= self.max_rate_bps,
+                      f"max_rate_bps >= init_rate_bps ({self.init_rate_bps!r})")
+        self._require("alpha_bps", self.alpha_bps > 0, "alpha_bps > 0")
+        self._require("beta", 0 < self.beta < 1, "0 < beta < 1")
+        self._require("feedback_expiry", self.feedback_expiry > 0,
+                      "feedback_expiry > 0")
+        self._require("grace", self.grace >= 0, "grace >= 0")
+        self._require("release_intervals", self.release_intervals >= 1,
+                      "release_intervals >= 1")
+        self._require("mark_threshold_fraction",
+                      0 < self.mark_threshold_fraction <= 1,
+                      "0 < mark_threshold_fraction <= 1")
+
 
 _MONO = 0
 _CONG = 1
@@ -213,11 +260,11 @@ class NetFenceRouterProcessor(RouterProcessor):
 
     def __init__(self, name: str, scheme: "NetFenceScheme", trust_boundary: bool) -> None:
         self.name = name
-        self.scheme = scheme
+        self.knobs = scheme.knobs
         self.trust_boundary = trust_boundary
         self.secrets = SecretManager(
             seed=f"netfence-{name}-{scheme.seed}".encode(),
-            period=scheme.secret_period,
+            period=self.knobs.secret_period,
         )
         self.restarts = 0
         #: Senders whose packets this core stamps; echoes addressed to
@@ -316,7 +363,7 @@ class NetFenceRouterProcessor(RouterProcessor):
         if fb.stamper != self.name or fb.mark not in _MARK_CODES:
             return False
         age = (int(now) - fb.ts) % TIMESTAMP_MODULO
-        if age > self.scheme.feedback_expiry:
+        if age > self.knobs.feedback_expiry:
             return False
         secret = self.secrets.secret_for_timestamp(fb.ts, now)
         if secret is None:
@@ -348,7 +395,7 @@ class NetFenceRouterProcessor(RouterProcessor):
         Ticks are evaluated lazily on the sender's own packets, so an
         idle sender consumes no timer events and a returning one takes a
         single step, not one per elapsed interval."""
-        k = self.scheme
+        k = self.knobs
         if now - st.last_tick < k.control_interval:
             return
         st.last_tick = now
@@ -393,7 +440,7 @@ class NetFenceRouterProcessor(RouterProcessor):
         st.cong_seen.clear()
 
     def _new_limiter(self) -> _Limiter:
-        k = self.scheme
+        k = self.knobs
         return _Limiter(k.init_rate_bps, burst_bytes=self._burst_for(k.init_rate_bps))
 
     @staticmethod
@@ -403,14 +450,14 @@ class NetFenceRouterProcessor(RouterProcessor):
         return max(3000, int(rate_bps / 8 * 0.1))
 
     def _decrease(self, lim: _Limiter, now: float) -> None:
-        k = self.scheme
+        k = self.knobs
         rate = max(k.min_rate_bps, lim.rate_bps * (1.0 - k.beta))
         lim.rate_bps = rate
         lim.quiet = 0
         lim.bucket.set_rate(rate, now, burst_bytes=self._burst_for(rate))
 
     def _increase(self, lim: _Limiter, now: float) -> None:
-        k = self.scheme
+        k = self.knobs
         rate = min(k.max_rate_bps, lim.rate_bps + k.alpha_bps)
         lim.rate_bps = rate
         lim.bucket.set_rate(rate, now, burst_bytes=self._burst_for(rate))
@@ -496,38 +543,16 @@ class NetFenceScheme(LegacyDefaults):
     :class:`NetFenceRouterProcessor` core sharing per-scheme keys."""
 
     name = "netfence"
+    Knobs = NetFenceKnobs
 
     def __init__(
         self,
-        secret_period: float = NETFENCE_SECRET_PERIOD,
-        control_interval: float = 1.0,
-        init_rate_bps: float = 2e6,
-        min_rate_bps: float = 20e3,
-        max_rate_bps: float = 10e6,
-        alpha_bps: float = 200e3,
-        beta: float = 0.5,
-        feedback_expiry: float = FEEDBACK_EXPIRY,
-        grace: float = 1.0,
-        release_intervals: int = 4,
-        mark_threshold_fraction: float = 0.25,
-        destination_policy: Optional[Callable[[], DestinationPolicy]] = None,
+        knobs: Optional[NetFenceKnobs] = None,
+        *,
         seed: int = 42,
+        destination_policy: Optional[Callable[[], DestinationPolicy]] = None,
     ) -> None:
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if min_rate_bps <= 0 or init_rate_bps < min_rate_bps:
-            raise ValueError("need 0 < min_rate_bps <= init_rate_bps")
-        self.secret_period = secret_period
-        self.control_interval = control_interval
-        self.init_rate_bps = init_rate_bps
-        self.min_rate_bps = min_rate_bps
-        self.max_rate_bps = max_rate_bps
-        self.alpha_bps = alpha_bps
-        self.beta = beta
-        self.feedback_expiry = feedback_expiry
-        self.grace = grace
-        self.release_intervals = release_intervals
-        self.mark_threshold_fraction = mark_threshold_fraction
+        self.knobs = knobs or NetFenceKnobs()
         self.destination_policy = destination_policy or ServerPolicy
         self.seed = seed
         self.cores: Dict[str, NetFenceRouterProcessor] = {}
@@ -540,7 +565,8 @@ class NetFenceScheme(LegacyDefaults):
         limit = self.queue_limit(link_kind, bandwidth_bps)
         return MarkingFifo(
             limit_bytes=limit,
-            mark_threshold_bytes=max(3000, int(limit * self.mark_threshold_fraction)),
+            mark_threshold_bytes=max(
+                3000, int(limit * self.knobs.mark_threshold_fraction)),
         )
 
     def make_router_processor(self, router_name: str,

@@ -33,13 +33,31 @@ network degenerates to DropTail — the sharp knee of Figure 8.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.link import Link
 from ..sim.node import HostShim, Router, RouterProcessor
 from ..sim.packet import Packet
 from ..sim.queues import DropTailQueue, Qdisc, TokenBucket
-from ..sim.topology import LegacyDefaults, Network
+from ..sim.topology import LegacyDefaults, Network, SchemeKnobs
+
+
+@dataclass(frozen=True)
+class PushbackKnobs(SchemeKnobs):
+    """Pushback knobs (aggregate congestion control baseline)."""
+
+    #: Seconds between a router's drop reviews (the monitoring window).
+    review_interval: float = 2.0
+    #: Drop fraction above which an output link counts as congested.
+    drop_fraction_threshold: float = 0.02
+
+    def __post_init__(self) -> None:
+        self._require("review_interval", self.review_interval > 0,
+                      "review_interval > 0")
+        self._require("drop_fraction_threshold",
+                      0 <= self.drop_fraction_threshold < 1,
+                      "0 <= drop_fraction_threshold < 1")
 
 
 class PushbackProcessor(RouterProcessor):
@@ -48,16 +66,15 @@ class PushbackProcessor(RouterProcessor):
     def __init__(
         self,
         name: str,
-        review_interval: float = 2.0,
-        drop_fraction_threshold: float = 0.02,
+        knobs: PushbackKnobs,
         target_utilization: float = 0.95,
         min_share_bps: float = 20e3,
         identification_ratio: float = 1.1,
         filter_idle_periods: int = 2,
     ) -> None:
         self.name = name
-        self.review_interval = review_interval
-        self.drop_fraction_threshold = drop_fraction_threshold
+        self.review_interval = knobs.review_interval
+        self.drop_fraction_threshold = knobs.drop_fraction_threshold
         self.target_utilization = target_utilization
         self.min_share_bps = min_share_bps
         #: A link is identified as an attack contributor when its arrival
@@ -221,25 +238,25 @@ class PushbackScheme(LegacyDefaults):
     aggregate-filtering processor on every router."""
 
     name = "pushback"
+    Knobs = PushbackKnobs
 
     def __init__(
         self,
-        review_interval: float = 2.0,
-        drop_fraction_threshold: float = 0.02,
+        knobs: Optional[PushbackKnobs] = None,
+        *,
+        seed: int = 42,
+        destination_policy: Optional[Callable] = None,
     ) -> None:
-        self.review_interval = review_interval
-        self.drop_fraction_threshold = drop_fraction_threshold
+        # Pushback draws no randomness and runs no destination policy;
+        # it takes both keywords for the constructor every scheme shares.
+        self.knobs = knobs or PushbackKnobs()
         self.processors: Dict[str, PushbackProcessor] = {}
 
     def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> Qdisc:
         return DropTailQueue(limit_bytes=None, limit_pkts=50)
 
     def make_router_processor(self, router_name: str, trust_boundary: bool):
-        proc = PushbackProcessor(
-            router_name,
-            review_interval=self.review_interval,
-            drop_fraction_threshold=self.drop_fraction_threshold,
-        )
+        proc = PushbackProcessor(router_name, self.knobs)
         self.processors[router_name] = proc
         return proc
 

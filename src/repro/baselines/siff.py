@@ -22,15 +22,25 @@ different destinations."  Concretely:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.crypto import SecretManager, keyed_hash56
-from ..core.policy import AlwaysGrant, ClientPolicy, DestinationPolicy, ServerPolicy
+from ..core.policy import (
+    DEFAULT_SERVER_GRANT,
+    GRANT_NEEDS,
+    AlwaysGrant,
+    ClientPolicy,
+    DestinationPolicy,
+    ServerPolicy,
+    as_grant,
+    is_grant,
+)
 from ..sim.link import Link
 from ..sim.node import HostShim, Router, RouterProcessor
 from ..sim.packet import Packet
 from ..sim.queues import DropTailQueue, PriorityScheduler, Qdisc
-from ..sim.topology import LegacyDefaults
+from ..sim.topology import LegacyDefaults, SchemeKnobs
 
 #: SIFF stamps 2 bits per router.  Short marks are one of SIFF's known
 #: weaknesses (the paper contrasts them with TVA's 64-bit capabilities):
@@ -46,6 +56,28 @@ SIFF_HEADER_BYTES = 4
 #: Default secret turnover for the steady-state experiments; Figure 11
 #: overrides this to 3 seconds with no grace.
 SIFF_SECRET_PERIOD = 30.0
+
+
+@dataclass(frozen=True)
+class SiffKnobs(SchemeKnobs):
+    """SIFF knobs (capability-bit baseline)."""
+
+    #: What the destination's public-server policy grants each sender.
+    server_grant: Tuple[int, float] = DEFAULT_SERVER_GRANT
+    secret_period: float = SIFF_SECRET_PERIOD
+    #: Whether routers also accept marks made with the previous secret.
+    accept_previous: bool = True
+    mark_bits: int = MARK_BITS
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "server_grant", as_grant(self.server_grant))
+        self._require("server_grant", is_grant(self.server_grant), GRANT_NEEDS)
+        self._require("secret_period", self.secret_period > 0,
+                      "secret_period > 0")
+        # Marks are cut from a 56-bit keyed hash.
+        self._require("mark_bits",
+                      type(self.mark_bits) is int and 1 <= self.mark_bits <= 56,
+                      "an integer 1 <= mark_bits <= 56")
 
 
 @dataclass
@@ -76,20 +108,13 @@ class SiffReturn:
 class SiffRouterProcessor(RouterProcessor):
     """Marks explorers, verifies data packets (dropping mismatches)."""
 
-    def __init__(
-        self,
-        name: str,
-        secret_period: float = SIFF_SECRET_PERIOD,
-        accept_previous: bool = True,
-        seed: int = 42,
-        mark_bits: int = MARK_BITS,
-    ) -> None:
+    def __init__(self, name: str, knobs: SiffKnobs, seed: int = 42) -> None:
         self.name = name
         self.secrets = SecretManager(
-            seed=f"siff-{name}-{seed}".encode(), period=secret_period
+            seed=f"siff-{name}-{seed}".encode(), period=knobs.secret_period
         )
-        self.accept_previous = accept_previous
-        self.mark_mask = (1 << mark_bits) - 1
+        self.accept_previous = knobs.accept_previous
+        self.mark_mask = (1 << knobs.mark_bits) - 1
         self.marks_issued = 0
         self.data_verified = 0
         self.data_dropped = 0
@@ -277,19 +302,18 @@ class SiffScheme(LegacyDefaults):
     """Factory wiring SIFF into a topology."""
 
     name = "siff"
+    Knobs = SiffKnobs
 
     def __init__(
         self,
-        secret_period: float = SIFF_SECRET_PERIOD,
-        accept_previous: bool = True,
-        destination_policy=None,
+        knobs: Optional[SiffKnobs] = None,
+        *,
         seed: int = 42,
-        mark_bits: int = MARK_BITS,
+        destination_policy: Optional[Callable[[], DestinationPolicy]] = None,
     ) -> None:
-        self.secret_period = secret_period
-        self.accept_previous = accept_previous
-        self.mark_bits = mark_bits
-        self.destination_policy = destination_policy or ServerPolicy
+        self.knobs = k = knobs or SiffKnobs()
+        self.destination_policy = destination_policy or partial(
+            ServerPolicy, default_grant=k.server_grant)
         self.seed = seed
         self.processors: Dict[str, SiffRouterProcessor] = {}
         self.shims: Dict[str, SiffHostShim] = {}
@@ -299,13 +323,7 @@ class SiffScheme(LegacyDefaults):
         return PriorityScheduler(_siff_class, _SIFF_CLASSES)
 
     def make_router_processor(self, router_name: str, trust_boundary: bool):
-        proc = SiffRouterProcessor(
-            router_name,
-            secret_period=self.secret_period,
-            accept_previous=self.accept_previous,
-            seed=self.seed,
-            mark_bits=self.mark_bits,
-        )
+        proc = SiffRouterProcessor(router_name, self.knobs, seed=self.seed)
         self.processors[router_name] = proc
         return proc
 
@@ -318,7 +336,7 @@ class SiffScheme(LegacyDefaults):
             policy = ClientPolicy()
         shim = SiffHostShim(
             policy=policy,
-            mark_lifetime=self.secret_period,
+            mark_lifetime=self.knobs.secret_period,
         )
         self.shims[role] = shim
         return shim

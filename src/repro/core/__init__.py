@@ -36,7 +36,7 @@ from .policy import (
     ServerPolicy,
 )
 from .router import TvaRouterCore, TvaRouterProcessor
-from .scheme import TvaScheme
+from .scheme import TvaKnobs, TvaScheme
 
 __all__ = [
     "AlwaysGrant",
@@ -56,6 +56,7 @@ __all__ = [
     "SecretManager",
     "ServerPolicy",
     "TvaHostShim",
+    "TvaKnobs",
     "TvaParams",
     "TvaRouterCore",
     "TvaRouterProcessor",

@@ -74,7 +74,6 @@ RENEWAL_THRESHOLD = 0.5
 class TvaParams:
     """Tunable knobs bundled for schemes and routers."""
 
-    request_fraction: float = REQUEST_FRACTION_DEFAULT
     secret_period: float = SECRET_PERIOD
     nt_min_bytes: int = NT_MIN_BYTES
     nt_min_seconds: float = NT_MIN_SECONDS

@@ -20,13 +20,38 @@ is the colluder of Section 5.3.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from .capability import quantize_grant
-from .params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
+from .params import (
+    DEFAULT_GRANT_BYTES,
+    DEFAULT_GRANT_SECONDS,
+    SERVER_GRANT_BYTES,
+    SERVER_GRANT_SECONDS,
+)
 
 Grant = Tuple[int, int]  # (N bytes, T whole seconds)
+
+#: The ``server_grant`` a steady-state experiment's public server issues.
+DEFAULT_SERVER_GRANT = (SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS)
+
+#: What :func:`is_grant` accepts, as an error message says it.
+GRANT_NEEDS = "[bytes, seconds], two positive numbers"
+
+
+def as_grant(value: Any) -> Any:
+    """``value`` with a JSON list folded back to a tuple."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def is_grant(value: Any) -> bool:
+    """Whether ``value`` is a ``(bytes, seconds)`` grant a destination can
+    issue: two positive finite numbers (booleans are not numbers here)."""
+    return isinstance(value, tuple) and len(value) == 2 and all(
+        type(v) in (int, float) and 0 < v < math.inf for v in value
+    )
 
 
 class DestinationPolicy:

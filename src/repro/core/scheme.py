@@ -14,6 +14,8 @@ Each outgoing link of a TVA router schedules three classes:
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..sim.node import HostShim, RouterProcessor
@@ -26,31 +28,44 @@ from ..sim.queues import (
     StochasticFairQueue,
     TokenBucket,
 )
-from ..sim.topology import LegacyDefaults
+from ..sim.topology import LegacyDefaults, SchemeKnobs
 from .crypto import SecretManager
 from .flowstate import FlowStateTable
 from .header import figure2_class
 from .host import TvaHostShim
-from .params import (
-    REQUEST_FRACTION_DEFAULT,
-    SERVER_GRANT_BYTES,
-    SERVER_GRANT_SECONDS,
-    TvaParams,
-)
+from .params import REQUEST_FRACTION_DEFAULT, TvaParams
 from .pathid import most_recent_tag
 from .policy import (
+    DEFAULT_SERVER_GRANT,
+    GRANT_NEEDS,
     AlwaysGrant,
     ClientPolicy,
     DestinationPolicy,
     ServerPolicy,
+    as_grant,
+    is_grant,
 )
 from .router import TvaRouterCore, TvaRouterProcessor
 
 
-def default_server_policy() -> ServerPolicy:
-    """The destination policy for the steady-state experiments: a public
-    server granting a generous budget and blacklisting misbehaviour."""
-    return ServerPolicy(default_grant=(SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS))
+@dataclass(frozen=True)
+class TvaKnobs(SchemeKnobs):
+    """TVA knobs (the paper's own scheme)."""
+
+    #: What the destination's public-server policy grants each sender.
+    server_grant: Tuple[int, float] = DEFAULT_SERVER_GRANT
+    request_fraction: float = REQUEST_FRACTION_DEFAULT
+    #: Fair queuing for the regular class: per-key DRR (the paper's
+    #: design) or SFQ (the Section 3.9 alternative it argues against).
+    regular_qdisc: str = "drr"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "server_grant", as_grant(self.server_grant))
+        self._require("server_grant", is_grant(self.server_grant), GRANT_NEEDS)
+        self._require("request_fraction", 0 < self.request_fraction < 1,
+                      "0 < request_fraction < 1")
+        self._require("regular_qdisc", self.regular_qdisc in ("drr", "sfq"),
+                      "'drr' or 'sfq'")
 
 
 def _request_key(pkt: Packet):
@@ -78,30 +93,33 @@ def _legacy_class() -> Tuple[Qdisc, None]:
 
 
 class TvaScheme(LegacyDefaults):
-    """Factory producing TVA queue disciplines, routers, and host shims."""
+    """Factory producing TVA queue disciplines, routers, and host shims.
+
+    Beyond the knobs, the keywords after ``destination_policy`` are
+    library-only ablation switches, not reachable from a spec."""
 
     name = "tva"
+    Knobs = TvaKnobs
 
     def __init__(
         self,
-        request_fraction: float = REQUEST_FRACTION_DEFAULT,
-        params: Optional[TvaParams] = None,
-        destination_policy: Optional[Callable[[], DestinationPolicy]] = None,
-        state_capacity: Optional[int] = None,
+        knobs: Optional[TvaKnobs] = None,
+        *,
         seed: int = 42,
+        destination_policy: Optional[Callable[[], DestinationPolicy]] = None,
+        params: Optional[TvaParams] = None,
+        state_capacity: Optional[int] = None,
         regular_queue_key: str = "destination",
         request_fair_queue: bool = True,
         infer_dead_caps: bool = True,
-        regular_qdisc: str = "drr",
         sfq_buckets: int = 64,
     ) -> None:
         if regular_queue_key not in ("destination", "source"):
             raise ValueError("regular_queue_key must be 'destination' or 'source'")
-        if regular_qdisc not in ("drr", "sfq"):
-            raise ValueError("regular_qdisc must be 'drr' or 'sfq'")
-        self.params = params or TvaParams(request_fraction=request_fraction)
-        self.request_fraction = request_fraction
-        self.destination_policy = destination_policy or default_server_policy
+        self.knobs = k = knobs or TvaKnobs()
+        self.params = params or TvaParams()
+        self.destination_policy = destination_policy or partial(
+            ServerPolicy, default_grant=k.server_grant)
         self.state_capacity = state_capacity
         self.seed = seed
         #: Which address authorized traffic is fair-queued on (Section 3.9:
@@ -113,10 +131,7 @@ class TvaScheme(LegacyDefaults):
         self.request_fair_queue = request_fair_queue
         #: Section 3.8 dead-capability inference for honest-role shims.
         self.infer_dead_caps = infer_dead_caps
-        #: Fair queuing for the regular class: per-key DRR (the paper's
-        #: design) or SFQ hashing onto ``sfq_buckets`` queues (the
-        #: Section 3.9 alternative the paper argues against).
-        self.regular_qdisc = regular_qdisc
+        #: SFQ bucket count when the ``regular_qdisc`` knob is ``"sfq"``.
         self.sfq_buckets = sfq_buckets
         self.rng = random.Random(seed)
         self.router_cores: Dict[str, TvaRouterCore] = {}
@@ -141,14 +156,14 @@ class TvaScheme(LegacyDefaults):
         request, 1 regular, 2 legacy.  Every scheduler on such a link
         shares them; they read the scheme's settings once, here."""
         legacy_limit = self.queue_limit(link_kind, bandwidth_bps)
-        request_rate = bandwidth_bps * self.request_fraction
+        request_rate = bandwidth_bps * self.knobs.request_fraction
         request_burst = max(3000, int(request_rate / 8 * 0.1))
         request_fair = self.request_fair_queue
         regular_key = (
             _destination_key if self.regular_queue_key == "destination" else _source_key
         )
         regular_limit = max(16_000, legacy_limit // 2)
-        sfq_buckets = self.sfq_buckets if self.regular_qdisc == "sfq" else None
+        sfq_buckets = self.sfq_buckets if self.knobs.regular_qdisc == "sfq" else None
 
         def request() -> Tuple[Qdisc, TokenBucket]:
             queue = DRRFairQueue(

@@ -26,12 +26,9 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.params import (
-    REQUEST_FRACTION_SIM,
-    SERVER_GRANT_BYTES,
-    SERVER_GRANT_SECONDS,
-)
-from ..schemes import GRANT_NEEDS, as_grant, is_grant, scheme_names
+from ..core.params import REQUEST_FRACTION_SIM
+from ..core.policy import DEFAULT_SERVER_GRANT, GRANT_NEEDS, as_grant, is_grant
+from ..schemes import scheme_names
 
 #: Evaluated schemes, derived from the :mod:`repro.schemes` registry.
 SCHEMES = scheme_names()
@@ -101,7 +98,7 @@ class ExperimentConfig:
     duration: float = 15.0
     seed: int = 1
     request_fraction: float = REQUEST_FRACTION_SIM  # 1%: "to stress our design"
-    server_grant: tuple = (SERVER_GRANT_BYTES, SERVER_GRANT_SECONDS)
+    server_grant: tuple = DEFAULT_SERVER_GRANT
     #: Fair queuing for TVA's regular class: "drr" (the paper's design) or
     #: "sfq" (the Section 3.9 hashed-bucket alternative).
     regular_qdisc: str = "drr"

@@ -268,11 +268,7 @@ def _policy_factory(spec: ScenarioSpec) -> Optional[Callable]:
     from ..core import FilteringPolicy, OraclePolicy, ServerPolicy
     from ..core.params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
 
-    if spec.topology is not None:
-        suspects = set(spec.topology.role_addresses("attacker"))
-    else:
-        n_users = spec.config.n_users
-        suspects = set(range(n_users + 1, n_users + spec.n_attackers + 1))
+    suspects = set(spec.network().role_addresses("attacker"))
     if spec.policy == "filtering":
         grant = spec.config.server_grant
         return lambda: FilteringPolicy(

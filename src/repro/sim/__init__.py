@@ -20,9 +20,11 @@ from .queues import (
 )
 from .routing import RoutingError, build_static_routes
 from .topology import (
+    InternetKnobs,
     LegacyDefaults,
     Network,
     SchemeFactory,
+    SchemeKnobs,
     instantiate,
 )
 from .topospec import (
@@ -51,6 +53,7 @@ __all__ = [
     "Host",
     "HostShim",
     "IP_TCP_HEADER",
+    "InternetKnobs",
     "LegacyDefaults",
     "Link",
     "LinkSpec",
@@ -64,6 +67,7 @@ __all__ = [
     "RouterProcessor",
     "RoutingError",
     "SchemeFactory",
+    "SchemeKnobs",
     "SimulationError",
     "Simulator",
     "TokenBucket",

@@ -103,6 +103,33 @@ class SchemeFactory(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class SchemeKnobs:
+    """Base of the per-scheme knob dataclasses.
+
+    A scheme's knobs are the fields of its ``Knobs`` dataclass, declared
+    next to the scheme that reads them: each field is the knob's one
+    declaration and default, and ``__post_init__`` its one range check.
+    ``ScenarioSpec.scheme_options`` and ``--scheme-opt`` set them by
+    name.  ``seed`` and the destination policy are not knobs but
+    keywords of the scheme's constructor.
+    """
+
+    def _require(self, knob: str, ok: bool, allowed: str) -> None:
+        """Range check for ``__post_init__``: knob values arrive from
+        ``--scheme-opt`` and spec files, so a bad one must fail when the
+        spec is built, not inside a sweep worker."""
+        if not ok:
+            raise ValueError(
+                f"{knob}={getattr(self, knob)!r} out of range, need {allowed}"
+            )
+
+
+@dataclass(frozen=True)
+class InternetKnobs(SchemeKnobs):
+    """The legacy Internet has no knobs."""
+
+
 class LegacyDefaults:
     """Concrete :class:`SchemeFactory` base with legacy-Internet defaults:
     FIFO queues, no router processing, no host shim, no state to reboot.
@@ -111,12 +138,27 @@ class LegacyDefaults:
     ns-2-style 50-packet DropTail queues.  "With the Internet, legitimate
     traffic and attack traffic are treated alike" (Section 5.1).  Schemes
     extend this and override only the hooks they care about.
+
+    Every scheme is built as ``Scheme(knobs=None, *, seed=42,
+    destination_policy=None)``; ``knobs`` defaults to ``Scheme.Knobs()``.
+    The legacy Internet keeps no seeded state and runs no destination
+    policy, so it ignores both keywords.
     """
 
     name = "internet"
+    Knobs = InternetKnobs
 
     #: ns-2-style DropTail packet limit used by the legacy Internet.
     queue_limit_pkts = 50
+
+    def __init__(
+        self,
+        knobs: Optional[InternetKnobs] = None,
+        *,
+        seed: int = 42,
+        destination_policy: Optional[Callable] = None,
+    ) -> None:
+        self.knobs = knobs or InternetKnobs()
 
     def make_qdisc(self, link_kind: str, bandwidth_bps: float) -> Qdisc:
         # Packet-limited by design — NOT queue_limit()'s byte budget; see

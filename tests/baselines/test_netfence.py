@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import NetFenceScheme
+from repro.baselines import NetFenceKnobs, NetFenceScheme
 from repro.baselines.netfence import (
     NETFENCE_HEADER_BYTES,
     NF_CTL_PROTO,
@@ -106,7 +106,7 @@ class TestFeedbackValidation:
 
     def test_stale_feedback_rejected(self):
         fb = self.stamp()
-        expiry = self.scheme.feedback_expiry
+        expiry = self.scheme.knobs.feedback_expiry
         assert self.proc._validate(fb, 1, self.sim.now + expiry)
         assert not self.proc._validate(fb, 1, self.sim.now + expiry + 1.5)
 
@@ -178,7 +178,7 @@ class TestRateLimiting:
         st = self.proc._senders[1]
         assert "" in st.limiters
         assert st.limiters[""].rate_bps == pytest.approx(
-            self.scheme.init_rate_bps * (1 - self.scheme.beta)
+            self.scheme.knobs.init_rate_bps * (1 - self.scheme.knobs.beta)
         )
 
     def test_robustness_limiter_keeps_halving_to_the_floor(self):
@@ -188,7 +188,7 @@ class TestRateLimiting:
             advance(self.sim, 1.1 * i)
             self.send()
             rate = self.proc._senders[1].limiters[""].rate_bps
-        assert rate == pytest.approx(self.scheme.min_rate_bps)
+        assert rate == pytest.approx(self.scheme.knobs.min_rate_bps)
 
     def test_fresh_feedback_releases_robustness_limiter(self):
         self.send()
@@ -210,7 +210,7 @@ class TestRateLimiting:
         st = self.proc._senders[1]
         assert set(st.limiters) == {"R1->R2"}
         assert st.limiters["R1->R2"].rate_bps == pytest.approx(
-            self.scheme.init_rate_bps * (1 - self.scheme.beta)
+            self.scheme.knobs.init_rate_bps * (1 - self.scheme.knobs.beta)
         )
 
     def test_mono_intervals_grow_then_release_keyed_limiter(self):
@@ -224,7 +224,8 @@ class TestRateLimiting:
         _, stamp = self.send()  # fresh mono stamp for the next interval
         st = self.proc._senders[1]
         halved = st.limiters["R1->R2"].rate_bps
-        for i in range(1, self.scheme.release_intervals):
+        k = self.scheme.knobs
+        for i in range(1, k.release_intervals):
             advance(self.sim, 1.2 + 1.1 * i)
             # Evidence lands before the tick inside the same process()
             # call, so this one packet both presents mono and advances
@@ -232,15 +233,16 @@ class TestRateLimiting:
             self.send(presented=stamp.shim.feedback.clone())
             assert "R1->R2" in st.limiters, f"released too early ({i})"
             assert st.limiters["R1->R2"].rate_bps == pytest.approx(
-                min(self.scheme.max_rate_bps, halved + i * self.scheme.alpha_bps)
+                min(k.max_rate_bps, halved + i * k.alpha_bps)
             )
             _, stamp = self.send()  # re-stamp mono
-        advance(self.sim, 1.2 + 1.1 * self.scheme.release_intervals)
+        advance(self.sim, 1.2 + 1.1 * k.release_intervals)
         self.send(presented=stamp.shim.feedback.clone())
         assert "R1->R2" not in st.limiters
 
     def test_policed_sender_drops_but_never_blocks_outright(self):
-        scheme = NetFenceScheme(init_rate_bps=20e3, min_rate_bps=20e3, seed=3)
+        scheme = NetFenceScheme(
+            NetFenceKnobs(init_rate_bps=20e3, min_rate_bps=20e3), seed=3)
         proc = NetFenceRouterProcessor("R1", scheme, trust_boundary=True)
         pkt = Packet(src=1, dst=2, size=1500, proto="raw", created=0.0)
         proc.process(pkt, self.router, self.ingress, None)
@@ -391,7 +393,7 @@ class TestWiring:
         q = bottleneck.qdisc
         assert q.mark_hook is not None
         assert q.mark_threshold_bytes == max(
-            3000, int(q.limit_bytes * scheme.mark_threshold_fraction)
+            3000, int(q.limit_bytes * scheme.knobs.mark_threshold_fraction)
         )
         # Host-egress links are not marked (hosts are not routers).
         from repro.sim.node import Router
@@ -452,8 +454,8 @@ class TestEndToEnd:
 class TestKnobValidation:
     def test_beta_must_be_a_fraction(self):
         with pytest.raises(ValueError):
-            NetFenceScheme(beta=1.0)
+            NetFenceKnobs(beta=1.0)
 
     def test_min_rate_must_not_exceed_init_rate(self):
         with pytest.raises(ValueError):
-            NetFenceScheme(init_rate_bps=1e3, min_rate_bps=2e3)
+            NetFenceKnobs(init_rate_bps=1e3, min_rate_bps=2e3)

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.baselines import PushbackScheme
+from repro.baselines import PushbackKnobs, PushbackScheme
 from repro.sim import Simulator, TransferLog, dumbbell_spec, instantiate
 from repro.transport import CbrFlood, RepeatingTransferClient, TcpListener
 
@@ -56,7 +56,7 @@ class TestPushbackDynamics:
         # Few attackers against busy users: the attack links stand out,
         # filters go in; when the flood ends they age out.
         sim = Simulator()
-        scheme = PushbackScheme(review_interval=1.0)
+        scheme = PushbackScheme(PushbackKnobs(review_interval=1.0))
         net = instantiate(dumbbell_spec(n_users=10, n_attackers=8), sim, scheme)
         TcpListener(sim, net.destination, 80)
         rng = random.Random(1)
@@ -80,7 +80,7 @@ class TestPushbackDynamics:
 
     def test_reviews_run_periodically(self):
         sim = Simulator()
-        scheme = PushbackScheme(review_interval=0.5)
+        scheme = PushbackScheme(PushbackKnobs(review_interval=0.5))
         instantiate(dumbbell_spec(n_users=1, n_attackers=0), sim, scheme)
         sim.run(until=5.0)
         assert scheme.processors["R1"].reviews >= 9

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import SiffScheme
+from repro.baselines import SiffKnobs, SiffScheme
 from repro.baselines.siff import SiffData, SiffExplorer, SiffRouterProcessor
 from repro.sim import Packet, Simulator, chain_spec, instantiate
 from repro.transport import TcpListener, TcpSender
@@ -19,7 +19,8 @@ class TestRouterProcessor:
     def setup_method(self):
         self.sim = Simulator()
         self.router = FakeRouter(self.sim)
-        self.proc = SiffRouterProcessor("R1", secret_period=3.0, mark_bits=8)
+        self.proc = SiffRouterProcessor(
+            "R1", SiffKnobs(secret_period=3.0, mark_bits=8))
 
     def pkt(self, shim, src=1, dst=2):
         return Packet(src=src, dst=dst, size=100, proto="raw", shim=shim)
@@ -70,8 +71,8 @@ class TestRouterProcessor:
     def test_two_bit_marks_collide_across_rotations(self):
         """With the real 2-bit marks, ~1/4 of flows keep validating after a
         rotation by collision — the brute-force weakness the paper notes."""
-        proc = SiffRouterProcessor("R1", secret_period=3.0,
-                                   accept_previous=False, mark_bits=2)
+        proc = SiffRouterProcessor("R1", SiffKnobs(
+            secret_period=3.0, accept_previous=False, mark_bits=2))
         survivors = 0
         for src in range(200):
             mark_old = proc._mark(src, 2, epoch=0)

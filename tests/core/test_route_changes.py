@@ -9,17 +9,15 @@ re-requesting.
 
 import pytest
 
-from repro.core import ServerPolicy, TvaScheme
+from repro.core import TvaKnobs, TvaScheme
 from repro.sim import Simulator, TransferLog, chain_spec, instantiate
 from repro.transport import RepeatingTransferClient, TcpListener
 
 
 def make_net():
     sim = Simulator()
-    scheme = TvaScheme(
-        request_fraction=0.05,
-        destination_policy=lambda: ServerPolicy(default_grant=(256 * 1024, 10)),
-    )
+    scheme = TvaScheme(TvaKnobs(request_fraction=0.05,
+                                server_grant=(256 * 1024, 10)))
     net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
     return sim, scheme, net
 

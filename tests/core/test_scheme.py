@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RegularHeader, RequestHeader, TvaScheme
+from repro.core import RegularHeader, RequestHeader, TvaKnobs, TvaScheme
 from repro.core.scheme import _destination_key, _request_key, _source_key
 from repro.sim import Packet
 from repro.sim.queues import DRRFairQueue, DropTailQueue, PriorityScheduler
@@ -62,8 +62,8 @@ class TestQdiscAssembly:
         assert qdisc.dequeue(0.0) is rp
 
     def test_request_bucket_rate_scales_with_fraction(self):
-        small = TvaScheme(request_fraction=0.01).make_qdisc("bottleneck", 10e6)
-        big = TvaScheme(request_fraction=0.05).make_qdisc("bottleneck", 10e6)
+        small = TvaScheme(TvaKnobs(request_fraction=0.01)).make_qdisc("bottleneck", 10e6)
+        big = TvaScheme(TvaKnobs(request_fraction=0.05)).make_qdisc("bottleneck", 10e6)
         _, small_bucket = small.classes[0]
         _, big_bucket = big.classes[0]
         assert big_bucket.rate_Bps == pytest.approx(small_bucket.rate_Bps * 5)

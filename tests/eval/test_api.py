@@ -115,8 +115,7 @@ class TestSchemeRegistry:
     def test_registry_values_are_knob_dataclasses(self):
         import dataclasses
 
-        for name, knob_cls in api.SCHEMES.items():
-            assert dataclasses.is_dataclass(knob_cls), name
-            assert knob_cls().build(seed=7).name  # default knobs build
-            assert knob_cls.scheme_name == name
+        for name, scheme in api.SCHEMES.items():
+            assert dataclasses.is_dataclass(scheme.Knobs), name
+            assert scheme(scheme.Knobs(), seed=7).name == name
 

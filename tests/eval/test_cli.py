@@ -97,6 +97,26 @@ class TestBadInput:
                      id="scenario-knob-out-of-range"),
         pytest.param(["scenario", "--scheme-opt", "request_fraction=2"],
                      "request_fraction", id="scenario-tva-knob-out-of-range"),
+        # Every knob's range is checked by its knob dataclass, so a bad
+        # value stops at the spec instead of failing (or running) later.
+        *(pytest.param(["scenario", "--scheme", scheme, "--scheme-opt", opt],
+                       f"scheme '{scheme}': {opt} out of range, need",
+                       id=f"scenario-{scheme}-{opt}")
+          for scheme, opt in [
+              ("netfence", "min_rate_bps=0"),
+              ("netfence", "init_rate_bps=1000.0"),
+              ("netfence", "max_rate_bps=1"),
+              ("netfence", "control_interval=0"),
+              ("netfence", "alpha_bps=-1"),
+              ("netfence", "feedback_expiry=-1"),
+              ("netfence", "grace=-1"),
+              ("netfence", "release_intervals=0"),
+              ("netfence", "secret_period=0"),
+              ("pushback", "review_interval=-1"),
+              ("pushback", "drop_fraction_threshold=1"),
+              ("siff", "secret_period=0"),
+              ("siff", "mark_bits=0"),
+          ]),
         pytest.param(["fig8", "--metrics-interval", "0"], "metrics_interval",
                      id="fig8-metrics-interval"),
         pytest.param(["dynamics", "--reboot-at", "30", "--duration", "5"],

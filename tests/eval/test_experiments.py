@@ -27,15 +27,15 @@ class TestSchemeFromConfig:
 
     def test_tva_uses_sim_request_fraction(self):
         scheme = scheme_for("tva", ExperimentConfig())
-        assert scheme.request_fraction == 0.01
+        assert scheme.knobs.request_fraction == 0.01
 
     def test_options_override_config_knobs(self):
         config = ExperimentConfig(regular_qdisc="sfq")
-        assert scheme_for("tva", config).regular_qdisc == "sfq"
+        assert scheme_for("tva", config).knobs.regular_qdisc == "sfq"
         scheme = scheme_for("tva", config, {"regular_qdisc": "drr",
                                             "request_fraction": 0.05})
-        assert scheme.regular_qdisc == "drr"
-        assert scheme.request_fraction == 0.05
+        assert scheme.knobs.regular_qdisc == "drr"
+        assert scheme.knobs.request_fraction == 0.05
 
 
 class TestRunFloodScenario:

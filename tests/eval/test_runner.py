@@ -252,9 +252,9 @@ class TestSpecBuilders:
         scheme = build_scheme("siff", merged_scheme_options(
             "siff", spec.config, spec.scheme_options))
         assert isinstance(scheme, SiffScheme)
-        assert scheme.secret_period == 3.0
-        assert not scheme.accept_previous
-        assert scheme.mark_bits == 16
+        assert scheme.knobs.secret_period == 3.0
+        assert not scheme.knobs.accept_previous
+        assert scheme.knobs.mark_bits == 16
         assert fig11_spec(scheme="tva").scheme_options == {}
         assert fig11_spec(scheme="netfence").scheme_options == {}
 

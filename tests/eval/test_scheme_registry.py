@@ -1,12 +1,16 @@
 """Contracts every registered scheme must satisfy.
 
-The scheme registry (:mod:`repro.schemes`) maps names to frozen knob
-dataclasses.  These tests are parametrized over the registry itself, so
-adding a scheme automatically subjects it to the same contracts:
+The scheme registry (:mod:`repro.schemes`) maps names to scheme
+classes, each with a frozen ``Knobs`` dataclass.  These tests are
+parametrized over the registry itself, so adding a scheme automatically
+subjects it to the same contracts:
 
 * knobs round-trip losslessly through JSON and through
   ``ScenarioSpec.scheme_options`` (same cache key both ways);
-* ``build()`` honours ``seed`` and ``destination_policy``;
+* the class built with no arguments and ``build_scheme(name)`` are the
+  same scheme: equal knobs, the same default destination grant;
+* every knob's name and default stay as pinned in :data:`KNOB_DEFAULTS`;
+* ``build_scheme`` honours ``seed`` and ``destination_policy``;
 * unknown knob names fail loudly with a ``TypeError`` naming the scheme;
 * ``reboot_router`` and ``metric_items`` uphold the ``SchemeFactory``
   protocol on a live dumbbell;
@@ -51,6 +55,28 @@ SAMPLE_OPTIONS = {
 
 ALL_SCHEMES = scheme_names()
 
+#: Every scheme's knobs and their defaults, as written literally: a knob
+#: added, lost, renamed or re-defaulted fails here.
+KNOB_DEFAULTS = {
+    "tva": {"server_grant": (262144, 10), "request_fraction": 0.05,
+            "regular_qdisc": "drr"},
+    "siff": {"server_grant": (262144, 10), "secret_period": 30.0,
+             "accept_previous": True, "mark_bits": 2},
+    "pushback": {"review_interval": 2.0, "drop_fraction_threshold": 0.02},
+    "internet": {},
+    "netfence": {"secret_period": 128.0, "control_interval": 1.0,
+                 "init_rate_bps": 2e6, "min_rate_bps": 20e3,
+                 "max_rate_bps": 10e6, "alpha_bps": 200e3, "beta": 0.5,
+                 "feedback_expiry": 2.0, "grace": 1.0, "release_intervals": 4,
+                 "mark_threshold_fraction": 0.25},
+}
+
+
+def _default_grant(scheme):
+    """What the scheme's destination grants by default (None without one)."""
+    policy = getattr(scheme.make_host_shim("destination"), "policy", None)
+    return getattr(policy, "default_grant", None)
+
 
 def test_sample_options_cover_the_registry():
     # A new scheme must add a sample here so the contracts below bite.
@@ -60,26 +86,39 @@ def test_sample_options_cover_the_registry():
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 class TestKnobContracts:
     def test_registered_as_frozen_dataclass(self, name):
-        cls = SCHEMES[name]
-        assert dataclasses.is_dataclass(cls)
-        assert cls.__dataclass_params__.frozen
-        assert cls.scheme_name == name
+        scheme = SCHEMES[name]
+        assert scheme.name == name
+        assert dataclasses.is_dataclass(scheme.Knobs)
+        assert scheme.Knobs.__dataclass_params__.frozen
 
     def test_knobs_json_roundtrip(self, name):
+        # ``ScenarioSpec.scheme_options`` is stored as JSON (and hashed,
+        # as JSON, into the cache key): every field written out that way
+        # and read back through knobs_for is the same knob set.
         knobs = knobs_for(name, SAMPLE_OPTIONS[name])
-        wire = json.loads(json.dumps(knobs.to_dict(), sort_keys=True))
-        assert SCHEMES[name].from_dict(wire) == knobs
-        # to_dict is pure JSON: no tuples survive the fold.
-        assert json.dumps(wire, sort_keys=True) == json.dumps(
-            knobs.to_dict(), sort_keys=True
-        )
+        wire = json.loads(json.dumps(dataclasses.asdict(knobs)))
+        declared = {f.name for f in dataclasses.fields(SCHEMES[name].Knobs)}
+        assert set(wire) == declared
+        assert knobs_for(name, wire) == knobs
 
     def test_to_dict_carries_every_field(self, name):
-        # The cache key hashes to_dict(); a field missing from it would
-        # let two different knob sets share one cache entry.
+        # The cache key hashes ScenarioSpec.to_dict(); a knob field
+        # missing from its scheme_options would let two different knob
+        # sets share one cache entry.
         knobs = knobs_for(name, SAMPLE_OPTIONS[name])
-        declared = {f.name for f in dataclasses.fields(SCHEMES[name])}
-        assert set(knobs.to_dict()) == declared
+        spec = ScenarioSpec(scheme=name, attack="legacy", n_attackers=2,
+                            scheme_options=dataclasses.asdict(knobs))
+        declared = {f.name for f in dataclasses.fields(SCHEMES[name].Knobs)}
+        assert set(spec.to_dict()["scheme_options"]) == declared
+        assert knobs_for(name, spec.to_dict()["scheme_options"]) == knobs
+
+    def test_knob_names_and_defaults_are_pinned(self, name):
+        assert dataclasses.asdict(knobs_for(name)) == KNOB_DEFAULTS[name]
+
+    def test_class_default_equals_build_scheme(self, name):
+        direct, built = SCHEMES[name](), build_scheme(name)
+        assert direct.knobs == built.knobs == knobs_for(name)
+        assert _default_grant(direct) == _default_grant(built)
 
     def test_build_satisfies_scheme_factory_protocol(self, name):
         # Read off the protocol itself, so a member added there is
@@ -188,8 +227,9 @@ class TestRegistryCompleteness:
         assert api.SCHEMES is SCHEMES
         assert api.scheme_names is scheme_names
         for name in ALL_SCHEMES:
-            knob_cls = SCHEMES[name]
-            assert getattr(api, knob_cls.__name__) is knob_cls
+            scheme = SCHEMES[name]
+            assert getattr(api, scheme.__name__) is scheme
+            assert getattr(api, scheme.Knobs.__name__) is scheme.Knobs
 
     def test_design_doc_table_lists_every_scheme(self):
         from pathlib import Path

@@ -18,7 +18,7 @@ grant-size one runs 20.
 import random
 
 from repro.api import ExperimentConfig, ScenarioSpec, run_spec
-from repro.core import OraclePolicy, ServerPolicy, TvaScheme
+from repro.core import OraclePolicy, ServerPolicy, TvaKnobs, TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
 from repro.sim import Simulator, TransferLog, dumbbell_spec, instantiate
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
@@ -35,11 +35,9 @@ def _tva_run(n_attackers, attack, scheme_kwargs, duration=None,
     """Run a dumbbell attack scenario against a customized TvaScheme."""
     duration = duration or DURATION
     sim = Simulator()
-    policy = destination_policy or (
-        lambda: ServerPolicy(default_grant=(SERVER_GRANT_BYTES, 10))
-    )
-    scheme = TvaScheme(request_fraction=0.01, destination_policy=policy,
-                       seed=seed, **scheme_kwargs)
+    scheme = TvaScheme(
+        TvaKnobs(request_fraction=0.01, server_grant=(SERVER_GRANT_BYTES, 10)),
+        destination_policy=destination_policy, seed=seed, **scheme_kwargs)
     net = instantiate(dumbbell_spec(n_users=10, n_attackers=n_attackers), sim, scheme)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
@@ -115,9 +113,9 @@ def test_ablation_queue_key_under_spoofing():
     isolates by where traffic is *going* and is unaffected."""
     def run(key, seed=1):
         sim = Simulator()
-        scheme = TvaScheme(request_fraction=0.01, regular_queue_key=key,
-                           destination_policy=lambda: ServerPolicy(
-                               default_grant=(SERVER_GRANT_BYTES, 10)))
+        scheme = TvaScheme(
+            TvaKnobs(request_fraction=0.01, server_grant=(SERVER_GRANT_BYTES, 10)),
+            regular_queue_key=key)
         net = instantiate(dumbbell_spec(n_users=10, n_attackers=20), sim, scheme)
         log = TransferLog()
         TcpListener(sim, net.destination, 80)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core import RequestHeader, ServerPolicy, TvaScheme
+from repro.core import RequestHeader, ServerPolicy, TvaKnobs, TvaScheme
 from repro.core.policy import DestinationPolicy
 from repro.sim import Simulator, TransferLog, instantiate, two_tier_spec
 from repro.transport import CbrFlood, RepeatingTransferClient, TcpListener
@@ -32,7 +32,7 @@ class _NoRenewalSmallGrant(ServerPolicy):
 
 def run_two_tier(duration=12.0):
     sim = Simulator()
-    scheme = TvaScheme(request_fraction=0.01,
+    scheme = TvaScheme(TvaKnobs(request_fraction=0.01),
                        destination_policy=_NoRenewalSmallGrant)
     net = instantiate(two_tier_spec(n_sites=3, hosts_per_site=3), sim, scheme)
     TcpListener(sim, net.destination, 80)
@@ -134,8 +134,7 @@ class TestTwoTierTagging:
 
     def test_transfers_work_end_to_end(self):
         sim = Simulator()
-        scheme = TvaScheme(destination_policy=lambda: ServerPolicy(
-            default_grant=(256 * 1024, 10)))
+        scheme = TvaScheme(TvaKnobs(server_grant=(256 * 1024, 10)))
         net = instantiate(two_tier_spec(), sim, scheme)
         TcpListener(sim, net.destination, 80)
         log = TransferLog()

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core import AlwaysGrant, ServerPolicy, TvaScheme
+from repro.core import AlwaysGrant, TvaKnobs, TvaScheme
 from repro.sim import Simulator, TransferLog, chain_spec, dumbbell_spec, instantiate
 from repro.transport import (
     CbrFlood,
@@ -30,11 +30,8 @@ class TestUnidirectionalStream:
 
     def _run(self, duration=30.0, rate=500e3):
         sim = Simulator()
-        scheme = TvaScheme(
-            request_fraction=0.05,
-            destination_policy=lambda: ServerPolicy(
-                default_grant=(256 * 1024, 10)),
-        )
+        scheme = TvaScheme(TvaKnobs(request_fraction=0.05,
+                                    server_grant=(256 * 1024, 10)))
         net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
         sink = PacketSink(net.destination, "cbr")
         stream = CbrFlood(sim, net.users[0], net.destination.address,
@@ -76,11 +73,8 @@ class TestDnsLikeWorkload:
 
     def _run(self, request_fraction, n_clients=40, payload=600):
         sim = Simulator()
-        scheme = TvaScheme(
-            request_fraction=request_fraction,
-            destination_policy=lambda: ServerPolicy(
-                default_grant=(4 * 1024, 10)),
-        )
+        scheme = TvaScheme(TvaKnobs(request_fraction=request_fraction,
+                                    server_grant=(4 * 1024, 10)))
         net = instantiate(dumbbell_spec(n_users=n_clients, n_attackers=0,
                                         with_colluder=False), sim, scheme)
         TcpListener(sim, net.destination, 53)
@@ -116,11 +110,8 @@ class TestSingleCapabilityManyConnections:
 
     def test_twenty_tiny_exchanges_one_request(self):
         sim = Simulator()
-        scheme = TvaScheme(
-            request_fraction=0.05,
-            destination_policy=lambda: ServerPolicy(
-                default_grant=(256 * 1024, 10)),
-        )
+        scheme = TvaScheme(TvaKnobs(request_fraction=0.05,
+                                    server_grant=(256 * 1024, 10)))
         net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
         TcpListener(sim, net.destination, 53)
         log = TransferLog()

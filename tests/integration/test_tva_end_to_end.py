@@ -10,9 +10,8 @@ import random
 
 import pytest
 
-from repro.core import TvaScheme
+from repro.core import TvaKnobs, TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
-from repro.core.policy import ServerPolicy
 from repro.sim import Simulator, TransferLog, chain_spec, dumbbell_spec, instantiate
 from repro.transport import (
     CbrFlood,
@@ -23,10 +22,8 @@ from repro.transport import (
 
 
 def tva_scheme():
-    return TvaScheme(
-        request_fraction=0.01,
-        destination_policy=lambda: ServerPolicy(default_grant=(SERVER_GRANT_BYTES, 10)),
-    )
+    return TvaScheme(TvaKnobs(request_fraction=0.01,
+                              server_grant=(SERVER_GRANT_BYTES, 10)))
 
 
 def run_dumbbell(

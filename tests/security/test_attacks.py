@@ -181,10 +181,10 @@ class TestRequestChannelAbuse:
     are fair-queued per path identifier — checked at the queue level."""
 
     def test_request_class_cannot_exceed_its_fraction(self):
-        from repro.core import TvaScheme
+        from repro.core import TvaKnobs, TvaScheme
         from repro.sim import Packet
 
-        scheme = TvaScheme(request_fraction=0.05)
+        scheme = TvaScheme(TvaKnobs(request_fraction=0.05))
         qdisc = scheme.make_qdisc("bottleneck", 10e6)
         # Stuff the request class, then drain at line rate for 1 simulated
         # second and count request bytes released.
@@ -220,16 +220,13 @@ class TestDefenseInDepth:
         stamped or validated there) is still demoted by the next one."""
         import random
 
-        from repro.core import ServerPolicy, TvaScheme
+        from repro.core import TvaKnobs, TvaScheme
         from repro.sim import Packet, Simulator, TransferLog, chain_spec, instantiate
         from repro.transport import RepeatingTransferClient, TcpListener
 
         sim = Simulator()
-        scheme = TvaScheme(
-            request_fraction=0.05,
-            destination_policy=lambda: ServerPolicy(
-                default_grant=(256 * 1024, 10)),
-        )
+        scheme = TvaScheme(TvaKnobs(request_fraction=0.05,
+                                    server_grant=(256 * 1024, 10)))
         net = instantiate(chain_spec(n_routers=3, link_bps=10e6), sim, scheme)
         TcpListener(sim, net.destination, 80)
         log = TransferLog()
@@ -282,12 +279,12 @@ class _NfLink:
 
 
 def _nf_setup(**knobs):
-    from repro.baselines import NetFenceScheme
+    from repro.baselines import NetFenceKnobs, NetFenceScheme
     from repro.baselines.netfence import NetFenceRouterProcessor
     from repro.sim import Simulator
 
     sim = Simulator()
-    scheme = NetFenceScheme(seed=11, **knobs)
+    scheme = NetFenceScheme(NetFenceKnobs(**knobs), seed=11)
     proc = NetFenceRouterProcessor("R1", scheme, trust_boundary=True)
     return sim, scheme, proc, _NfRouter(sim), _NfLink(True)
 
@@ -340,8 +337,8 @@ class TestNetFenceFeedbackForgery:
         pkt = Packet(src=1, dst=2, size=100, proto="cbr", created=0.0)
         proc.process(pkt, router, ingress, None)
         hoard = pkt.shim.feedback.clone()
-        assert proc._validate(hoard, 1, scheme.feedback_expiry)
-        assert not proc._validate(hoard, 1, scheme.feedback_expiry + 1.5)
+        assert proc._validate(hoard, 1, scheme.knobs.feedback_expiry)
+        assert not proc._validate(hoard, 1, scheme.knobs.feedback_expiry + 1.5)
 
 
 class TestNetFenceFlood:
@@ -362,11 +359,11 @@ class TestNetFenceFlood:
                 delivered_late += pkt.size
             t += 0.01
         lim = proc._senders[1].limiters[""]
-        assert lim.rate_bps == scheme.min_rate_bps
+        assert lim.rate_bps == scheme.knobs.min_rate_bps
         assert proc.policed_drops > 0
         # Goodput in the last two seconds is near the floor, nowhere
         # near the ~3 MB offered.
-        assert delivered_late * 8 / 2.0 < 4 * scheme.min_rate_bps
+        assert delivered_late * 8 / 2.0 < 4 * scheme.knobs.min_rate_bps
 
     def test_behaving_sender_is_never_limited(self):
         from repro.sim import Packet
@@ -401,7 +398,7 @@ class TestNetFenceShrew:
         from repro.sim import Packet
 
         sim, scheme, proc, router, ingress = _nf_setup()
-        period = scheme.release_intervals  # quiet just short of release
+        period = scheme.knobs.release_intervals  # quiet just short of release
 
         def send(t, presented=None):
             _nf_advance(sim, t)
@@ -431,4 +428,4 @@ class TestNetFenceShrew:
         # The AIMD fixed point under pulsing stays below the initial
         # (unlimited) rate: pulsing is strictly worse than behaving.
         lim = proc._senders[1].limiters["R1->R2"]
-        assert lim.rate_bps < scheme.init_rate_bps
+        assert lim.rate_bps < scheme.knobs.init_rate_bps

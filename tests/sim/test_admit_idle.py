@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.netfence import MarkingFifo
 from repro.baselines.siff import SiffData, SiffExplorer, SiffScheme
-from repro.core import TvaScheme
+from repro.core import TvaKnobs, TvaScheme
 from repro.core.header import RegularHeader, RequestHeader, figure2_class
 from repro.sim import (
     DRRFairQueue,
@@ -61,7 +61,8 @@ def _marking():
 def _tva():
     # 1 Mb/s: the request class gets 6.25 kB/s behind a 3 kB burst, so a
     # short history of requests starves it.
-    sched = _hooked(TvaScheme(request_fraction=0.05).make_qdisc("bottleneck", 1e6))
+    sched = _hooked(TvaScheme(TvaKnobs(request_fraction=0.05))
+                    .make_qdisc("bottleneck", 1e6))
     for child in sched.children:
         _hooked(child)
     return sched
@@ -247,7 +248,8 @@ def test_redefining_enqueue_restores_the_default():
 
 #: The schedulers whose classes are built by their first packet.
 FIRST_USE = {
-    "tva": lambda: TvaScheme(request_fraction=0.05).make_qdisc("bottleneck", 1e6),
+    "tva": lambda: TvaScheme(TvaKnobs(request_fraction=0.05)).make_qdisc(
+        "bottleneck", 1e6),
     "siff": lambda: SiffScheme().make_qdisc("bottleneck", 1e6),
 }
 
