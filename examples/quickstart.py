@@ -25,7 +25,7 @@ from repro.api import (
 def main() -> None:
     sim = Simulator()
     scheme = TvaScheme(TvaKnobs(
-        request_fraction=0.05,  # the paper's default request channel
+        request_fraction=0.05,  # Section 3.2's cap (the default is Section 5's 1 %)
         server_grant=(64 * 1024, 10),  # what the server grants each client
     ))
     net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)

@@ -219,20 +219,26 @@ def _cmd_scenario(args) -> int:
     faults = _checked(FaultSchedule.from_specs, args.fault or ())
     scheme_options = dict(args.scheme_opt or ())
     if args.name:
+        # A library scenario's topology fixes its attack and attackers.
+        for flag in ("attack", "attackers"):
+            if getattr(args, flag) is not None:
+                raise _BadInput(f"--{flag} does not apply to --name "
+                                f"{args.name}: the scenario sets it")
         scenario = _checked(get_scenario, args.name)
         spec = _checked(scenario.spec, scheme=args.scheme, seed=args.seed,
                         duration=args.duration, metrics=args.metrics,
                         metrics_interval=args.metrics_interval,
-                        faults=faults, scheme_options=scheme_options,
-                        regular_qdisc=args.regular_qdisc)
+                        faults=faults, scheme_options=scheme_options)
     else:
         duration = (ExperimentConfig().duration if args.duration is None
                     else args.duration)
-        config = ExperimentConfig(duration=duration, seed=args.seed,
-                                  regular_qdisc=args.regular_qdisc)
-        spec = _checked(ScenarioSpec, scheme=args.scheme, attack=args.attack,
-                        n_attackers=args.attackers, seed=args.seed,
-                        config=config, metrics=args.metrics,
+        spec = _checked(ScenarioSpec, scheme=args.scheme,
+                        attack=args.attack or "legacy",
+                        n_attackers=(10 if args.attackers is None
+                                     else args.attackers),
+                        seed=args.seed,
+                        config=ExperimentConfig(duration=duration),
+                        metrics=args.metrics,
                         metrics_interval=args.metrics_interval,
                         faults=faults, scheme_options=scheme_options)
     (run,) = _make_runner(args).run([spec])
@@ -584,15 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run a curated scenario from the library "
                          "(see --list) instead of a custom dumbbell")
     ps.add_argument("--scheme", choices=SCHEMES, default="tva")
-    ps.add_argument("--attack", choices=ATTACKS, default="legacy")
-    ps.add_argument("--attackers", type=int, default=10)
+    ps.add_argument("--attack", choices=ATTACKS, default=None,
+                    help="flood class of a custom dumbbell (default: legacy)")
+    ps.add_argument("--attackers", type=int, default=None,
+                    help="flood sources of a custom dumbbell (default: 10)")
     ps.add_argument("--duration", type=float, default=None,
                     help="measurement window in seconds (default: 15, or "
                          "the curated scenario's tuned duration)")
     ps.add_argument("--seed", type=int, default=1)
-    ps.add_argument("--regular-qdisc", choices=("drr", "sfq"), default="drr",
-                    help="fair queuing for TVA's regular class: per-key "
-                         "DRR (the paper) or hashed SFQ (Section 3.9)")
     ps.add_argument("--fault", action="append", metavar="SPEC",
                     help="inject a fault; repeatable.  SPECs: "
                          "link-down:T[:T_up][:LINK], link-up:T[:LINK], "
@@ -603,7 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override one knob of the selected scheme "
                          "(repeatable); KEY is a field of the scheme's "
                          "knob dataclass, VALUE is JSON when parseable "
-                         "(e.g. --scheme-opt beta=0.3)")
+                         "(e.g. --scheme-opt beta=0.3, or "
+                         "--scheme-opt regular_qdisc=sfq for TVA's "
+                         "Section 3.9 hashed fair queue)")
     add_runner_flags(ps, seeds=False)
     ps.set_defaults(fn=_cmd_scenario)
 

@@ -1,8 +1,9 @@
 """Architectural constants of TVA (Sections 3-4 of the paper).
 
-Everything here is a paper-stated default; experiment harnesses override a
-few (e.g. the simulations rate-limit requests to 1% instead of 5% "to
-stress our design", Section 5).
+Everything here is a paper-stated value.  Where Section 3's design and
+Section 5's simulations differ, the simulations' value is the default: a
+scheme knob has one default, and every run — library or harness — starts
+from it (e.g. requests get 1% of each link, not the 5% cap).
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Fraction of each link's capacity reserved for (and limiting) request
-#: traffic (Section 3.2: "no more than 5% of the capacity of each link").
-REQUEST_FRACTION_DEFAULT = 0.05
-
-#: The simulations use 1% "to stress our design" (Section 5).
+#: traffic.  Section 3.2 caps it at "no more than 5% of the capacity of
+#: each link"; the Section 5 simulations use 1% "to stress our design",
+#: and so does every run here unless the ``request_fraction`` knob says
+#: otherwise.
 REQUEST_FRACTION_SIM = 0.01
 
 #: Router secret lifetime in seconds.  The timestamp is an 8-bit modulo-256

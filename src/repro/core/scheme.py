@@ -33,7 +33,7 @@ from .crypto import SecretManager
 from .flowstate import FlowStateTable
 from .header import figure2_class
 from .host import TvaHostShim
-from .params import REQUEST_FRACTION_DEFAULT, TvaParams
+from .params import REQUEST_FRACTION_SIM, TvaParams
 from .pathid import most_recent_tag
 from .policy import (
     DEFAULT_SERVER_GRANT,
@@ -54,7 +54,8 @@ class TvaKnobs(SchemeKnobs):
 
     #: What the destination's public-server policy grants each sender.
     server_grant: Tuple[int, float] = DEFAULT_SERVER_GRANT
-    request_fraction: float = REQUEST_FRACTION_DEFAULT
+    #: Each link's request channel: Section 5's 1%, not Section 3.2's 5% cap.
+    request_fraction: float = REQUEST_FRACTION_SIM
     #: Fair queuing for the regular class: per-key DRR (the paper's
     #: design) or SFQ (the Section 3.9 alternative it argues against).
     regular_qdisc: str = "drr"

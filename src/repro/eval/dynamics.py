@@ -51,7 +51,7 @@ def build_dynamics_spec(
         attack="legacy",
         n_attackers=n_attackers,
         seed=seed,
-        config=ExperimentConfig(duration=duration, seed=seed),
+        config=ExperimentConfig(duration=duration),
         faults=FaultSchedule(
             (RouterReboot(at=reboot_at, router=router, rotate_secret=rotate_secret),)
         ),

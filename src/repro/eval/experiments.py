@@ -5,11 +5,13 @@ attackers × seed — described by a
 :class:`~repro.eval.runner.ScenarioSpec` and executed by
 :func:`~repro.eval.runner.run_spec`, the only function that builds and
 runs a scenario.  This module holds what a spec is made of:
-:class:`ExperimentConfig` (the Figure 7 dumbbell's knobs),
-:data:`ATTACK_PLANS` (what each flood class targets and how it sends) and
-:func:`merged_scheme_options` (the config's knobs under a spec's
-overrides) — plus :class:`Fig11Result`, the per-transfer time series
-around an attack that Figure 11 plots.  What each figure runs, and its
+:class:`ExperimentConfig` (the workload and the Figure 7 dumbbell's
+size) and :data:`ATTACK_PLANS` (what each flood class targets and how it
+sends) — plus :class:`Fig11Result`, the per-transfer time series around
+an attack that Figure 11 plots.  A scheme's knobs are not experiment
+parameters: each has one route into a run, the spec's
+``scheme_options``, and one default, in the scheme's ``*Knobs``
+dataclass.  What each figure runs, and its
 defaults, is an entry of :data:`repro.scenarios.FIGURES`.
 
 Scale note: the paper runs 1000 transfers per user per point.  A pure
@@ -26,8 +28,6 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.params import REQUEST_FRACTION_SIM
-from ..core.policy import DEFAULT_SERVER_GRANT, GRANT_NEEDS, as_grant, is_grant
 from ..schemes import scheme_names
 
 #: Evaluated schemes, derived from the :mod:`repro.schemes` registry.
@@ -63,6 +63,9 @@ REMOVED_KEYS = {
     "siff_secret_period": 'set scheme_options={"secret_period": …} instead',
     "siff_accept_previous": 'set scheme_options={"accept_previous": …} instead',
     "siff_mark_bits": 'set scheme_options={"mark_bits": …} instead',
+    "server_grant": 'set scheme_options={"server_grant": …} instead',
+    "request_fraction": 'set scheme_options={"request_fraction": …} instead',
+    "regular_qdisc": 'set scheme_options={"regular_qdisc": …} instead',
 }
 
 
@@ -82,12 +85,12 @@ def reject_removed_keys(data: Dict, what: str) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by the flood experiments; defaults follow Section 5.
+    """The workload and dumbbell knobs of the flood experiments; defaults
+    follow Section 5.
 
     Round-trips losslessly through ``to_dict``/``from_dict`` (and hence
-    JSON): ``server_grant`` is normalized back to a tuple on load, so a
-    reloaded config compares equal to the original — the cache and the
-    sweep runner rely on that.
+    JSON), so a reloaded config compares equal to the original — the
+    cache and the sweep runner rely on that.
     """
 
     n_users: int = 10
@@ -96,21 +99,11 @@ class ExperimentConfig:
     attack_rate_bps: float = 1e6
     attack_pkt_size: int = 1000
     duration: float = 15.0
+    #: Always equal to the owning spec's ``seed``: ``ScenarioSpec`` sets
+    #: it on construction, and nothing reads it.  It is still accepted
+    #: because the e2e benchmark's workloads construct
+    #: ``ExperimentConfig(duration=…, seed=…)``.
     seed: int = 1
-    request_fraction: float = REQUEST_FRACTION_SIM  # 1%: "to stress our design"
-    server_grant: tuple = DEFAULT_SERVER_GRANT
-    #: Fair queuing for TVA's regular class: "drr" (the paper's design) or
-    #: "sfq" (the Section 3.9 hashed-bucket alternative).
-    regular_qdisc: str = "drr"
-
-    def __post_init__(self) -> None:
-        # JSON turns tuples into lists; normalize so equality survives.
-        self.server_grant = as_grant(self.server_grant)
-        if not is_grant(self.server_grant):
-            raise ValueError(
-                f"config.server_grant={self.server_grant!r} out of range, "
-                f"need {GRANT_NEEDS}"
-            )
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -119,32 +112,6 @@ class ExperimentConfig:
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
         reject_removed_keys(data, "config")
         return cls(**data)
-
-
-def merged_scheme_options(
-    name: str,
-    config: ExperimentConfig,
-    scheme_options: Optional[Dict] = None,
-) -> Dict:
-    """``scheme_options`` laid over the knobs ``config`` carries for ``name``.
-
-    The config holds the paper's experiment parameters (grant size,
-    request-channel fraction, regular-class qdisc); they are the knob
-    defaults, and a per-spec option of the same name overrides them.
-    ``ScenarioSpec`` validates exactly this dict at construction, so a
-    bad value fails the same way whichever of the two routes carried it.
-    """
-    options: Dict = {}
-    if name == "tva":
-        options.update(
-            server_grant=config.server_grant,
-            request_fraction=config.request_fraction,
-            regular_qdisc=config.regular_qdisc,
-        )
-    elif name == "siff":
-        options.update(server_grant=config.server_grant)
-    options.update(scheme_options or {})
-    return options
 
 
 @dataclass

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..faults import FaultInjector, FaultSchedule, coerce_schedule
-from ..schemes import build_scheme, knobs_for
+from ..schemes import SCHEMES, knobs_for
 from ..sim import (
     LegacyDefaults,
     Simulator,
@@ -65,7 +65,6 @@ from .experiments import (
     ATTACK_PLANS,
     ATTACKS,
     ExperimentConfig,
-    merged_scheme_options,
     reject_removed_keys,
 )
 from .results import PointResult, RunResult, SweepResult, normalize_metrics
@@ -90,21 +89,30 @@ CACHE_SALT = f"repro-runner-v6:{__version__}"
 #: Destination-policy names a spec may carry (see ``_policy_factory``).
 POLICIES = ("server", "filtering", "oracle")
 
+#: What a spec with a ``topology`` must leave ``config``'s dumbbell
+#: sizes at: the graph, not the config, sizes that network.
+_DEFAULT_CONFIG = ExperimentConfig()
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation run, described declaratively.
 
-    ``seed`` overrides ``config.seed`` at run time, so seed replication
-    is ``replace(spec, seed=...)`` without touching the shared config.
-    ``policy`` selects the destination policy by name:
+    Every field reaches the run, or construction rejects it.  ``seed``
+    is the run's one seed: construction copies it into ``config.seed``,
+    so seed replication is ``replace(spec, seed=...)`` without touching
+    the shared config.  ``policy`` selects the destination policy by
+    name:
 
-    * ``"server"`` — plain :class:`~repro.core.ServerPolicy` with the
-      config's default grant (Figures 8 and 10);
+    * ``"server"`` — plain :class:`~repro.core.ServerPolicy` (Figures 8
+      and 10);
     * ``"filtering"`` — the same, refusing the attacker address range
       (Figure 9's "destination can tell attacker requests apart");
     * ``"oracle"`` — grants every first request, never renews attackers
       (Figure 11's imprecise policy).
+
+    Each grants the scheme's ``server_grant`` knob (TVA and SIFF have
+    one; NetFence asks only whether a sender is authorized).
     """
 
     scheme: str
@@ -129,7 +137,9 @@ class ScenarioSpec:
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     #: Declarative topology to run on instead of the default dumbbell
     #: (see :mod:`repro.sim.topospec`); ``None`` runs the Figure 7
-    #: dumbbell sized by ``config`` and ``n_attackers``.
+    #: dumbbell sized by ``config`` and ``n_attackers``.  With a
+    #: topology, ``n_attackers`` must count its attackers and
+    #: ``config.n_users``/``bottleneck_bps`` keep their defaults.
     topology: Optional["TopologySpec"] = None
     #: Collapse attacker host groups into aggregated senders (only
     #: meaningful with ``topology``).  Part of the cache key:
@@ -137,10 +147,10 @@ class ScenarioSpec:
     #: schedules, so it is a distinct cache entry.
     aggregate: bool = False
     #: Scheme knob overrides, keyed by the scheme's knob-dataclass field
-    #: names (see :mod:`repro.schemes`); the ``--scheme-opt`` CLI flag
-    #: feeds this.  Values are normalized to plain JSON on construction
-    #: and validated against the registry, so a typo'd knob fails at
-    #: spec-build time, not mid-sweep.
+    #: names (see :mod:`repro.schemes`) — a knob's only route into a run;
+    #: the ``--scheme-opt`` CLI flag feeds this.  Values are normalized to
+    #: plain JSON on construction and validated against the registry, so
+    #: a typo'd knob fails at spec-build time, not mid-sweep.
     scheme_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -153,30 +163,50 @@ class ScenarioSpec:
                 f"unknown policy {self.policy!r}; choose from {POLICIES}"
             )
         # Every float must be finite (a NaN or infinite time never lets a
-        # run end); counts and the duration must also not be negative.
+        # run end); counts and the duration must not be negative, and
+        # sizes and rates a run divides by must be positive.
         config = self.config
-        for name, value, nonneg in (
-                ("n_attackers", self.n_attackers, True),
-                ("config.n_users", config.n_users, True),
-                ("config.duration", config.duration, True),
-                ("config.bottleneck_bps", config.bottleneck_bps, False),
-                ("config.attack_rate_bps", config.attack_rate_bps, False),
-                ("attack_start", self.attack_start, False),
-                ("group_stagger", self.group_stagger, False),
-                ("metrics_interval", self.metrics_interval, False)):
+        for name, value, bound in (
+                ("n_attackers", self.n_attackers, ">="),
+                ("config.n_users", config.n_users, ">="),
+                ("config.duration", config.duration, ">="),
+                ("config.transfer_bytes", config.transfer_bytes, ">"),
+                ("config.attack_pkt_size", config.attack_pkt_size, ">"),
+                ("config.bottleneck_bps", config.bottleneck_bps, ">"),
+                ("config.attack_rate_bps", config.attack_rate_bps, ">"),
+                ("attack_start", self.attack_start, None),
+                ("group_stagger", self.group_stagger, None),
+                ("metrics_interval", self.metrics_interval, ">")):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if nonneg and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if self.metrics_interval <= 0:
-            raise ValueError("metrics_interval must be positive")
+            if bound == ">=" and value < 0 or bound == ">" and value <= 0:
+                raise ValueError(f"{name} must be {bound} 0, got {value!r}")
+        if config.seed != self.seed:
+            object.__setattr__(self, "config", replace(config, seed=self.seed))
         if not isinstance(self.faults, FaultSchedule):
             object.__setattr__(self, "faults", coerce_schedule(self.faults))
-        if self.topology is not None and not isinstance(self.topology, TopologySpec):
-            object.__setattr__(
-                self, "topology", TopologySpec.from_dict(self.topology)
-            )
-        if self.aggregate and self.topology is None:
+        topology = self.topology
+        if topology is not None:
+            if not isinstance(topology, TopologySpec):
+                topology = TopologySpec.from_dict(topology)
+                object.__setattr__(self, "topology", topology)
+            # One network description: the graph sizes the network, so
+            # a field that would size the dumbbell is rejected, not run
+            # as something else.
+            attackers = topology.role_count("attacker")
+            if self.n_attackers != attackers:
+                raise ValueError(
+                    f"n_attackers={self.n_attackers}, but topology "
+                    f"{topology.name!r} has {attackers} attackers"
+                )
+            for name in ("n_users", "bottleneck_bps"):
+                value = getattr(config, name)
+                if value != getattr(_DEFAULT_CONFIG, name):
+                    raise ValueError(
+                        f"config.{name}={value!r} sizes the dumbbell; "
+                        f"topology {topology.name!r} sets its own"
+                    )
+        elif self.aggregate:
             raise ValueError("aggregate=True requires a topology spec")
         if self.faults:
             # The injector's own name check, on a throwaway build of the
@@ -193,14 +223,10 @@ class ScenarioSpec:
             "scheme_options",
             json.loads(json.dumps(self.scheme_options or {}, sort_keys=True)),
         )
-        # Validate eagerly what the worker will build — the options laid
-        # over the config's knobs: an unknown scheme is a ValueError
-        # listing the choices, an unknown knob a TypeError naming the
-        # scheme, an out-of-range value (from either route) a ValueError.
-        knobs_for(
-            self.scheme,
-            merged_scheme_options(self.scheme, self.config, self.scheme_options),
-        )
+        # Validate eagerly the knobs the worker will build: an unknown
+        # scheme is a ValueError listing the choices, an unknown knob a
+        # TypeError naming the scheme, an out-of-range value a ValueError.
+        knobs_for(self.scheme, self.scheme_options)
 
     def network(self) -> TopologySpec:
         """The topology this spec runs on: ``topology``, or else the
@@ -217,7 +243,6 @@ class ScenarioSpec:
     def canonical(self) -> dict:
         """The spec as plain data, independent of field ordering."""
         data = asdict(self)
-        data["config"]["server_grant"] = list(data["config"]["server_grant"])
         # asdict() loses each event's ClassVar ``kind`` tag; use the
         # schedule's own canonical form (which keeps it).
         data["faults"] = self.faults.canonical()
@@ -257,27 +282,26 @@ class ScenarioSpec:
         return hash(self.key())
 
 
-def _policy_factory(spec: ScenarioSpec) -> Optional[Callable]:
-    """Build the destination-policy callable named by ``spec.policy``.
+def _policy_factory(
+    policy: str, knobs, network: TopologySpec
+) -> Optional[Callable]:
+    """Build the destination-policy callable named by ``policy``, granting
+    the ``server_grant`` of ``knobs`` when the scheme has that knob.
 
     Built inside the worker process, from the spec alone — callables
     never cross the process boundary.
     """
-    if spec.policy == "server":
+    if policy == "server":
         return None  # the scheme's knobs build the default ServerPolicy
     from ..core import FilteringPolicy, OraclePolicy, ServerPolicy
-    from ..core.params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
 
-    suspects = set(spec.network().role_addresses("attacker"))
-    if spec.policy == "filtering":
-        grant = spec.config.server_grant
-        return lambda: FilteringPolicy(
-            ServerPolicy(default_grant=grant), set(suspects)
-        )
-    return lambda: OraclePolicy(
-        set(suspects),
-        default_grant=(DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS),
-    )
+    grant = {}
+    if hasattr(knobs, "server_grant"):
+        grant["default_grant"] = knobs.server_grant
+    suspects = network.role_addresses("attacker")
+    if policy == "filtering":
+        return lambda: FilteringPolicy(ServerPolicy(**grant), set(suspects))
+    return lambda: OraclePolicy(set(suspects), **grant)
 
 
 def run_spec(spec: ScenarioSpec) -> RunResult:
@@ -289,7 +313,8 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
     The network is the Figure 7 dumbbell with ``n_attackers`` flood
     sources unless the spec carries a ``topology`` — the
     attacker/user/destination/colluder populations then come from the
-    graph's node roles and ``n_attackers`` is ignored.  ``aggregate``
+    graph's node roles (``n_attackers`` is checked against them when the
+    spec is built).  ``aggregate``
     collapses attacker groups into
     :class:`~repro.sim.node.AggregateHost` nodes driven by one
     :class:`~repro.transport.AggregateSender` each, with per-member
@@ -300,15 +325,16 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
     instrumented runs stay bit-identical across hash seeds and worker
     counts.
     """
-    config = replace(spec.config, seed=spec.seed)
+    config, seed = spec.config, spec.seed
+    knobs = knobs_for(spec.scheme, spec.scheme_options)
+    network = spec.network()
     sim = Simulator()
-    scheme = build_scheme(
-        spec.scheme,
-        merged_scheme_options(spec.scheme, config, spec.scheme_options),
-        seed=config.seed,
-        destination_policy=_policy_factory(spec),
+    scheme = SCHEMES[spec.scheme](
+        knobs,
+        seed=seed,
+        destination_policy=_policy_factory(spec.policy, knobs, network),
     )
-    net = instantiate(spec.network(), sim, scheme, aggregate=spec.aggregate)
+    net = instantiate(network, sim, scheme, aggregate=spec.aggregate)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
     # Flood targets run an open datagram service; authorized-flood
@@ -317,7 +343,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
     if net.colluder is not None:
         PacketSink(net.colluder, "cbr")
     tcp_stats = TcpStats()
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     for user in net.users:
         RepeatingTransferClient(
             sim,
@@ -364,7 +390,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
                 starts=starts,
                 jitter=0.3,
                 rngs=[
-                    JitterStream(config.seed * 1000 + idx + j)
+                    JitterStream(seed * 1000 + idx + j)
                     for j in range(unit.count)
                 ],
             )
@@ -380,7 +406,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
                 mode=mode,
                 start_at=start + rng.uniform(0, 0.01),
                 jitter=0.3,
-                rng=JitterStream(config.seed * 1000 + idx),
+                rng=JitterStream(seed * 1000 + idx),
             )
             idx += 1
     injector = None
@@ -421,6 +447,7 @@ def build_flood_specs(
     schemes: Sequence[str],
     sweep: Sequence[int],
     config: Optional[ExperimentConfig] = None,
+    seed: int = 1,
     metrics: bool = False,
     metrics_interval: float = 0.5,
 ) -> List[ScenarioSpec]:
@@ -437,7 +464,7 @@ def build_flood_specs(
             scheme=scheme,
             attack=attack,
             n_attackers=k,
-            seed=config.seed,
+            seed=seed,
             config=config,
             policy=policy,
             metrics=metrics,
@@ -470,23 +497,25 @@ def build_fig11_spec(
 ) -> ScenarioSpec:
     """The Figure 11 imprecise-policy scenario as a spec.
 
-    The destination grants every first request (32 KB / 10 s), then
-    never renews the attackers, who flood from ``attack_start`` on —
-    all at once, or staggered in groups, each group starting as the
-    previous one's authorization dies.  That lifetime is the figure's
+    The destination grants every first request 32 KB / 10 s (the
+    ``server_grant`` knob of TVA and SIFF), then never renews the
+    attackers, who flood from ``attack_start`` on — all at once, or
+    staggered in groups, each group starting as the previous one's
+    authorization dies.  That lifetime is the figure's
     comparison: TVA's 32 KB byte budget burns out after ~0.3 s of 1 Mb/s
     flooding, so ten groups are spent within a few seconds; SIFF's marks
     (3-second secret turnover, no previous-secret grace, as the paper
     assumes) stay lethal until the next rotation, so ten groups sustain
     the attack for ~30 s.  ``config`` is copied, never mutated.
     """
-    from ..core.params import DEFAULT_GRANT_BYTES
+    from ..core.params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
 
     if pattern not in FIG11_PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     config = replace(config or ExperimentConfig(), duration=duration)
     groups = 10 if pattern == "staggered" else 1
-    options = {}
+    grant = (DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS)
+    options = {"server_grant": grant} if scheme in ("tva", "siff") else {}
     if scheme == "siff":
         group_lifetime = 3.0  # marks die at the next secret rotation
         # The paper's Figure 11 SIFF: 3 s secret turnover, no grace for
@@ -494,11 +523,9 @@ def build_fig11_spec(
         # *expiry* behaviour, and 2-bit marks would let 1/16 of attackers
         # survive each rotation by collision (a separate SIFF weakness,
         # studied in the ablations).
-        options = {
-            "secret_period": group_lifetime,
-            "accept_previous": False,
-            "mark_bits": 16,
-        }
+        options.update(
+            secret_period=group_lifetime, accept_previous=False, mark_bits=16
+        )
     elif scheme == "netfence":
         from ..baselines.netfence import FEEDBACK_EXPIRY
 
@@ -508,14 +535,11 @@ def build_fig11_spec(
         group_lifetime = FEEDBACK_EXPIRY + 1.0
     else:
         # 32 KB at the attack rate, plus a little handshake latency.
-        group_lifetime = (
-            DEFAULT_GRANT_BYTES * 8 / config.attack_rate_bps + 0.1
-        )
+        group_lifetime = grant[0] * 8 / config.attack_rate_bps + 0.1
     return ScenarioSpec(
         scheme=scheme,
         attack="authorized",
         n_attackers=n_attackers,
-        seed=config.seed,
         config=config,
         policy="oracle",
         attack_start=attack_start,

@@ -5,9 +5,10 @@ Figures 8–11 and the Section 3.8 reboot experiment.  It is the only place
 their defaults live; the CLI's figure subcommands, ``report`` and
 ``sweep`` are generated from it.
 
-Each :class:`ScenarioDef` packages a declarative topology (see
+Each :class:`ScenarioDef` is a stable name, a description and a template
+:class:`~repro.eval.runner.ScenarioSpec`: a declarative topology (see
 :mod:`repro.sim.topospec`), the attack class run on it, and the tuned
-experiment knobs, under a stable name.  ``repro scenario --list`` prints
+experiment knobs.  ``repro scenario --list`` prints
 the registry; ``repro scenario --name <x>`` runs one entry through the
 same :class:`~repro.eval.runner.ScenarioSpec` path as every figure, so
 curated runs cache, parallelize, inject faults, and export metrics like
@@ -24,7 +25,7 @@ routing range entry per router for each group (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .eval.dynamics import DynamicsResult, build_dynamics_spec
@@ -48,24 +49,16 @@ from .sim.topospec import (
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    """One curated scenario: a topology plus the workload tuned for it.
-
-    ``config_overrides`` holds ``(field, value)`` pairs applied to the
-    :class:`~repro.eval.experiments.ExperimentConfig`; keeping them as a
-    tuple keeps the definition hashable.
-    """
+    """One curated scenario: a name, a description, and the template
+    spec it runs (TVA, seed 1, the tuned duration, no faults)."""
 
     name: str
     description: str
-    topology: TopologySpec
-    attack: str = "legacy"
-    aggregate: bool = False
-    policy: str = "server"
-    duration: float = 10.0
-    attack_start: float = 0.0
-    attack_groups: int = 1
-    group_stagger: float = 0.0
-    config_overrides: Tuple[Tuple[str, object], ...] = ()
+    template: ScenarioSpec
+
+    @property
+    def topology(self) -> TopologySpec:
+        return self.template.topology
 
     @property
     def n_hosts(self) -> int:
@@ -73,51 +66,37 @@ class ScenarioDef:
 
     @property
     def n_attackers(self) -> int:
-        return len(self.topology.role_addresses("attacker"))
+        return self.template.n_attackers
 
-    def spec(
-        self,
-        scheme: str = "tva",
-        seed: int = 1,
-        duration: Optional[float] = None,
-        metrics: bool = False,
-        metrics_interval: float = 0.5,
-        faults=None,
-        scheme_options=None,
-        **config_kwargs,
-    ) -> ScenarioSpec:
-        """The runnable :class:`ScenarioSpec` for this scenario.
+    @property
+    def aggregate(self) -> bool:
+        return self.template.aggregate
 
-        ``duration`` and any ``ExperimentConfig`` field passed as a
-        keyword override the curated defaults; the definition itself is
-        immutable.
-        """
-        cfg = dict(self.config_overrides)
-        cfg.update(config_kwargs)
-        cfg["seed"] = seed
-        cfg["duration"] = self.duration if duration is None else duration
-        return ScenarioSpec(
-            scheme=scheme,
-            attack=self.attack,
-            n_attackers=self.n_attackers,
-            seed=seed,
-            config=ExperimentConfig(**cfg),
-            policy=self.policy,
-            attack_start=self.attack_start,
-            attack_groups=self.attack_groups,
-            group_stagger=self.group_stagger,
-            metrics=metrics,
-            metrics_interval=metrics_interval,
-            faults=faults if faults is not None else (),
-            topology=self.topology,
-            aggregate=self.aggregate,
-            scheme_options=dict(scheme_options or {}),
-        )
+    def spec(self, duration: Optional[float] = None, **fields) -> ScenarioSpec:
+        """The template with ``fields`` (any :class:`ScenarioSpec` field:
+        ``scheme``, ``seed``, ``faults``, ...) replaced; ``duration`` sets
+        the config's.  The definition itself is immutable."""
+        if duration is not None:
+            fields["config"] = replace(self.template.config, duration=duration)
+        return replace(self.template, **fields)
+
+
+def _scenario(name: str, description: str, topology: TopologySpec,
+              attack: str = "legacy",
+              config: Optional[ExperimentConfig] = None,
+              **fields) -> ScenarioDef:
+    """A library entry: ``attack`` from every attacker ``topology``
+    declares, for 10 simulated seconds unless ``config`` says otherwise."""
+    return ScenarioDef(name, description, ScenarioSpec(
+        scheme="tva", attack=attack,
+        n_attackers=topology.role_count("attacker"),
+        config=config or ExperimentConfig(duration=10.0),
+        topology=topology, **fields))
 
 
 def _curated() -> List[ScenarioDef]:
     return [
-        ScenarioDef(
+        _scenario(
             name="tree-flood",
             description=(
                 "Legacy floods from every leaf of an aggregation tree whose "
@@ -127,7 +106,7 @@ def _curated() -> List[ScenarioDef]:
             ),
             topology=tree_spec(),
         ),
-        ScenarioDef(
+        _scenario(
             name="tree-flash-crowd",
             description=(
                 "The same tree under a flash crowd: ten legitimate users per "
@@ -137,7 +116,7 @@ def _curated() -> List[ScenarioDef]:
             ),
             topology=tree_spec(users_per_leaf=10, attackers_per_leaf=0),
         ),
-        ScenarioDef(
+        _scenario(
             name="as-colluders",
             description=(
                 "Colluder-authorized floods entering an AS-like transit/stub "
@@ -149,7 +128,7 @@ def _curated() -> List[ScenarioDef]:
             attack="colluder",
             aggregate=True,
         ),
-        ScenarioDef(
+        _scenario(
             name="asymmetric-paths",
             description=(
                 "Forward data and return grants ride different unidirectional "
@@ -158,7 +137,7 @@ def _curated() -> List[ScenarioDef]:
             ),
             topology=asymmetric_spec(),
         ),
-        ScenarioDef(
+        _scenario(
             name="partial-tva",
             description=(
                 "A router chain with the scheme deployed on the edge hops "
@@ -167,7 +146,7 @@ def _curated() -> List[ScenarioDef]:
             ),
             topology=partial_deployment_spec(),
         ),
-        ScenarioDef(
+        _scenario(
             name="fat-tree-flood",
             description=(
                 "A k=4 fat-tree datacenter fabric with a full-bisection core; "
@@ -176,7 +155,7 @@ def _curated() -> List[ScenarioDef]:
             ),
             topology=fat_tree_spec(),
         ),
-        ScenarioDef(
+        _scenario(
             name="flood-10k",
             description=(
                 "Ten thousand flood sources — four aggregated groups of 2500 "
@@ -191,8 +170,7 @@ def _curated() -> List[ScenarioDef]:
                 attackers_per_leaf=2500,
             ),
             aggregate=True,
-            duration=5.0,
-            config_overrides=(("attack_rate_bps", 50_000.0),),
+            config=ExperimentConfig(duration=5.0, attack_rate_bps=50_000.0),
         ),
     ]
 
@@ -217,7 +195,8 @@ def get_scenario(name: str) -> ScenarioDef:
 def format_scenario_table() -> str:
     """The ``repro scenario --list`` table."""
     rows = [
-        (s.name, s.topology.name, str(s.n_hosts), s.attack, s.description)
+        (s.name, s.topology.name, str(s.n_hosts), s.template.attack,
+         s.description)
         # repro: allow-unordered-iter — curated order IS the presentation order
         for s in SCENARIOS.values()
     ]
@@ -257,8 +236,8 @@ def _sparkline(series, t_max: float, buckets: int = 60) -> str:
 
 
 def _flood_grid(attack, schemes, sweep, duration, seed, **options):
-    config = ExperimentConfig(duration=duration, seed=seed)
-    return build_flood_specs(attack, schemes, sweep, config, **options)
+    config = ExperimentConfig(duration=duration)
+    return build_flood_specs(attack, schemes, sweep, config, seed, **options)
 
 
 def _dynamics_grid(schemes, attackers, keep_secret, **options):

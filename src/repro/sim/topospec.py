@@ -226,7 +226,7 @@ class TopologySpec:
                         "names no node"
                     )
         for role in ("destination", "colluder"):
-            members = sum(n.count for n in self.host_groups() if n.role == role)
+            members = self.role_count(role)
             if role == "destination" and members != 1:
                 raise ValueError(
                     f"topology {self.name!r}: exactly one destination host "
@@ -269,6 +269,10 @@ class TopologySpec:
     def addresses_for(self, name: str) -> range:
         base = self.base_addresses()[name]
         return range(base, base + self.node(name).count)
+
+    def role_count(self, role: str) -> int:
+        """How many hosts carry ``role``."""
+        return sum(n.count for n in self.host_groups() if n.role == role)
 
     def role_addresses(self, role: str) -> List[int]:
         """Every host address carrying ``role``, ascending."""

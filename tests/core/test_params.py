@@ -9,7 +9,6 @@ from repro.core.params import (
     N_MAX_BYTES,
     NT_MIN_BYTES,
     NT_MIN_SECONDS,
-    REQUEST_FRACTION_DEFAULT,
     REQUEST_FRACTION_SIM,
     SECRET_PERIOD,
     T_FIELD_BITS,
@@ -43,7 +42,7 @@ def test_field_widths_match_figure5():
 
 
 def test_request_fractions():
-    assert REQUEST_FRACTION_DEFAULT == 0.05
+    # Section 5's simulations, not Section 3.2's 5 % cap.
     assert REQUEST_FRACTION_SIM == 0.01
 
 

@@ -23,7 +23,7 @@ def _pair(topology, **kwargs):
     return results
 
 
-CONFIG = ExperimentConfig(duration=3.0, n_users=3)
+CONFIG = ExperimentConfig(duration=3.0)  # the topologies size the users
 #: 100 kb/s per sender keeps 200 senders from swamping every scheme, so
 #: some cases complete transfers (tva legacy 42, siff legacy 5).
 TREE_CONFIG = ExperimentConfig(duration=3.0, attack_rate_bps=1e5)

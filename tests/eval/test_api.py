@@ -73,7 +73,7 @@ class TestFacade:
 
     def test_run_scenario_failure_is_a_sweep_failure(self):
         # One attempt, no retry: the same runner path as every sweep.
-        spec = ScenarioSpec("internet", "colluder", 1, config=FAST,
+        spec = ScenarioSpec("internet", "colluder", 12, config=FAST,
                             topology=api.tree_spec())
         with pytest.raises(api.SweepFailure, match="colluder") as excinfo:
             api.run_scenario(spec)
@@ -115,7 +115,7 @@ class TestSchemeRegistry:
     def test_registry_values_are_knob_dataclasses(self):
         import dataclasses
 
-        for name, scheme in api.SCHEMES.items():
+        for name, scheme in sorted(api.SCHEMES.items()):
             assert dataclasses.is_dataclass(scheme.Knobs), name
             assert scheme(scheme.Knobs(), seed=7).name == name
 

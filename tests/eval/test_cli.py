@@ -132,6 +132,14 @@ class TestBadInput:
                      id="scenario-unknown-knob"),
         pytest.param(["scenario", "--name", "bogus"],
                      "unknown scenario 'bogus'", id="scenario-unknown-name"),
+        # A library scenario's topology fixes both; a flag that would
+        # be ignored is rejected instead.
+        pytest.param(["scenario", "--name", "tree-flood", "--attack",
+                      "colluder"], "--attack does not apply",
+                     id="scenario-name-with-attack"),
+        pytest.param(["scenario", "--name", "tree-flood", "--attackers",
+                      "99"], "--attackers does not apply",
+                     id="scenario-name-with-attackers"),
         pytest.param(["scenario", "--fault", "nonsense"],
                      "unknown fault kind", id="scenario-malformed-fault"),
         pytest.param(["fig8", "--schemes", "internet", "--sweep", "-3"],
@@ -307,7 +315,7 @@ class TestMetricsFlag:
         import json
 
         rc = main(["scenario", "--scheme", "tva", "--attackers", "2",
-                   "--duration", "4", "--regular-qdisc", "sfq",
+                   "--duration", "4", "--scheme-opt", "regular_qdisc=sfq",
                    "--json", "--no-cache"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)

@@ -5,36 +5,36 @@ import pytest
 from repro.api import RunResult, build_fig11_spec, build_scheme, run_spec
 from repro.eval import ExperimentConfig, Fig11Result
 from repro.eval import runner as runner_module
-from repro.eval.experiments import merged_scheme_options
 from repro.eval.runner import ScenarioSpec
 from repro.scenarios import FIGURES
 
 
-def scheme_for(name, config, options=None):
-    """The scheme ``run_spec`` builds for ``name`` under ``config``."""
-    return build_scheme(name, merged_scheme_options(name, config, options),
-                        seed=config.seed)
+def scheme_for(name, options=None):
+    """The scheme a ``name`` spec with ``options`` names: its knobs come
+    from ``scheme_options`` alone."""
+    spec = ScenarioSpec(name, "legacy", 1, scheme_options=options or {})
+    return build_scheme(name, spec.scheme_options, seed=spec.seed)
 
 
 class TestSchemeFromConfig:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            scheme_for("bogus", ExperimentConfig())
+            scheme_for("bogus")
 
     def test_unknown_knob_raises(self):
         with pytest.raises(TypeError, match="siff"):
-            scheme_for("siff", ExperimentConfig(), {"secret_perod": 3.0})
+            scheme_for("siff", {"secret_perod": 3.0})
 
     def test_tva_uses_sim_request_fraction(self):
-        scheme = scheme_for("tva", ExperimentConfig())
-        assert scheme.knobs.request_fraction == 0.01
+        # Section 5's 1 % is the knob's one default, library and harness.
+        assert scheme_for("tva").knobs.request_fraction == 0.01
+        assert build_scheme("tva").knobs.request_fraction == 0.01
 
     def test_options_override_config_knobs(self):
-        config = ExperimentConfig(regular_qdisc="sfq")
-        assert scheme_for("tva", config).knobs.regular_qdisc == "sfq"
-        scheme = scheme_for("tva", config, {"regular_qdisc": "drr",
-                                            "request_fraction": 0.05})
-        assert scheme.knobs.regular_qdisc == "drr"
+        # The config carries no knobs now: options override the defaults.
+        scheme = scheme_for("tva", {"regular_qdisc": "sfq",
+                                    "request_fraction": 0.05})
+        assert scheme.knobs.regular_qdisc == "sfq"
         assert scheme.knobs.request_fraction == 0.05
 
 
@@ -128,7 +128,6 @@ class TestConfigRoundTrip:
         config = ExperimentConfig(duration=7.5, seed=3)
         clone = ExperimentConfig.from_dict(config.to_dict())
         assert clone == config
-        assert isinstance(clone.server_grant, tuple)
 
     def test_config_round_trips_through_json(self):
         import json
@@ -136,19 +135,27 @@ class TestConfigRoundTrip:
         config = ExperimentConfig()
         clone = ExperimentConfig.from_dict(json.loads(
             json.dumps(config.to_dict())))
-        assert clone == config  # server_grant list -> tuple normalization
+        assert clone == config
 
+    # The grant left the config for scheme_options: a list and a tuple
+    # grant are still one spec, and a bad one is still rejected there.
     def test_config_normalizes_list_grant(self):
-        assert ExperimentConfig(server_grant=[1000, 5]) == \
-            ExperimentConfig(server_grant=(1000, 5))
+        specs = [ScenarioSpec("tva", "legacy", 1,
+                              scheme_options={"server_grant": grant})
+                 for grant in ([1000, 5], (1000, 5))]
+        assert specs[0] == specs[1]
+        assert specs[0].key() == specs[1].key()
 
     @pytest.mark.parametrize("grant", [
         [32000], [0, 10], [-5, 10], [32000, 0], [32000, 10, 1], 5,
         [True, 10], [32000, float("inf")],
     ])
     def test_config_rejects_a_bad_grant(self, grant):
-        with pytest.raises(ValueError, match="config.server_grant"):
-            ExperimentConfig(server_grant=grant)
+        with pytest.raises(ValueError, match="scheme 'tva': server_grant="):
+            ScenarioSpec("tva", "legacy", 1,
+                         scheme_options={"server_grant": grant})
+        with pytest.raises(ValueError, match="removed field 'server_grant'"):
+            ExperimentConfig.from_dict({"server_grant": grant})
 
 
 class TestFig11ConfigIsolation:

@@ -3,7 +3,8 @@
 The literals below were captured from the hand-written parsers and spec
 builders the registry replaced, so a default can no longer drift
 silently: the flags' defaults, and every ``spec.key()`` of each default
-grid, are pinned.
+grid, are pinned.  The keys were re-captured when the config's copies of
+the scheme knobs were deleted; the specs' other fields were unchanged.
 """
 
 import pytest
@@ -30,34 +31,34 @@ DEFAULTS = {
 #: The first 12 hex digits of each ``spec.key()`` of the default grid.
 KEYS = {
     "fig8": (
-        "95833a207f15 5a3284642f32 f43adb4af60d 1e2ece604d42 dc1746fbc255 "
-        "7655b2adbe33 31bf961faf26 73941fef3e83 a10de87ebadf f138ea0dbd3a "
-        "7e23ec6cbda9 018741048779 ad3e9c838914 f66a0c597478 a7d8f90432e7 "
-        "0a7868b245c5 4c3ab4965ded ecf69a9accb3 995663b243ff d007050d8bfa "
-        "86f2e8183ea7 42ae805a01c7 97498571483e 956fbd09e6d0 efb644fb8dd3 "
-        "d46a75d140c3 78aac16b8f2e d156d55ce0fe 7c147f230759 8b5662c57171 "
-        "c63f542cc9ce 1c01655ae171 dd951b85cc04 047cd7f87501 3ac4e81a29e5"
+        "494473be7461 e41fc7891c7b 9097c6890c9b 5e4c0eaa02e7 3406ecaf74fd "
+        "178e7dea936e d5cab09be2f8 c995ea17ccaf 5892ddac7bd4 6390ad02860f "
+        "352e2adc80f0 7829b31f54c7 3db94d98d5c0 e134ba21a479 7045ff08c3a1 "
+        "eb1c0ff4ca26 4aafc3f28225 389049191c1d 9b8baf85183b 64266deb1fda "
+        "54ceb06888b3 14626d1707b8 7a5bdd2c7913 4333bed5fd99 a83196381e3f "
+        "43111e872f4d ef3a48cf41e3 54d7fbb2b07c b9ab72eb0f2f 08f9b839a265 "
+        "fd33aae6d15b ea76fbfc6f69 ca2914395d8b 810a5b14caae 74288c23f6cd"
     ),
     "fig9": (
-        "e965cdfdaf89 4243bd921e97 ec4c080936df ec59dbcd6407 a54a14678d44 "
-        "4215f7986b98 6da3dca0d49f 66fe4ee8a378 a7149822af8e fc75d3c29cbb "
-        "e4ca22ef5960 7e26eb0fa8da ebbf26c8d438 140a78cbbacc e7523d2e4891 "
-        "6f675e1956d1 753d2beb0ff0 66f2974d713a 97b90cf3bac0 f18ac58d6678 "
-        "4daae7a9d6ff d2e8e6adc136 1252f639de50 640ee94883ec 5b31c0099708 "
-        "b8272259441c 83a4fe6990a2 6b91f9c12193 00e1658b2be2 ea9b168a1854 "
-        "679c1365c6db ee3059a2d1f8 45b25ae69cb8 d703bec39e7b 63b20d7ad2e9"
+        "870328928ad0 db3eb0038e7b 7040c1515d0f 85e9e23ec3bb 9449e629d41b "
+        "12806472ff45 e7e8a502f241 d83ae5a99fea 9f94655c6f88 12021e8cfb0e "
+        "64f880a45478 97ed82c09dda 56bb17bf8fea ff894123f0b9 97be8c2084ab "
+        "86d70681d5e6 3a48a5b4f531 366c21a950be 1d2ec773936c f41af7c8c59a "
+        "61be095b76c8 26582e9f6ef0 dab90bfdd091 8edf69f2968a d08049cfb832 "
+        "5e9bc296b1da aaad83663e6a 51724a330685 5bdea009298e 32f5ea5aed92 "
+        "7fcd9c688c93 23d8a9d0fd83 0c757f24214c caf4c78e0195 bff62f82faa6"
     ),
     "fig10": (
-        "c1d32059b051 c0b55fa29274 7bbf5fcb97e2 d607e2cfe544 35a88ba01d96 "
-        "069870426d01 92c04d9838fe fbaee3e41f04 c53ec1d20fb5 1a539e4f9e9b "
-        "bb98de88f362 b0d802747481 c8cf58331f68 8a90ac546138 36afcd0857ba "
-        "6c2f40f9cfd0 ae8c214c5286 2f7f7c51ea81 1580dc2dcf61 35fdb3796671 "
-        "3feb1353f9b0 a78c4c042b37 ffbd77ee90ac 36f4f853dfd9 54c3f4a34321 "
-        "5f774af9eed8 6e2c232b1263 aad6d0811370 44ebdedfcb52 fa2632457647 "
-        "8c75fd3f8015 1d49b9cc7b0c f6767e8ed0fd 73c9ee1f4c04 f84d57a35f08"
+        "d95864d39626 e4dc83ab63cd b05c5d64f3e8 8afaf1400ecb 2c6c1326c92b "
+        "4e588b572cdb 64b0e599822c ff5162b1774f 52a707e26d85 1a98db8e0333 "
+        "0252dd5a0c48 240f073cf3a8 50bc549c0f83 6c3983ca1b8e ac787cb670e7 "
+        "dae0d143d746 ccb94ead3b92 98643f698673 d9cdf4a32be7 50bf230ab11c "
+        "fc7fcdb9fc05 5beca1655d19 a2fd2ed3087c ec508a65bb4c d981de5f6f70 "
+        "c638ba0f31c8 4b3deb10513e ee822609ce14 b726185c22e5 4c9bf6f36c95 "
+        "4930ae48c3bb 3b0934e230b9 4008cd5589a5 0d623e64b944 d1f142a57736"
     ),
-    "fig11": "61cb98408ee4",
-    "dynamics": "66b70e4e339d 4ec0becbec09 56c62f18bd00 98943a7366e8",
+    "fig11": "5c3e67732cab",
+    "dynamics": "4929bfd17462 69719b94206d ec6027f143db d99bff73c762",
 }
 
 
@@ -76,7 +77,7 @@ def test_parsed_flags_carry_exactly_the_entry_defaults(name):
 
 
 @pytest.mark.parametrize("name", list(KEYS))
-def test_default_grid_keys_are_pinned(name):
+def test_default_grid_spec_keys_are_pinned(name):
     keys = [spec.key()[:12] for spec in FIGURES[name].specs()]
     assert keys == KEYS[name].split()
 

@@ -71,7 +71,7 @@ def failing_spec():
     """A spec that validates but raises inside ``run_spec`` (so in the
     worker process for jobs>1): a colluder flood on a topology that has
     no colluder host."""
-    return ScenarioSpec("internet", "colluder", 1, config=FAST,
+    return ScenarioSpec("internet", "colluder", 12, config=FAST,
                         topology=tree_spec())
 
 
@@ -126,12 +126,19 @@ class TestScenarioSpec:
                 load(data)
 
     @pytest.mark.parametrize("knob", ["secret_period", "accept_previous",
-                                      "mark_bits"])
+                                      "mark_bits", "server_grant",
+                                      "request_fraction", "regular_qdisc"])
     def test_stale_siff_key_is_a_named_error(self, knob):
-        # Specs stored before SIFF's knobs moved to scheme_options.
+        # Specs stored before SIFF's knobs moved to scheme_options, and
+        # configs stored before the grant, the request channel and the
+        # regular-class qdisc did.
         stored = ScenarioSpec("siff", "legacy", 5, config=FAST).to_dict()
-        stored[f"siff_{knob}"] = 3
-        with pytest.raises(ValueError, match=f"removed field 'siff_{knob}'.*"
+        if knob in ("server_grant", "request_fraction", "regular_qdisc"):
+            key, holder = knob, stored["config"]
+        else:
+            key, holder = f"siff_{knob}", stored
+        holder[key] = 3
+        with pytest.raises(ValueError, match=f"removed field '{key}'.*"
                                              f"scheme_options.*\"{knob}\""):
             ScenarioSpec.from_dict(stored)
 
@@ -169,6 +176,19 @@ class TestScenarioSpec:
                 **kwargs}
         with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
             ScenarioSpec(**spec)
+
+    @pytest.mark.parametrize("field,value", [
+        ("transfer_bytes", 0),
+        ("attack_pkt_size", 0),
+        ("attack_rate_bps", 0.0),
+        ("bottleneck_bps", 0.0),
+    ])
+    def test_rejects_zero_sizes_and_rates(self, field, value):
+        # Each used to build, hash and raise inside run_spec, where a
+        # sweep retried it into a SweepFailure.
+        config = ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^config.{field} must be > 0"):
+            ScenarioSpec("internet", "legacy", 1, config=config)
 
     @pytest.mark.parametrize("field,kwargs", [
         ("config.duration", {"config": ExperimentConfig(duration=INF)}),
@@ -212,14 +232,13 @@ class TestScenarioSpec:
         ("regular_qdisc", "foo"),
     ])
     def test_rejects_out_of_range_config_knob(self, knob, value):
-        # The same knobs reach TVA through ExperimentConfig; one
-        # validation path means they fail at spec-build time too.
+        # These knobs used to reach TVA through ExperimentConfig too.
+        # The config is no route now, and on the one route left a bad
+        # value fails at spec-build time.
+        with pytest.raises(TypeError, match=knob):
+            ExperimentConfig(**{knob: value})
         with pytest.raises(ValueError, match=f"scheme 'tva': {knob}="):
-            ScenarioSpec("tva", "legacy", 1,
-                         config=ExperimentConfig(**{knob: value}))
-        # A scheme that never reads the knob is unaffected by it.
-        ScenarioSpec("internet", "legacy", 1,
-                     config=ExperimentConfig(**{knob: value}))
+            ScenarioSpec("tva", "legacy", 1, scheme_options={knob: value})
 
 
 class TestSpecBuilders:
@@ -244,18 +263,20 @@ class TestSpecBuilders:
     def test_fig11_siff_knobs_ride_scheme_options(self):
         # The paper's Figure 11 SIFF (3 s turnover, no previous-secret
         # grace) plus idealized 16-bit marks; other schemes take defaults.
+        # The 32 KB / 10 s grant rides the same route for both schemes
+        # that have the knob; NetFence has none.
         from repro.api import build_scheme
         from repro.baselines import SiffScheme
-        from repro.eval.experiments import merged_scheme_options
 
         spec = fig11_spec(scheme="siff")
-        scheme = build_scheme("siff", merged_scheme_options(
-            "siff", spec.config, spec.scheme_options))
+        scheme = build_scheme("siff", spec.scheme_options)
         assert isinstance(scheme, SiffScheme)
         assert scheme.knobs.secret_period == 3.0
         assert not scheme.knobs.accept_previous
         assert scheme.knobs.mark_bits == 16
-        assert fig11_spec(scheme="tva").scheme_options == {}
+        assert scheme.knobs.server_grant == (32 * 1024, 10)
+        assert fig11_spec(scheme="tva").scheme_options == {
+            "server_grant": [32 * 1024, 10]}
         assert fig11_spec(scheme="netfence").scheme_options == {}
 
     def test_fig11_spec_rejects_bad_pattern(self):
@@ -268,6 +289,80 @@ class TestSpecBuilders:
                                 attack_start=10.0, duration=5.0, config=config)
         assert spec.config.duration == 5.0
         assert config.duration == 99.0
+
+
+def built_scheme(monkeypatch, spec):
+    """The scheme ``run_spec`` builds for ``spec``, caught on its way
+    into ``instantiate`` (so no network is built and nothing runs)."""
+    from repro.eval import runner as runner_module
+
+    class Built(Exception):
+        pass
+
+    def capture(network, sim, scheme, **kwargs):
+        raise Built(scheme)
+
+    monkeypatch.setattr(runner_module, "instantiate", capture)
+    with pytest.raises(Built) as caught:
+        run_spec(spec)
+    return caught.value.args[0]
+
+
+class TestOneRoute:
+    """Every field of a spec reaches the run, or the spec is rejected."""
+
+    @pytest.mark.parametrize("scheme", ["tva", "siff"])
+    @pytest.mark.parametrize("policy", ["filtering", "oracle"])
+    def test_scheme_option_grant_reaches_the_policy(self, monkeypatch,
+                                                    scheme, policy):
+        # Filtering used to read the config's grant and the oracle a
+        # hard-coded 32 KB, whatever scheme_options said.
+        spec = ScenarioSpec(scheme, "request", 2, policy=policy,
+                            scheme_options={"server_grant": [2048, 10]})
+        built = built_scheme(monkeypatch, spec).destination_policy()
+        assert getattr(built, "inner", built).default_grant == (2048, 10)
+
+    def test_specs_differing_only_in_config_seed_are_one_spec(self):
+        a = ScenarioSpec("tva", "legacy", 2, seed=3,
+                         config=ExperimentConfig(seed=9))
+        b = ScenarioSpec("tva", "legacy", 2, seed=3)
+        assert a == b
+        assert a.key() == b.key()
+        assert a.config.seed == 3
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("n_attackers", {"n_attackers": 99}),
+        ("config.n_users", {"config": ExperimentConfig(n_users=3)}),
+        ("config.bottleneck_bps",
+         {"config": ExperimentConfig(bottleneck_bps=1e6)}),
+    ], ids=["n_attackers", "n_users", "bottleneck_bps"])
+    def test_topology_rejects_a_dumbbell_size(self, field, kwargs):
+        # Each used to be hashed into the key and ignored by the run; a
+        # wrong n_attackers was even reported in the result.
+        spec = {"scheme": "tva", "attack": "legacy", "n_attackers": 12,
+                "topology": tree_spec(), **kwargs}
+        with pytest.raises(ValueError, match=f"^{field}="):
+            ScenarioSpec(**spec)
+
+    @pytest.mark.parametrize("scheme", ["tva", "siff", "pushback",
+                                        "internet", "netfence"])
+    def test_default_spec_runs_the_default_knobs(self, monkeypatch, scheme):
+        from repro.api import build_scheme
+
+        built = built_scheme(monkeypatch, ScenarioSpec(scheme, "legacy", 1))
+        assert built.knobs == build_scheme(scheme).knobs
+
+    def test_network_is_described_once_per_run(self, monkeypatch):
+        from repro.eval import runner as runner_module
+
+        calls = []
+        real = runner_module.dumbbell_spec
+        monkeypatch.setattr(runner_module, "dumbbell_spec",
+                            lambda **kw: calls.append(kw) or real(**kw))
+        spec = ScenarioSpec("tva", "request", 2, policy="filtering",
+                            config=ExperimentConfig(duration=0.0))
+        run_spec(spec)
+        assert len(calls) == 1
 
 
 class TestRunSpec:

@@ -58,7 +58,7 @@ ALL_SCHEMES = scheme_names()
 #: Every scheme's knobs and their defaults, as written literally: a knob
 #: added, lost, renamed or re-defaulted fails here.
 KNOB_DEFAULTS = {
-    "tva": {"server_grant": (262144, 10), "request_fraction": 0.05,
+    "tva": {"server_grant": (262144, 10), "request_fraction": 0.01,
             "regular_qdisc": "drr"},
     "siff": {"server_grant": (262144, 10), "secret_period": 30.0,
              "accept_previous": True, "mark_bits": 2},
@@ -272,7 +272,7 @@ CHANGED_FIELD = {
     "metrics": True,
     "metrics_interval": 0.25,
     "faults": ("reboot:1.0:root",),  # the tree has no R1
-    "topology": dumbbell_spec(),
+    "topology": tree_spec(users_per_leaf=3),  # still 12 attackers
     "aggregate": False,
     "scheme_options": {"request_fraction": 0.1},
 }
@@ -288,10 +288,14 @@ class TestSpecKeyRule:
     @pytest.mark.parametrize("field_name", SPEC_FIELDS)
     def test_changing_any_single_field_changes_the_key(self, field_name):
         base = KEY_RULE_SPECS["topology_aggregate"]
-        changed = dataclasses.replace(
-            base, **{field_name: CHANGED_FIELD[field_name]}
-        )
-        assert changed.key() != base.key()
+        change = {field_name: CHANGED_FIELD[field_name]}
+        if field_name == "n_attackers":
+            # The topology counts its attackers, so a spec on one rejects
+            # any other count; a dumbbell spec is sized by it.
+            with pytest.raises(ValueError, match="n_attackers"):
+                dataclasses.replace(base, **change)
+            base = KEY_RULE_SPECS["default"]
+        assert dataclasses.replace(base, **change).key() != base.key()
 
     @pytest.mark.parametrize("label", sorted(KEY_RULE_SPECS))
     def test_json_roundtrip_preserves_the_key(self, label):

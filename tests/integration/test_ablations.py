@@ -63,8 +63,9 @@ def test_ablation_request_fraction():
     """1% vs 5% request channel: both keep request floods harmless; the
     bigger channel admits more requests but also burns more bandwidth."""
     completed = [
-        run_spec(ScenarioSpec("tva", "request", 40, config=ExperimentConfig(
-            duration=DURATION, request_fraction=fraction))).fraction_completed
+        run_spec(ScenarioSpec(
+            "tva", "request", 40, config=ExperimentConfig(duration=DURATION),
+            scheme_options={"request_fraction": fraction})).fraction_completed
         for fraction in (0.01, 0.05)
     ]
     assert completed == [1.0, 1.0]
